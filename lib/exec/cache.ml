@@ -30,6 +30,10 @@ type plan = {
   p_epoch : int;
 }
 
+(* a plan's key within its graph's table: retrieval mode, refine flag,
+   pattern text *)
+type pkey = char * bool * string
+
 type t = {
   mutex : Mutex.t;
   plan_capacity : int;
@@ -37,7 +41,9 @@ type t = {
   mutable next_gid : int;
   gids : int GraphTbl.t;
   indexes : (int, Gql_index.Label_index.t * Gql_index.Profile_index.t) Hashtbl.t;
-  plans : (string, plan) Hashtbl.t;
+  (* gid -> that graph's plans, so retiring a graph is one removal *)
+  plans : (int, (pkey, plan) Hashtbl.t) Hashtbl.t;
+  mutable n_plans : int;  (* total over the per-graph tables *)
   rows : Lru.t;
   pkeys : string PatTbl.t;
   (* per-graph epochs: gid -> how many times this document slot has been
@@ -58,6 +64,7 @@ type stats = {
   plans : int;
   retrieval : Lru.stats;
   invalidations : int;
+  observations : int;
 }
 
 let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
@@ -71,6 +78,7 @@ let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
     gids = GraphTbl.create 64;
     indexes = Hashtbl.create 64;
     plans = Hashtbl.create 256;
+    n_plans = 0;
     rows = Lru.create ~budget_bytes:retrieval_budget_bytes;
     pkeys = PatTbl.create 64;
     epochs = Hashtbl.create 64;
@@ -81,6 +89,11 @@ let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+(* call under the mutex *)
+let reset_plans (t : t) =
+  Hashtbl.reset t.plans;
+  t.n_plans <- 0
 
 let register t graphs =
   locked t (fun () ->
@@ -101,7 +114,7 @@ let invalidate t ~metrics =
       t.invalidations <- t.invalidations + 1;
       GraphTbl.reset t.gids;
       Hashtbl.reset t.indexes;
-      Hashtbl.reset t.plans;
+      reset_plans t;
       Hashtbl.reset t.epochs;
       Lru.clear t.rows;
       M.incr metrics M.Exec_cache_invalidations)
@@ -114,13 +127,11 @@ let gid_opt t g = GraphTbl.find_opt t.gids g
 let drop_gid t g gid =
   GraphTbl.remove t.gids g;
   Hashtbl.remove t.indexes gid;
-  let prefix = Printf.sprintf "g%d|" gid in
-  let doomed =
-    Hashtbl.fold
-      (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc)
-      t.plans []
-  in
-  List.iter (Hashtbl.remove t.plans) doomed
+  match Hashtbl.find_opt t.plans gid with
+  | None -> ()
+  | Some tbl ->
+    t.n_plans <- t.n_plans - Hashtbl.length tbl;
+    Hashtbl.remove t.plans gid
 
 (* call under the mutex *)
 let add_gid t g =
@@ -182,7 +193,7 @@ let retain t ~metrics ~keep =
         t.invalidations <- t.invalidations + 1;
         GraphTbl.reset t.gids;
         Hashtbl.reset t.indexes;
-        Hashtbl.reset t.plans;
+        reset_plans t;
         Hashtbl.reset t.epochs;
         Lru.clear t.rows;
         M.incr metrics M.Exec_cache_invalidations
@@ -239,9 +250,8 @@ let pattern_text t p =
     PatTbl.add t.pkeys p s;
     s
 
-let plan_key t gid ~retrieval ~refine p =
-  Printf.sprintf "g%d|%c|%b|%s" gid (mode_char retrieval) refine
-    (pattern_text t p)
+let plan_key t ~retrieval ~refine p : pkey =
+  (mode_char retrieval, refine, pattern_text t p)
 
 let plan_find t ~metrics ~retrieval ~refine ?(epoch = 0) g p =
   locked t (fun () ->
@@ -249,7 +259,8 @@ let plan_find t ~metrics ~retrieval ~refine ?(epoch = 0) g p =
       | None -> None
       | Some gid -> (
         match
-          Hashtbl.find_opt t.plans (plan_key t gid ~retrieval ~refine p)
+          Option.bind (Hashtbl.find_opt t.plans gid) (fun tbl ->
+              Hashtbl.find_opt tbl (plan_key t ~retrieval ~refine p))
         with
         | Some plan when plan.p_epoch = epoch ->
           M.incr metrics M.Exec_cache_hit;
@@ -269,8 +280,18 @@ let plan_add t ~retrieval ~refine g p plan =
       match gid_opt t g with
       | None -> ()
       | Some gid ->
-        if Hashtbl.length t.plans >= t.plan_capacity then Hashtbl.reset t.plans;
-        Hashtbl.replace t.plans (plan_key t gid ~retrieval ~refine p) plan)
+        if t.n_plans >= t.plan_capacity then reset_plans t;
+        let tbl =
+          match Hashtbl.find_opt t.plans gid with
+          | Some tbl -> tbl
+          | None ->
+            let tbl = Hashtbl.create 8 in
+            Hashtbl.add t.plans gid tbl;
+            tbl
+        in
+        let key = plan_key t ~retrieval ~refine p in
+        if not (Hashtbl.mem tbl key) then t.n_plans <- t.n_plans + 1;
+        Hashtbl.replace tbl key plan)
 
 (* Everything the row depends on, textually: the retrieval mode, the
    node's tuple constraints, its local predicate, and its radius-1
@@ -323,7 +344,8 @@ let stats t =
         version = t.version;
         graphs = GraphTbl.length t.gids;
         indexes = Hashtbl.length t.indexes;
-        plans = Hashtbl.length t.plans;
+        plans = t.n_plans;
         retrieval = Lru.stats t.rows;
         invalidations = t.invalidations;
+        observations = Gql_matcher.Stats.observations t.learned;
       })

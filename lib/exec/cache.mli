@@ -1,6 +1,7 @@
 (** The shared cross-query caches of the batch service.
 
-    Three caches, one mutex, one version stamp:
+    Three caches and the shared learned planner statistics, under one
+    mutex:
 
     - a {b profile-index cache}: data graph → its [Label_index] +
       [Profile_index], built once and reused by every query that scans
@@ -9,7 +10,10 @@
       sublinear;
     - a {b plan cache}: (graph, pattern) → the refined candidate space
       and the optimized search order, so a repeated query skips
-      retrieval, refinement and ordering and goes straight to search;
+      retrieval, refinement and ordering and goes straight to search.
+      It is two-level — graph, then (retrieval mode, refine flag,
+      pattern text) — so retiring a graph drops its plans in one
+      removal; the pattern text is memoized per pattern object, weakly;
     - a bounded {b retrieval cache}: (graph, retrieval mode, pattern-node
       signature) → the feasible-mate row Φ(u), an {!Lru} under a byte
       budget.
@@ -17,8 +21,9 @@
     Graphs are identified {e physically} ([==]): the service registers
     the document graphs it owns, and only registered graphs hit the
     caches — a graph bound to a query variable mid-run falls back to
-    the uncached engine. Any document update bumps the version stamp
-    and clears all three caches ({!invalidate}); stale reuse is
+    the uncached engine. A write retires exactly the written graph
+    ({!replace}, {!drop}): the new version gets a fresh gid, so nothing
+    cached for the old one can be found again. Stale reuse is
     impossible because lookups happen under the same mutex.
 
     Row signatures are textual: the pattern node's tuple constraints,
@@ -39,9 +44,9 @@ type t
 
 val create : ?plan_capacity:int -> ?retrieval_budget_bytes:int -> unit -> t
 (** Defaults: 4096 plans, 64 MiB of retrieval rows. The plan table is
-    reset wholesale when it exceeds capacity (plans are cheap to
-    recompute and capacity overrun indicates an adversarial workload);
-    the retrieval cache evicts LRU entries continuously. *)
+    reset wholesale when adding a plan finds it at capacity (plans are
+    cheap to recompute and capacity overrun indicates an adversarial
+    workload); the retrieval cache evicts LRU entries continuously. *)
 
 val register : t -> Graph.t list -> unit
 (** Make these graphs cacheable. Idempotent per graph (physical
@@ -165,9 +170,10 @@ type stats = {
   version : int;
   graphs : int;  (** registered graphs *)
   indexes : int;  (** index pairs actually built *)
-  plans : int;
+  plans : int;  (** cached plans, over every graph *)
   retrieval : Lru.stats;
   invalidations : int;
+  observations : int;  (** searches folded into the learned statistics *)
 }
 
 val stats : t -> stats

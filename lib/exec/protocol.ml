@@ -17,13 +17,15 @@ let crc_table =
          done;
          !c))
 
-let crc32 ?(crc = 0) s =
+let crc_range ?(crc = 0) s off len =
   let table = Lazy.force crc_table in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 ?crc s = crc_range ?crc s 0 (String.length s)
 
 type frame_error =
   | Torn
@@ -40,53 +42,48 @@ let frame_error_to_string = function
   | Header_crc_mismatch -> "header CRC mismatch"
   | Payload_crc_mismatch -> "payload CRC mismatch"
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
 let get_u32 s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let header payload =
-  let b = Buffer.create header_len in
-  Buffer.add_string b magic;
-  put_u32 b (String.length payload);
-  put_u32 b (crc32 payload);
-  put_u32 b (crc32 (Buffer.contents b));
-  Buffer.contents b
-
-let encode payload = header payload ^ payload
+let encode payload =
+  let len = String.length payload in
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_int32_be b 4 (Int32.of_int len);
+  Bytes.set_int32_be b 8 (Int32.of_int (crc32 payload));
+  Bytes.set_int32_be b 12
+    (Int32.of_int (crc_range (Bytes.unsafe_to_string b) 0 12));
+  Bytes.blit_string payload 0 b header_len len;
+  Bytes.unsafe_to_string b
 
 (* Header validation order matters: magic first (catches stream
    desynchronization with a clear message), then the header CRC
    (which also covers the length field), and only then is the length
-   trusted — against [max_frame] before any allocation. *)
-let check_header ?(max_frame = default_max_frame) h =
-  if String.sub h 0 4 <> magic then Error Bad_magic
-  else if get_u32 h 12 <> crc32 (String.sub h 0 12) then
+   trusted — against [max_frame] before any allocation. The header is
+   the [header_len] bytes of [s] at [off]. *)
+let check_header ?(max_frame = default_max_frame) s off =
+  if not (String.equal (String.sub s off 4) magic) then Error Bad_magic
+  else if get_u32 s (off + 12) <> crc_range s off 12 then
     Error Header_crc_mismatch
   else
-    let len = get_u32 h 4 in
+    let len = get_u32 s (off + 4) in
     if len > max_frame then Error (Oversized { len; max = max_frame })
-    else Ok (len, get_u32 h 8)
+    else Ok (len, get_u32 s (off + 8))
 
 let decode ?max_frame ?(off = 0) s =
   let n = String.length s in
   if n - off < header_len then Error Torn
   else
-    match check_header ?max_frame (String.sub s off header_len) with
+    match check_header ?max_frame s off with
     | Error e -> Error e
     | Ok (len, crc) ->
       if n - off - header_len < len then Error Torn
-      else
-        let payload = String.sub s (off + header_len) len in
-        if crc32 payload <> crc then Error Payload_crc_mismatch
-        else Ok (payload, off + header_len + len)
+      else if crc_range s (off + header_len) len <> crc then
+        Error Payload_crc_mismatch
+      else Ok (String.sub s (off + header_len) len, off + header_len + len)
 
 (* --- fd reader/writer ----------------------------------------------------- *)
 
@@ -106,7 +103,7 @@ let read_frame ?max_frame fd =
   match really_read fd header_len with
   | Error e -> Error e
   | Ok h -> (
-    match check_header ?max_frame h with
+    match check_header ?max_frame h 0 with
     | Error e -> Error e
     | Ok (len, crc) -> (
       match really_read fd len with
@@ -137,21 +134,30 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+  (* Append [s] JSON-escaped, copying each run of plain bytes at once. *)
+  let add_escaped buf s =
+    let n = String.length s in
+    let flush start i =
+      if i > start then Buffer.add_substring buf s start (i - start)
+    in
+    let rec go start i =
+      if i = n then flush start i
+      else
+        match s.[i] with
+        | ('"' | '\\' | '\000' .. '\031') as c ->
+          flush start i;
+          Buffer.add_string buf
+            (match c with
+            | '"' -> "\\\""
+            | '\\' -> "\\\\"
+            | '\n' -> "\\n"
+            | '\r' -> "\\r"
+            | '\t' -> "\\t"
+            | c -> Printf.sprintf "\\u%04x" (Char.code c));
+          go (i + 1) (i + 1)
+        | _ -> go start (i + 1)
+    in
+    go 0 0
 
   let to_string v =
     let buf = Buffer.create 256 in
@@ -165,7 +171,7 @@ module Json = struct
         else Buffer.add_string buf "null"
       | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_char buf '"'
       | List items ->
         Buffer.add_char buf '[';
@@ -181,7 +187,7 @@ module Json = struct
           (fun i (k, item) ->
             if i > 0 then Buffer.add_char buf ',';
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
+            add_escaped buf k;
             Buffer.add_string buf "\":";
             go item)
           fields;
@@ -226,17 +232,32 @@ module Json = struct
       end
       else fail "bad literal"
     in
+    (* end of the run of bytes from [i] that need no unescaping *)
+    let rec plain i =
+      if i < n && s.[i] <> '"' && s.[i] <> '\\' then plain (i + 1) else i
+    in
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
+      let start = !pos in
+      let stop = plain start in
+      if stop < n && s.[stop] = '"' then begin
+        (* no escapes: one copy *)
+        pos := stop + 1;
+        String.sub s start (stop - start)
+      end
+      else begin
+      let buf = Buffer.create (stop - start + 16) in
       let rec go () =
+        let stop = plain !pos in
+        Buffer.add_substring buf s !pos (stop - !pos);
+        pos := stop;
         if !pos >= n then fail "unterminated string"
         else
           let c = s.[!pos] in
           advance ();
           match c with
           | '"' -> Buffer.contents buf
-          | '\\' -> (
+          | _ (* '\\': [plain] stops at nothing else *) -> (
             if !pos >= n then fail "unterminated escape"
             else
               let e = s.[!pos] in
@@ -282,11 +303,9 @@ module Json = struct
                 end;
                 go ()
               | _ -> fail "bad escape")
-          | c ->
-            Buffer.add_char buf c;
-            go ()
       in
       go ()
+      end
     in
     let parse_number () =
       let start = !pos in

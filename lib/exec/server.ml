@@ -34,9 +34,7 @@ let render_graphs result =
   match result.Eval.last with
   | None -> []
   | Some coll ->
-    List.map
-      (fun g -> Format.asprintf "%a" Gql_graph.Graph.pp g)
-      (Algebra.graphs coll)
+    List.map Gql_graph.Graph.to_string (Algebra.graphs coll)
 
 (* A stale socket file from a crashed server must be unlinked before
    bind, but only when it provably is one: a typo'd --listen pointing

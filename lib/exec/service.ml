@@ -37,6 +37,8 @@ type job = {
   j_submitted : float;
   j_after : int;  (* watermark gate: runs once [applied >= j_after] *)
   j_reserved : int;  (* log positions reserved at submit (DML count) *)
+  j_parsed : (Gql_core.Ast.program * bool, exn) result;
+      (* parsed at submit; the flag says the parse cache already held it *)
   mutable j_writes : int;  (* writes actually applied; guarded by r_mutex *)
   mutable j_slice : int;  (* visited nodes since the last yield *)
   mutable j_yields : int;
@@ -165,11 +167,12 @@ let cached_run t job ~exhaustive p g =
   (* Fold a completed search's observations into the shared stats under
      the cache mutex. Only exhaustive runs: a truncated search
      undercounts deep positions and would bias the γ averages. *)
-  let feed outcome ~sizes ~order ~profile =
+  let feed outcome space ~order ~profile =
     if
       (uses_learned || s.Engine.adaptive)
       && outcome.Search.stopped = Budget.Exhausted
     then
+      let sizes = Feasible.sizes space in
       Cache.observe_learned t.cache ~f:(fun st ->
           let k = Array.length order in
           let pd = profile.Search.pr_descents in
@@ -187,10 +190,15 @@ let cached_run t job ~exhaustive p g =
      search space, fan the search itself out over the work-stealing
      engine so a lone heavy query no longer runs single-threaded while
      the pool idles. Tiny searches stay sequential — domain spawn/join
-     costs more than they do. *)
-  let search ~order space =
+     costs more than they do.
+
+     [observe] is set only for a search on a newly built plan: searching
+     the same immutable graph over the same space in the same order
+     observes the same sizes and fan-outs again, and counting the repeat
+     would only advance the learned epoch and mark every warm plan
+     stale. *)
+  let search ~observe ~order space =
     M.with_span metrics "search" (fun () ->
-        let sizes = Feasible.sizes space in
         let domains =
           if t.search_domains <= 1 || queue_nonempty t then 1
           else t.search_domains
@@ -212,11 +220,12 @@ let cached_run t job ~exhaustive p g =
                 ~report:(fun r -> reported := Some r)
                 ~order p g space
             in
-            Option.iter
-              (fun r ->
-                feed o ~sizes ~order:r.Gql_matcher.Ws.r_order
-                  ~profile:r.Gql_matcher.Ws.r_profile)
-              !reported;
+            if observe then
+              Option.iter
+                (fun r ->
+                  feed o space ~order:r.Gql_matcher.Ws.r_order
+                    ~profile:r.Gql_matcher.Ws.r_profile)
+                !reported;
             o
           end
           else
@@ -229,16 +238,20 @@ let cached_run t job ~exhaustive p g =
               ~model:(order_model ()) ~order p g space
           in
           let o = r.Gql_matcher.Adapt.outcome in
-          feed o ~sizes ~order:r.Gql_matcher.Adapt.final_order
-            ~profile:r.Gql_matcher.Adapt.profile;
+          if observe then
+            feed o space ~order:r.Gql_matcher.Adapt.final_order
+              ~profile:r.Gql_matcher.Adapt.profile;
           o
         end
         else begin
-          let profile = Search.profile_create (Flat_pattern.size p) in
-          let o =
-            Search.run ~exhaustive ~budget ~metrics ~order ~profile p g space
+          let profile =
+            if observe then Some (Search.profile_create (Flat_pattern.size p))
+            else None
           in
-          feed o ~sizes ~order ~profile;
+          let o =
+            Search.run ~exhaustive ~budget ~metrics ~order ?profile p g space
+          in
+          Option.iter (fun profile -> feed o space ~order ~profile) profile;
           o
         end)
   in
@@ -254,7 +267,8 @@ let cached_run t job ~exhaustive p g =
       (* warm plan: retrieval, refinement and ordering already done *)
       match Budget.poll budget with
       | Some r -> empty_outcome r
-      | None -> search ~order:p_order { Feasible.candidates = p_space })
+      | None ->
+        search ~observe:false ~order:p_order { Feasible.candidates = p_space })
     | Some (`Stale { Cache.p_space; _ }) -> (
       (* the learned stats crossed an epoch since this plan was
          ordered: the refined space is still exact — only re-run the
@@ -271,7 +285,7 @@ let cached_run t job ~exhaustive p g =
         { Cache.p_space; p_order = order; p_epoch = epoch };
       match Budget.poll budget with
       | Some r -> empty_outcome r
-      | None -> search ~order space)
+      | None -> search ~observe:false ~order space)
     | None -> (
       match Cache.indexes t.cache ~metrics g with
       | None -> fallback () (* unregistered: a variable binding, not a doc *)
@@ -317,7 +331,7 @@ let cached_run t job ~exhaustive p g =
               };
             match Budget.poll budget with
             | Some r -> empty_outcome r
-            | None -> search ~order refined)))))
+            | None -> search ~observe:true ~order refined)))))
 
 let maybe_yield t job =
   if job.j_slice >= t.quantum && queue_nonempty t then begin
@@ -404,16 +418,17 @@ let selector t job ~exhaustive ~patterns entries =
 
 (* --- job execution --------------------------------------------------------- *)
 
-let parse_cached t job src =
-  match locked t.p_mutex (fun () -> Hashtbl.find_opt t.parsed src) with
-  | Some program ->
-    M.incr job.j_metrics M.Exec_cache_hit;
+(* The parse happened at submit; count it against the parse cache
+   here, on the job's metrics. *)
+let parsed_program job =
+  match job.j_parsed with
+  | Ok (program, cached) ->
+    M.incr job.j_metrics
+      (if cached then M.Exec_cache_hit else M.Exec_cache_miss);
     program
-  | None ->
+  | Error e ->
     M.incr job.j_metrics M.Exec_cache_miss;
-    let program = Gql_core.Gql.parse_program src in
-    locked t.p_mutex (fun () -> Hashtbl.replace t.parsed src program);
-    program
+    raise e
 
 let internalize e =
   match e with
@@ -598,7 +613,7 @@ let run_job t job =
   | Some r -> Rejected r
   | None -> (
     match
-      let program = parse_cached t job job.j_src in
+      let program = parsed_program job in
       M.add job.j_metrics M.Views_reads (view_reads program);
       Eval.run ~docs ~strategy:t.strategy ~budget:job.j_budget
         ~metrics:job.j_metrics ~selector:(selector t job)
@@ -623,7 +638,7 @@ let complete t job status =
             M.incr job.j_metrics M.Exec_queue_deadline_stops
           | Budget.Exhausted | Budget.Hit_limit -> ())
         | Failed _ -> ());
-        M.merge ~into:t.agg job.j_metrics;
+        M.merge_counts ~into:t.agg job.j_metrics;
         Hashtbl.replace t.results job.j_id
           {
             o_id = job.j_id;
@@ -736,19 +751,23 @@ let submit t ?deadline ?cancel ?after src =
     | None -> Budget.make ?cancel ()
     | Some d -> Budget.make ?cancel ~deadline_at:(now +. d) ()
   in
-  (* Reserve log positions for the program's DML statements at submit
-     time. A parse failure reserves none — the job fails identically
-     when run. The peek neither populates the parse cache nor counts
-     into any metrics: the job's own (counted) parse does both. *)
+  (* Parse once, here, through the parse cache: the job runs this AST,
+     and its DML statements reserve log positions now. A parse failure
+     reserves none; the job reports it when run. *)
+  let parsed =
+    match locked t.p_mutex (fun () -> Hashtbl.find_opt t.parsed src) with
+    | Some program -> Ok (program, true)
+    | None -> (
+      match Gql_core.Gql.parse_program src with
+      | program ->
+        locked t.p_mutex (fun () -> Hashtbl.replace t.parsed src program);
+        Ok (program, false)
+      | exception e -> Error e)
+  in
   let reserved =
-    try
-      let program =
-        match locked t.p_mutex (fun () -> Hashtbl.find_opt t.parsed src) with
-        | Some p -> p
-        | None -> Gql_core.Gql.parse_program src
-      in
-      Gql_core.Ast.count_dml program
-    with _ -> 0
+    match parsed with
+    | Ok (program, _) -> Gql_core.Ast.count_dml program
+    | Error _ -> 0
   in
   let job =
     locked t.r_mutex (fun () ->
@@ -774,6 +793,7 @@ let submit t ?deadline ?cancel ?after src =
           j_submitted = now;
           j_after = gate;
           j_reserved = reserved;
+          j_parsed = parsed;
           j_writes = 0;
           j_slice = 0;
           j_yields = 0;
@@ -818,7 +838,7 @@ let update_docs t docs =
   Cache.retain t.cache ~metrics:m ~keep:(List.concat_map snd docs);
   locked t.r_mutex (fun () ->
       t.docs <- docs;
-      M.merge ~into:t.agg m)
+      M.merge_counts ~into:t.agg m)
 
 (* Mount a view decoded from a store (or built by the caller) into the
    running service: materialized views adopt their persisted result
@@ -835,7 +855,7 @@ let install_view t v =
            v
            ~docs:(source_docs_locked t (View.source v)));
       install_view_locked t ~metrics:m v;
-      M.merge ~into:t.agg m)
+      M.merge_counts ~into:t.agg m)
 
 type view_info = {
   vi_name : string;

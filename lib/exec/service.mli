@@ -28,10 +28,17 @@
     as [Error.Eval "internal: ..."] so the batch completes and the
     failure is visible in its outcome.
 
+    {b Warm path.} Each text is parsed once, at {!submit}, through a
+    parse cache. A (pattern, graph) run whose plan is cached goes
+    straight to search. Only a search on a newly built plan feeds the
+    shared learned statistics: repeating a search on an immutable graph
+    observes nothing new, so warm plans stay fresh.
+
     Instrumentation: each job writes to its own [Metrics.t] (domain
-    safety), merged into the service aggregate at completion —
-    [exec.cache.*] and [exec.queue.*] counters plus the usual engine
-    spans. *)
+    safety), engine spans included. At completion its counters,
+    histograms and drift rows — not its spans — are added to the
+    service aggregate, which therefore stays the same size however
+    many queries it has counted. *)
 
 type status =
   | Done of Gql_core.Eval.result
@@ -167,8 +174,10 @@ val views : t -> view_info list
     status page. *)
 
 val metrics : t -> Gql_obs.Metrics.t
-(** The service aggregate. Only read it when no query is in flight
-    (after {!drain}) — completions merge into it concurrently. *)
+(** The service aggregate: [exec.cache.*], [exec.queue.*] and every
+    other counter, histogram and drift row of the completed queries. It
+    records no spans. Only read it when no query is in flight (after
+    {!drain}) — completions merge into it concurrently. *)
 
 val cache_stats : t -> Cache.stats
 

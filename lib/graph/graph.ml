@@ -406,20 +406,78 @@ let equal_structure g1 g2 =
 
 (* --- printing ----------------------------------------------------------- *)
 
+(* The text form is one header line, one line per declaration (nodes,
+   then edges) indented by two, and a closing brace. Both printers
+   write the lines with the functions below, so they cannot drift. *)
+
+let add_tuple buf t =
+  if not (Tuple.is_empty t) then begin
+    Buffer.add_char buf ' ';
+    Tuple.add_to_buffer buf t
+  end
+
+let add_ref buf prefix name i =
+  match name with
+  | Some n -> Buffer.add_string buf n
+  | None ->
+    Buffer.add_char buf prefix;
+    Buffer.add_string buf (string_of_int i)
+
+let add_header buf g =
+  Buffer.add_string buf "graph";
+  (match g.name with
+  | Some n ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf n
+  | None -> ());
+  add_tuple buf g.gtuple;
+  Buffer.add_string buf " {"
+
+(* declaration [k]: node [k] for [k < n_nodes], else edge [k - n_nodes] *)
+let add_decl buf g k =
+  let n = n_nodes g in
+  if k < n then begin
+    Buffer.add_string buf "node ";
+    add_ref buf 'v' g.node_names.(k) k;
+    add_tuple buf g.node_tuples.(k)
+  end
+  else begin
+    let i = k - n in
+    let e = g.edges.(i) in
+    Buffer.add_string buf "edge ";
+    add_ref buf 'e' g.edge_names.(i) i;
+    Buffer.add_string buf " (";
+    add_ref buf 'v' g.node_names.(e.src) e.src;
+    Buffer.add_string buf ", ";
+    add_ref buf 'v' g.node_names.(e.dst) e.dst;
+    Buffer.add_char buf ')';
+    add_tuple buf e.etuple
+  end;
+  Buffer.add_char buf ';'
+
+let n_decls g = n_nodes g + n_edges g
+
+let to_string g =
+  let buf = Buffer.create (64 + (32 * n_decls g)) in
+  add_header buf g;
+  for k = 0 to n_decls g - 1 do
+    Buffer.add_string buf "\n  ";
+    add_decl buf g k
+  done;
+  Buffer.add_string buf "\n}";
+  Buffer.contents buf
+
+(* Each line is one string token in a vertical box: no box opens inside
+   a line, so a line past the margin or max indent is never split. *)
 let pp ppf g =
-  let node_ref v =
-    match node_name g v with Some n -> n | None -> Printf.sprintf "v%d" v
+  let buf = Buffer.create 128 in
+  let line add =
+    Buffer.clear buf;
+    add buf;
+    Buffer.contents buf
   in
-  let edge_ref i =
-    match edge_name g i with Some n -> n | None -> Printf.sprintf "e%d" i
-  in
-  let pp_tuple ppf t = if Tuple.equal t Tuple.empty then () else Format.fprintf ppf " %a" Tuple.pp t in
-  Format.fprintf ppf "@[<v 2>graph%s%a {"
-    (match g.name with Some n -> " " ^ n | None -> "")
-    pp_tuple g.gtuple;
-  iter_nodes g ~f:(fun v ->
-      Format.fprintf ppf "@,node %s%a;" (node_ref v) pp_tuple (node_tuple g v));
-  iter_edges g ~f:(fun i e ->
-      Format.fprintf ppf "@,edge %s (%s, %s)%a;" (edge_ref i) (node_ref e.src)
-        (node_ref e.dst) pp_tuple e.etuple);
+  Format.fprintf ppf "@[<v 2>%s" (line (fun b -> add_header b g));
+  for k = 0 to n_decls g - 1 do
+    Format.fprintf ppf "@,%s" (line (fun b -> add_decl b g k))
+  done;
   Format.fprintf ppf "@]@,}"

@@ -130,7 +130,14 @@ val equal_structure : t -> t -> bool
     node mapping, with equal tuples — {e not} isomorphism (see {!Iso}). *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints in GraphQL textual syntax ([graph G <...> { node ...; edge ...; }]). *)
+(** Prints in GraphQL textual syntax ([graph G <...> { node ...; edge ...; }]):
+    a header line, one line per node then edge declaration indented by
+    two, and a closing brace. A declaration is never split across lines,
+    however long. *)
+
+val to_string : t -> string
+(** The text of [Format.asprintf "%a" pp g], written into one buffer
+    without the formatter. *)
 
 (** {1 Construction} *)
 

@@ -71,14 +71,28 @@ let hash t =
     (fun acc (k, v) -> acc lxor (Hashtbl.hash k + (31 * Value.hash v)))
     (Hashtbl.hash t.tag) t.attrs
 
+let is_empty t = t.tag = None && t.attrs = []
+
+let add_to_buffer buf t =
+  Buffer.add_char buf '<';
+  (match t.tag with
+  | Some tag ->
+    Buffer.add_string buf tag;
+    if t.attrs <> [] then Buffer.add_char buf ' '
+  | None -> ());
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ' ';
+      Buffer.add_string buf k;
+      Buffer.add_char buf '=';
+      Value.add_to_buffer buf v)
+    t.attrs;
+  Buffer.add_char buf '>'
+
+(* The h box never breaks inside the tuple, but opening it past the
+   formatter's max indent still breaks the enclosing box before it;
+   printers embedding tuples in program text keep that layout. *)
 let pp ppf t =
-  let pp_attr ppf (k, v) = Format.fprintf ppf "%s=%a" k Value.pp v in
-  let pp_body ppf () =
-    (match t.tag with
-    | Some tag ->
-      Format.pp_print_string ppf tag;
-      if t.attrs <> [] then Format.pp_print_space ppf ()
-    | None -> ());
-    Format.pp_print_list ~pp_sep:Format.pp_print_space pp_attr ppf t.attrs
-  in
-  Format.fprintf ppf "@[<h><%a>@]" pp_body ()
+  let buf = Buffer.create 32 in
+  add_to_buffer buf t;
+  Format.fprintf ppf "@[<h>%s@]" (Buffer.contents buf)

@@ -62,5 +62,11 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+val is_empty : t -> bool
+(** No tag and no bindings: [equal t empty], without the sort. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints in GraphQL syntax: [<tag name1=v1 name2=v2>]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the {!pp} text. *)

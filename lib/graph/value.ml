@@ -70,14 +70,23 @@ let logical_and a b = Bool (to_bool a && to_bool b)
 let logical_or a b = Bool (to_bool a || to_bool b)
 let logical_not a = Bool (not (to_bool a))
 
-let pp ppf = function
-  | Null -> Format.pp_print_string ppf "null"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%S" s
+(* [%S] is exactly [String.escaped] between double quotes *)
+let add_to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Str s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string v =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let of_literal s =
   match int_of_string_opt s with

@@ -53,6 +53,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the {!pp} text. *)
+
 val of_literal : string -> t
 (** Parses an unquoted literal as it appears in the graph text format:
     tries [Int], then [Float], then [Bool], else [Str]. *)

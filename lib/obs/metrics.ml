@@ -361,7 +361,7 @@ let with_span m name f =
 
 let span_count m = m.n_spans
 
-let merge ~into m =
+let merge_counts ~into m =
   if into.e && m.e then begin
     Array.iteri (fun i n -> into.counters.(i) <- into.counters.(i) + n) m.counters;
     for i = 0 to n_histograms - 1 do
@@ -377,7 +377,12 @@ let merge ~into m =
       into.d_runs.(i) <- into.d_runs.(i) + m.d_runs.(i);
       into.d_est.(i) <- into.d_est.(i) +. m.d_est.(i);
       into.d_act.(i) <- into.d_act.(i) +. m.d_act.(i)
-    done;
+    done
+  end
+
+let merge ~into m =
+  merge_counts ~into m;
+  if into.e && m.e then begin
     let off = into.n_spans in
     for id = 0 to m.n_spans - 1 do
       let parent =

@@ -40,7 +40,9 @@ type counter =
   | Exec_cache_hit  (** exec-service cache lookups served (all caches) *)
   | Exec_cache_miss  (** exec-service cache lookups that computed fresh *)
   | Exec_cache_evictions  (** retrieval-LRU entries evicted by byte budget *)
-  | Exec_cache_invalidations  (** version-stamp bumps that cleared the caches *)
+  | Exec_cache_invalidations
+      (** wholesale cache clears: [Cache.invalidate], or a [Cache.retain]
+          in which no registered graph survived *)
   | Exec_queue_submitted  (** queries admitted to the batch scheduler *)
   | Exec_queue_completed  (** queries that finished (any stop reason) *)
   | Exec_queue_yields  (** quantum expirations that re-enqueued a query *)
@@ -145,6 +147,11 @@ val merge : into:t -> t -> unit
     forest under [into]'s currently open span. Used to fold per-domain
     metrics back into the caller's after a parallel join. No-op when
     either side is disabled. *)
+
+val merge_counts : into:t -> t -> unit
+(** {!merge} without the spans: counters, histograms and drift only.
+    For long-lived aggregates, whose size must not grow with the number
+    of executions folded in. *)
 
 (** {1 Reporting} *)
 

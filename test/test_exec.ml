@@ -459,6 +459,98 @@ let test_watermark_read_your_writes () =
     (M.get (Service.metrics t) M.Exec_writes);
   Service.shutdown t
 
+(* ---- the warm path ---- *)
+
+let test_warm_scan_stays_fresh () =
+  (* fewer graphs than a learned-stats epoch (64 observed searches), so
+     the cold pass cannot age its own plans *)
+  let docs =
+    [
+      ( "D",
+        List.init 40 (fun i ->
+            Graph.of_labeled ~labels:[| "A"; "B"; "B" |] [ (0, 1); (0, i mod 3) ])
+      );
+    ]
+  in
+  let t = Service.create ~jobs:1 ~docs () in
+  let pass () =
+    ignore (Service.submit t edge_query);
+    match Service.drain t with
+    | [ o ] -> returned_count o.Service.o_status
+    | _ -> Alcotest.fail "expected one outcome"
+  in
+  let stale () = M.get (Service.metrics t) M.Exec_plan_stale in
+  let cold = pass () in
+  let observed = (Service.cache_stats t).Gql_exec.Cache.observations in
+  Alcotest.(check int) "the cold pass observed every graph's search" 40 observed;
+  let stale0 = stale () in
+  let warm = pass () in
+  Alcotest.(check int) "same answers warm" cold warm;
+  Alcotest.(check int) "no stale plan on the warm pass" stale0 (stale ());
+  Alcotest.(check int) "warm searches are not observed again" observed
+    (Service.cache_stats t).Gql_exec.Cache.observations;
+  Service.shutdown t
+
+let test_aggregate_keeps_no_spans () =
+  let g = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
+  let outs, t =
+    Service.run_batch ~jobs:2 ~docs:[ ("D", [ g ]) ]
+      (List.init 5 (fun _ -> edge_query))
+  in
+  Alcotest.(check int) "five outcomes" 5 (List.length outs);
+  Alcotest.(check int) "every job counted" 5
+    (M.get (Service.metrics t) M.Exec_queue_completed);
+  Alcotest.(check int) "no span merged into the aggregate" 0
+    (M.span_count (Service.metrics t))
+
+let test_parse_once_per_text () =
+  (* the doc is a program variable, so the only cache the service
+     consults is the parse cache *)
+  let q x =
+    Printf.sprintf
+      {|C := graph { node a <label="A">; };
+        for graph P { node v1 where label="A"; } in doc("C")
+        return graph { node m <x=%d>; };|}
+      x
+  in
+  let outs, t = Service.run_batch ~jobs:1 [ q 1; q 2; q 1; q 1 ] in
+  List.iter
+    (fun o -> Alcotest.(check int) "one match" 1 (returned_count o.Service.o_status))
+    outs;
+  Alcotest.(check int) "one miss per new text" 2
+    (M.get (Service.metrics t) M.Exec_cache_miss);
+  Alcotest.(check int) "repeats hit" 2 (M.get (Service.metrics t) M.Exec_cache_hit)
+
+let test_replace_retires_one_graph () =
+  let module Cache = Gql_exec.Cache in
+  let ga = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
+  let gb = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
+  let p1 = flat_pattern [ "A"; "B" ] [ (0, 1) ] in
+  let p2 = flat_pattern [ "B"; "A" ] [ (0, 1) ] in
+  let c = Cache.create () in
+  Cache.register c [ ga; gb ];
+  let plan =
+    { Cache.p_space = [| [| 0 |]; [| 1 |] |]; p_order = [| 0; 1 |]; p_epoch = 0 }
+  in
+  let add g p = Cache.plan_add c ~retrieval:`Profiles ~refine:true g p plan in
+  add ga p1;
+  add ga p2;
+  add gb p1;
+  add ga p1 (* a re-stamp replaces, it does not add *);
+  Alcotest.(check int) "three plans" 3 (Cache.stats c).Cache.plans;
+  let ga' = Graph.of_labeled ~labels:[| "A"; "B"; "B" |] [ (0, 1); (0, 2) ] in
+  Cache.replace c ~metrics:M.disabled ~old_graph:ga ~new_graph:ga' ~delta:None;
+  Alcotest.(check int) "ga's two plans retired" 1 (Cache.stats c).Cache.plans;
+  let find g p =
+    Cache.plan_find c ~metrics:M.disabled ~retrieval:`Profiles ~refine:true g p
+  in
+  (match find gb p1 with
+  | Some (`Fresh _) -> ()
+  | _ -> Alcotest.fail "gb's plan should still be fresh");
+  Alcotest.(check bool) "the new version starts cold" true (find ga' p1 = None);
+  Cache.drop c gb;
+  Alcotest.(check int) "drop retires gb's plan" 0 (Cache.stats c).Cache.plans
+
 let suite =
   [
     Alcotest.test_case "lru eviction under byte budget" `Quick test_lru_eviction;
@@ -481,4 +573,12 @@ let suite =
       test_epoch_isolation;
     Alcotest.test_case "watermark gate gives read-your-writes" `Quick
       test_watermark_read_your_writes;
+    Alcotest.test_case "a warm collection scan finds no stale plan" `Quick
+      test_warm_scan_stays_fresh;
+    Alcotest.test_case "the service aggregate keeps no spans" `Quick
+      test_aggregate_keeps_no_spans;
+    Alcotest.test_case "each new text is parsed once" `Quick
+      test_parse_once_per_text;
+    Alcotest.test_case "replace retires exactly one graph's plans" `Quick
+      test_replace_retires_one_graph;
   ]

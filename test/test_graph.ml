@@ -116,6 +116,106 @@ let test_pp_roundtrip_shape () =
   Alcotest.(check bool) "mentions node A1" true (contains s "node A1");
   Alcotest.(check bool) "mentions an edge" true (contains s "(A1, B1)")
 
+(* --- the two printers agree ---------------------------------------------- *)
+
+let gen_ident =
+  QCheck.Gen.(
+    map2
+      (fun c s -> String.make 1 c ^ s)
+      (char_range 'a' 'z')
+      (string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '_' ]) (0 -- 80)))
+
+let gen_value =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Value.Null;
+      map (fun b -> Value.Bool b) bool;
+      map (fun i -> Value.Int i) int;
+      map (fun f -> Value.Float f) float;
+      map
+        (fun s -> Value.Str s)
+        (string_size
+           ~gen:(oneofl [ 'a'; ' '; '"'; '\\'; '\n'; '\t'; '\001'; '\200' ])
+           (0 -- 12));
+    ]
+
+let gen_tuple =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Tuple.empty);
+      ( 3,
+        map2
+          (fun tag attrs -> Tuple.make ?tag attrs)
+          (opt gen_ident)
+          (list_size (0 -- 4)
+             (pair (oneofl [ "label"; "x"; "bond"; "name" ]) gen_value)) );
+    ]
+
+(* Names are made unique by their position; some run past the
+   formatter's 68-column max indent. *)
+let gen_graph =
+  let open QCheck.Gen in
+  let named i = map (Option.map (fun s -> Printf.sprintf "%s_%d" s i)) (opt gen_ident) in
+  bool >>= fun directed ->
+  opt gen_ident >>= fun name ->
+  gen_tuple >>= fun tuple ->
+  (0 -- 6) >>= fun n ->
+  flatten_l (List.init n (fun i -> pair (named i) gen_tuple)) >>= fun nodes ->
+  (if n = 0 then return []
+   else
+     list_size (0 -- 8)
+       (triple (0 -- (n - 1)) (0 -- (n - 1)) gen_tuple))
+  >>= fun edges ->
+  flatten_l (List.mapi (fun i _ -> named i) edges) >|= fun edge_names ->
+  let b = Graph.Builder.create ~directed ?name ~tuple () in
+  List.iter (fun (name, t) -> ignore (Graph.Builder.add_node b ?name t)) nodes;
+  List.iter2
+    (fun (u, v, tuple) name -> ignore (Graph.Builder.add_edge b ?name ~tuple u v))
+    edges edge_names;
+  Graph.Builder.build b
+
+let prop_to_string_is_pp =
+  QCheck.Test.make ~name:"Graph.to_string = Format rendering of Graph.pp"
+    ~count:500
+    (QCheck.make gen_graph ~print:Graph.to_string)
+    (fun g -> Graph.to_string g = Format.asprintf "%a" Graph.pp g)
+
+let test_text_layout () =
+  let b = Graph.Builder.create ~name:"G" ~tuple:(Tuple.make ~tag:"mol" []) () in
+  let atom = Tuple.make ~tag:"atom" [ ("label", Value.Str "C") ] in
+  let a = Graph.Builder.add_node b ~name:"a" atom in
+  let v =
+    Graph.Builder.add_node b
+      (Tuple.make [ ("w", Value.Float 0.5); ("q", Value.Str "x\"y") ])
+  in
+  ignore (Graph.Builder.add_edge b ~tuple:(Tuple.make [ ("bond", Value.Int 2) ]) a v);
+  ignore (Graph.Builder.add_edge b ~name:"f" v a);
+  let expect =
+    "graph G <mol> {\n\
+    \  node a <atom label=\"C\">;\n\
+    \  node v1 <w=0.5 q=\"x\\\"y\">;\n\
+    \  edge e0 (a, v1) <bond=2>;\n\
+    \  edge f (v1, a);\n\
+     }"
+  in
+  Alcotest.(check string) "to_string" expect (Graph.to_string (Graph.Builder.build b));
+  Alcotest.(check string) "empty graph" "graph {\n}"
+    (Graph.to_string (Graph.Builder.build (Graph.Builder.create ())))
+
+(* A tuple box opening past Format's max indent (68 columns) used to
+   break its declaration in two, leaving a trailing space. *)
+let test_long_declaration_one_line () =
+  let name = String.make 70 'n' in
+  let b = Graph.Builder.create () in
+  let atom = Tuple.make ~tag:"atom" [ ("label", Value.Str "C") ] in
+  ignore (Graph.Builder.add_node b ~name atom);
+  let s = Format.asprintf "%a" Graph.pp (Graph.Builder.build b) in
+  Alcotest.(check string) "declaration kept on one line"
+    ("graph {\n  node " ^ name ^ " <atom label=\"C\">;\n}")
+    s
+
 let suite =
   [
     Alcotest.test_case "node/edge counts" `Quick test_counts;
@@ -131,4 +231,8 @@ let suite =
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "structural equality" `Quick test_equal_structure;
     Alcotest.test_case "pretty printing" `Quick test_pp_roundtrip_shape;
+    QCheck_alcotest.to_alcotest prop_to_string_is_pp;
+    Alcotest.test_case "text layout" `Quick test_text_layout;
+    Alcotest.test_case "a long declaration stays on one line" `Quick
+      test_long_declaration_one_line;
   ]

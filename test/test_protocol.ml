@@ -21,6 +21,59 @@ let decode_exn s =
   | Ok (payload, next) -> (payload, next)
   | Error e -> Alcotest.failf "decode failed: %s" (frame_error e)
 
+(* --- byte-for-byte reference encoders -------------------------------------- *)
+
+(* The straightforward per-byte codec: the optimized one must produce
+   exactly these bytes. *)
+let ref_frame payload =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF)) in
+  let h = "GQW1" ^ u32 (String.length payload) ^ u32 (Protocol.crc32 payload) in
+  h ^ u32 (Protocol.crc32 h) ^ payload
+
+let ref_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let ref_json_string s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let any_string = QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
+
+let prop_frame_bytes =
+  QCheck.Test.make ~name:"frames and CRCs match the per-byte reference" ~count:300
+    any_string
+    (fun payload ->
+      Protocol.crc32 payload = ref_crc32 payload
+      && Protocol.encode payload = ref_frame payload)
+
+let prop_json_string =
+  QCheck.Test.make ~name:"json strings: reference escaping, exact round-trip"
+    ~count:500 any_string
+    (fun s ->
+      let text = Json.to_string (Json.Str s) in
+      text = ref_json_string s && Json.parse text = Ok (Json.Str s))
+
 (* --- framing -------------------------------------------------------------- *)
 
 let prop_roundtrip =
@@ -421,4 +474,6 @@ let suite =
       test_wire_status_inverts;
     Alcotest.test_case "unix-socket session end to end" `Quick
       test_server_session;
+    QCheck_alcotest.to_alcotest prop_frame_bytes;
+    QCheck_alcotest.to_alcotest prop_json_string;
   ]
