@@ -226,14 +226,13 @@ let join ~on c d =
 
 (* --- composition ------------------------------------------------------------ *)
 
-let param_of_entry = function
+let template_param = function
   | G g -> Template.Pgraph g
   | M m -> Template.Pmatched m
 
 let compose ~template ~param c =
-  List.map
-    (fun entry -> G (Template.instantiate ~env:[ (param, param_of_entry entry) ] template))
-    c
+  let instantiate = Template.compile template in
+  List.map (fun entry -> G (instantiate [ (param, template_param entry) ])) c
 
 let compose_n ~template ~params collections =
   if List.length params <> List.length collections then
@@ -244,10 +243,9 @@ let compose_n ~template ~params collections =
       let tails = product rest in
       List.concat_map (fun e -> List.map (fun t -> e :: t) tails) c
   in
+  let instantiate = Template.compile template in
   List.map
-    (fun combo ->
-      let env = List.map2 (fun p e -> (p, param_of_entry e)) params combo in
-      G (Template.instantiate ~env template))
+    (fun combo -> G (instantiate (List.map2 (fun p e -> (p, template_param e)) params combo)))
     (product collections)
 
 (* --- set operators ------------------------------------------------------------ *)

@@ -135,10 +135,15 @@ val join : on:Pred.t -> collection -> collection -> collection
 
 (** {1 Composition} *)
 
+val template_param : entry -> Template.param
+(** What an entry binds a template's formal parameter to: its match,
+    or its graph. *)
+
 val compose :
   template:Ast.graph_decl -> param:string -> collection -> collection
 (** ω_T(C): instantiate the single-parameter template for every entry,
-    binding the formal parameter [param] to it. *)
+    binding the formal parameter [param] to it. The template is
+    compiled once ({!Template.compile}) for the whole collection. *)
 
 val compose_n :
   template:Ast.graph_decl -> params:string list -> collection list -> collection

@@ -54,16 +54,20 @@ type state = {
   mutable s_writes : int;
 }
 
-let template_env st extra =
-  extra
-  @ List.map (fun (name, g) -> (name, Template.Pgraph g)) st.s_vars
+(* the program variables' part of a template environment *)
+let vars_env vars = List.map (fun (name, g) -> (name, Template.Pgraph g)) vars
 
-let instantiate_template st extra = function
-  | Ast.Tgraph decl -> Template.instantiate ~env:(template_env st extra) decl
+(* Compile a template once per statement; apply the result per match to
+   the environment ([pname] binding, then the variables). *)
+let compile_template st = function
+  | Ast.Tgraph decl -> Template.compile decl
   | Ast.Tvar v ->
-    (match List.assoc_opt v st.s_vars with
-    | Some g -> g
-    | None -> error "unknown variable %s" v)
+    fun _ ->
+      (match List.assoc_opt v st.s_vars with
+      | Some g -> g
+      | None -> error "unknown variable %s" v)
+
+let instantiate_template st t = compile_template st t (vars_env st.s_vars)
 
 (* --- DML ------------------------------------------------------------------ *)
 
@@ -275,14 +279,10 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
   (* the composition half of a return body: one instantiated template
      graph per match *)
   let compose_matches pname t matches =
+    let instantiate = compile_template st t in
+    let vars = vars_env st.s_vars in
     List.map
-      (fun entry ->
-        let extra =
-          match entry with
-          | Algebra.M m -> [ (pname, Template.Pmatched m) ]
-          | Algebra.G g -> [ (pname, Template.Pgraph g) ]
-        in
-        instantiate_template st extra t)
+      (fun entry -> instantiate ((pname, Algebra.template_param entry) :: vars))
       matches
   in
   let statement = function
@@ -291,7 +291,7 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
       | Some name -> st.s_defs <- st.s_defs @ [ (name, g) ]
       | None -> error "top-level graph declarations must be named")
     | Ast.Sassign (v, t) ->
-      let g = instantiate_template st [] t in
+      let g = instantiate_template st t in
       st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars
     | Ast.Sflwr f ->
       let pname, matches = flwr_matches f in
@@ -300,15 +300,15 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
         st.s_last <-
           Some (List.map (fun g -> Algebra.G g) (compose_matches pname t matches))
       | Ast.Let (v, t) ->
+        (* each match rebinds [v]; the other variables stay put *)
+        let instantiate = compile_template st t in
+        let others = vars_env (List.remove_assoc v st.s_vars) in
+        let vars = ref (vars_env st.s_vars) in
         List.iter
           (fun entry ->
-            let extra =
-              match entry with
-              | Algebra.M m -> [ (pname, Template.Pmatched m) ]
-              | Algebra.G g -> [ (pname, Template.Pgraph g) ]
-            in
-            let g = instantiate_template st extra t in
-            st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars)
+            let g = instantiate ((pname, Algebra.template_param entry) :: !vars) in
+            st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars;
+            vars := (v, Template.Pgraph g) :: others)
           matches)
     | Ast.Screate_view v ->
       let q = v.Ast.v_query in
@@ -507,7 +507,7 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
           with Exit -> ());
       st.s_stopped <- Budget.worst st.s_stopped !stop;
       st.s_last <- Some (List.rev !results)
-    | Ast.Sdml d -> exec_dml st (instantiate_template st []) writer d
+    | Ast.Sdml d -> exec_dml st (instantiate_template st) writer d
   in
   List.iter statement program;
   {

@@ -9,16 +9,16 @@ type t = {
 
 let make pattern graph phi = { pattern; graph; phi }
 
-let node_id_by_var m name =
-  let k = Flat_pattern.size m.pattern in
+let var_index pattern name =
+  let k = Flat_pattern.size pattern in
   let rec go u =
     if u >= k then None
-    else if Flat_pattern.var_name m.pattern u = name then Some u
+    else if Flat_pattern.var_name pattern u = name then Some u
     else go (u + 1)
   in
   go 0
 
-let node m name = Option.map (fun u -> m.phi.(u)) (node_id_by_var m name)
+let node m name = Option.map (fun u -> m.phi.(u)) (var_index m.pattern name)
 let node_tuple m name = Option.map (Graph.node_tuple m.graph) (node m name)
 
 let edge m name =

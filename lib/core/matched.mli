@@ -16,8 +16,12 @@ type t = {
 
 val make : Gql_matcher.Flat_pattern.t -> Graph.t -> int array -> t
 
+val var_index : Gql_matcher.Flat_pattern.t -> string -> int option
+(** Pattern node id of the first variable with that name. *)
+
 val node : t -> string -> int option
-(** Data node bound to the pattern variable of that name. *)
+(** Data node bound to the pattern variable of that name:
+    [phi.(u)] for [var_index m.pattern name = Some u]. *)
 
 val node_tuple : t -> string -> Tuple.t option
 

@@ -235,15 +235,15 @@ type state = {
 
 let execute ?(docs = []) ?strategy plan =
   let st = { vars = []; last = None } in
-  let template_env extra =
-    extra @ List.map (fun (name, g) -> (name, Template.Pgraph g)) st.vars
-  in
-  let instantiate extra = function
-    | Ast.Tgraph decl -> Template.instantiate ~env:(template_env extra) decl
+  let vars_env () = List.map (fun (name, g) -> (name, Template.Pgraph g)) st.vars in
+  (* compiled once per statement, applied per entry *)
+  let compile = function
+    | Ast.Tgraph decl -> Template.compile decl
     | Ast.Tvar v ->
-      (match List.assoc_opt v st.vars with
-      | Some g -> g
-      | None -> error "unknown variable %s" v)
+      fun _ ->
+        (match List.assoc_opt v st.vars with
+        | Some g -> g
+        | None -> error "unknown variable %s" v)
   in
   let filter_post pname post entries =
     match post with
@@ -257,10 +257,6 @@ let execute ?(docs = []) ?strategy plan =
               pred
           | Algebra.G _ -> true)
         entries
-  in
-  let param_of = function
-    | Algebra.M m -> Template.Pmatched m
-    | Algebra.G g -> Template.Pgraph g
   in
   (* evaluates to a collection; [Fold_compose] additionally rebinds its
      variable as a side effect, like the FLWR let *)
@@ -282,14 +278,21 @@ let execute ?(docs = []) ?strategy plan =
       Algebra.select_paths ?strategy ~exhaustive ~patterns entries
       |> filter_post pname post
     | Compose { template; param; input } ->
+      let entries = eval input in
+      let instantiate = compile template in
+      let vars = vars_env () in
       List.map
-        (fun entry -> Algebra.G (instantiate [ (param, param_of entry) ] template))
-        (eval input)
+        (fun entry ->
+          Algebra.G (instantiate ((param, Algebra.template_param entry) :: vars)))
+        entries
     | Fold_compose { template; param; var; input } ->
       let matches = eval input in
+      let instantiate = compile template in
       List.iter
         (fun entry ->
-          let g = instantiate [ (param, param_of entry) ] template in
+          let g =
+            instantiate ((param, Algebra.template_param entry) :: vars_env ())
+          in
           st.vars <- (var, g) :: List.remove_assoc var st.vars)
         matches;
       (match List.assoc_opt var st.vars with
@@ -301,7 +304,7 @@ let execute ?(docs = []) ?strategy plan =
       match stmt with
       | Assign (v, (Compose { template; param = "_"; input = Var "_unit" } : expr)) ->
         (* plain assignment *)
-        let g = instantiate [] template in
+        let g = compile template (vars_env ()) in
         st.vars <- (v, g) :: List.remove_assoc v st.vars
       | Assign (v, e) ->
         (match eval e with

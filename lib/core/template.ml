@@ -115,6 +115,15 @@ and vname_id _st env pname vname =
   | Some (Pgraph g) -> Option.value (Graph.node_by_name g vname) ~default:(-1)
   | None -> -1
 
+(* merged-edge keys: endpoint classes plus the tuple, compared as a
+   tuple (attribute order does not count) *)
+module Edge_key = Hashtbl.Make (struct
+  type t = int * int * Tuple.t
+
+  let equal ((a : int), (b : int), t) (c, d, u) = a = c && b = d && Tuple.equal t u
+  let hash ((a : int), (b : int), t) = Hashtbl.hash (a, b, Tuple.hash t)
+end)
+
 let instantiate ?(env = []) (decl : Ast.graph_decl) =
   let st = new_state () in
   let penv = param_env env in
@@ -271,16 +280,17 @@ let instantiate ?(env = []) (decl : Ast.graph_decl) =
       let ra = find a and rb = find b in
       if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb)
     st.unions;
-  let class_index = Hashtbl.create 16 in
+  (* root -> class number, in order of first appearance *)
+  let class_index = Array.make st.n (-1) in
   let n_classes = ref 0 in
   for i = 0 to st.n - 1 do
     let r = find i in
-    if not (Hashtbl.mem class_index r) then begin
-      Hashtbl.add class_index r !n_classes;
+    if class_index.(r) < 0 then begin
+      class_index.(r) <- !n_classes;
       incr n_classes
     end
   done;
-  let cls i = Hashtbl.find class_index (find i) in
+  let cls i = class_index.(find i) in
   let class_size = Array.make !n_classes 0 in
   for i = 0 to st.n - 1 do
     class_size.(cls i) <- class_size.(cls i) + 1
@@ -299,7 +309,7 @@ let instantiate ?(env = []) (decl : Ast.graph_decl) =
   let gtuple = eval_tuple penv decl.Ast.g_tuple in
   let b = Graph.Builder.create ?name:decl.Ast.g_name ~tuple:gtuple () in
   Array.iteri (fun c t -> ignore (Graph.Builder.add_node b ?name:names.(c) t)) tuples;
-  let seen = Hashtbl.create 16 in
+  let seen = Edge_key.create 16 in
   List.iter
     (fun (name, src, dst, tuple) ->
       let s = cls src and d = cls dst in
@@ -307,9 +317,152 @@ let instantiate ?(env = []) (decl : Ast.graph_decl) =
       let key = (ks, kd, tuple) in
       (* edges unify only when node unification merged their endpoints *)
       let candidate = class_size.(s) > 1 || class_size.(d) > 1 in
-      if (not candidate) || not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
+      if (not candidate) || not (Edge_key.mem seen key) then begin
+        Edge_key.add seen key ();
         ignore (Graph.Builder.add_edge b ?name s d ~tuple)
       end)
     (List.rev st.edges);
   Graph.Builder.build b
+
+(* --- compiled templates ------------------------------------------------------
+
+   A body of only copies, literal-free local nodes and literal-free edges
+   has the same shape for every match: the same proto nodes, the same
+   copy dedup, the same edge endpoints. [compile] builds that shape once,
+   as a skeleton graph, and leaves per match only fetching the copied
+   tuples. Copies dedupe by (parameter, variable name) here instead of
+   the interpreter's (parameter, data node). The two agree because graph
+   node names are unique and matches are injective; a match that binds
+   two copied variables to one data node goes to the interpreter. *)
+
+type memo = No_memo | Memo of Gql_matcher.Flat_pattern.t * int
+
+type copy = {
+  c_param : string;
+  c_var : string;
+  c_path : Ast.path;  (* as written, for the error message *)
+  c_node : int;  (* skeleton node id *)
+  mutable c_memo : memo;
+      (* the variable's pattern node id for the last pattern seen: the
+         matches of one selection share their pattern *)
+}
+
+type skeleton = {
+  graph : Graph.t;  (* every tuple empty *)
+  copies : copy array;  (* in declaration order *)
+  same_param : (int * int) list;  (* copy pairs reading one parameter *)
+}
+
+(* the body is outside the skeleton's reach (a data-dependent shape or a
+   tuple literal), or is an error the interpreter reports *)
+exception Dynamic
+
+let skeleton (decl : Ast.graph_decl) =
+  if decl.Ast.g_where <> None || decl.Ast.g_tuple <> None then raise Dynamic;
+  let b = Graph.Builder.create ?name:decl.Ast.g_name () in
+  let locals = Hashtbl.create 8 and edge_names = Hashtbl.create 8 in
+  let targets = Hashtbl.create 8 in  (* (pname, vname) -> copy *)
+  let copies = ref [] in
+  let endpoint = function
+    | [ name ] when Hashtbl.mem locals name -> Hashtbl.find locals name
+    | pname :: (_ :: _ as rest) ->
+      (match Hashtbl.find_opt targets (pname, String.concat "." rest) with
+      | Some c -> c.c_node
+      | None -> raise Dynamic)
+    | _ -> raise Dynamic
+  in
+  let member = function
+    | Ast.Nodes decls ->
+      List.iter
+        (fun (d : Ast.node_decl) ->
+          if d.Ast.n_where <> None || d.Ast.n_tuple <> None then raise Dynamic;
+          match d.Ast.n_copy with
+          | Some (pname :: (_ :: _ as rest) as path) ->
+            let key = (pname, String.concat "." rest) in
+            if not (Hashtbl.mem targets key) then begin
+              let c_node = Graph.Builder.add_node b Tuple.empty in
+              let c =
+                { c_param = pname; c_var = snd key; c_path = path; c_node;
+                  c_memo = No_memo }
+              in
+              Hashtbl.add targets key c;
+              copies := c :: !copies
+            end
+          | Some _ -> raise Dynamic
+          | None ->
+            (match d.Ast.n_name with
+            | Some name when Hashtbl.mem locals name -> raise Dynamic
+            | _ -> ());
+            let id = Graph.Builder.add_node b ?name:d.Ast.n_name Tuple.empty in
+            Option.iter (fun name -> Hashtbl.add locals name id) d.Ast.n_name)
+        decls
+    | Ast.Edges decls ->
+      List.iter
+        (fun (d : Ast.edge_decl) ->
+          if d.Ast.e_where <> None || d.Ast.e_rep <> None || d.Ast.e_tuple <> None
+          then raise Dynamic;
+          let src = endpoint d.Ast.e_src and dst = endpoint d.Ast.e_dst in
+          (match d.Ast.e_name with
+          | Some name when Hashtbl.mem edge_names name -> raise Dynamic
+          | Some name -> Hashtbl.add edge_names name ()
+          | None -> ());
+          ignore (Graph.Builder.add_edge b ?name:d.Ast.e_name src dst))
+        decls
+    | Ast.Graph_refs _ | Ast.Unify _ | Ast.Exports _ | Ast.Alt _ -> raise Dynamic
+  in
+  List.iter member decl.Ast.g_members;
+  let copies = Array.of_list (List.rev !copies) in
+  let same_param = ref [] in
+  Array.iteri
+    (fun i c ->
+      for j = i + 1 to Array.length copies - 1 do
+        if String.equal c.c_param copies.(j).c_param then
+          same_param := (i, j) :: !same_param
+      done)
+    copies;
+  { graph = Graph.Builder.build b; copies; same_param = !same_param }
+
+let var_index c pattern =
+  match c.c_memo with
+  | Memo (p, u) when p == pattern -> u
+  | _ ->
+    let u = Option.value (Matched.var_index pattern c.c_var) ~default:(-1) in
+    c.c_memo <- Memo (pattern, u);
+    u
+
+let apply sk decl env =
+  (* the data node each copy reads: -1 when unresolved, -2 when a
+     matched parameter has no such variable *)
+  let ids = Array.make (Array.length sk.copies) (-1) in
+  let nt = Array.make (Graph.n_nodes sk.graph) Tuple.empty in
+  let read i c g v =
+    ids.(i) <- v;
+    nt.(c.c_node) <- Graph.node_tuple g v
+  in
+  Array.iteri
+    (fun i c ->
+      match List.assoc_opt c.c_param env with
+      | Some (Pmatched m) ->
+        let u = var_index c m.Matched.pattern in
+        if u < 0 then ids.(i) <- -2 else read i c m.Matched.graph m.Matched.phi.(u)
+      | Some (Pgraph g) -> Option.iter (read i c g) (Graph.node_by_name g c.c_var)
+      | None -> ())
+    sk.copies;
+  if List.exists (fun (i, j) -> ids.(i) >= 0 && ids.(i) = ids.(j)) sk.same_param
+  then instantiate ~env decl
+  else begin
+    (* the first failing copy in declaration order raises, as in the
+       interpreter *)
+    Array.iteri
+      (fun i c ->
+        if ids.(i) = -2 then
+          error "copy %s.%s: no such pattern variable" c.c_param c.c_var;
+        if ids.(i) < 0 then error "copy %s: unresolved" (String.concat "." c.c_path))
+      sk.copies;
+    Graph.map_node_tuples sk.graph ~f:(fun v _ -> nt.(v))
+  end
+
+let compile decl =
+  match skeleton decl with
+  | sk -> apply sk decl
+  | exception Dynamic -> fun env -> instantiate ~env decl

@@ -29,10 +29,28 @@ type param =
 
 type env = (string * param) list
 
+val compile : Ast.graph_decl -> env -> Graph.t
+(** [compile decl] resolves the body's structure once; the returned
+    function instantiates it for one set of actual parameters, with the
+    same result and the same {!Error} as [instantiate ~env decl]. Apply
+    [compile decl] once per statement or view and the result once per
+    match.
+
+    A body of only [node] and [edge] declarations without tuple
+    literals has one shape for every match. It compiles to a skeleton
+    graph built once; each match then fetches its copied tuples
+    (through [phi], by variable index) and gets the skeleton back with
+    those tuples swapped in — adjacency, names and everything else are
+    shared (graphs are immutable). A body with [unify], [graph]
+    includes or a [where] clause has a data-dependent shape and, like a
+    body with tuple literals, is interpreted per match by
+    {!instantiate}. *)
+
 val instantiate : ?env:env -> Ast.graph_decl -> Graph.t
-(** Raises {!Error} on unknown references, pattern-only constructs
-    (disjunction, export), or attribute expressions that do not
-    evaluate. *)
+(** The reference interpreter: walks the body for one set of
+    parameters. Raises {!Error} on unknown references, pattern-only
+    constructs (disjunction, export), or attribute expressions that do
+    not evaluate. *)
 
 val param_env : env -> Pred.env
 (** The expression environment the parameters induce: [P.v1.name]

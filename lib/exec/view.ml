@@ -23,7 +23,8 @@ type t = {
   v_materialized : bool;
   v_def : Ast.flwr;
   v_pname : string;
-  v_tmpl : Ast.graph_decl;  (* the return template (views reject Tvar/Let) *)
+  v_compose : Template.env -> Graph.t;
+      (* the return template (views reject Tvar/Let), compiled once *)
   v_patterns : Rpq.pattern list;  (* compiled derivations of the pattern *)
   v_incremental : bool;
   mutable v_epoch : int;
@@ -69,7 +70,7 @@ let make ~name ~materialized ?(epoch = 0) (def : Ast.flwr) =
     v_materialized = materialized;
     v_def = def;
     v_pname = pname;
-    v_tmpl = tmpl;
+    v_compose = Template.compile tmpl;
     v_patterns = patterns;
     v_incremental = incremental;
     v_epoch = epoch;
@@ -101,8 +102,7 @@ let keep_match t m =
     let env = Pred.env_extend (Matched.env m) [ (t.v_pname, Matched.env m) ] in
     Pred.holds env pred
 
-let instantiate t m =
-  Template.instantiate ~env:[ (t.v_pname, Template.Pmatched m) ] t.v_tmpl
+let instantiate t m = t.v_compose [ (t.v_pname, Template.Pmatched m) ]
 
 (* Turn raw mappings into cached matches: where-filter, instantiate. *)
 let searched t core g phis =

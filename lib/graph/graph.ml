@@ -283,7 +283,9 @@ module Builder = struct
       edges;
     (* sort rows by (neighbor, edge id) so lookups can binary-search;
        undirected graphs share adj == in_adj, one pass sorts both *)
-    let cmp (a : int * int) (b : int * int) = compare a b in
+    let cmp ((a1 : int), (b1 : int)) ((a2 : int), (b2 : int)) =
+      if a1 <> a2 then Int.compare a1 a2 else Int.compare b1 b2
+    in
     Array.iter (fun row -> Array.sort cmp row) adj;
     if b.b_directed then Array.iter (fun row -> Array.sort cmp row) in_adj;
     let adj_nbr = Array.map (fun row -> Array.map fst row) adj in

@@ -106,6 +106,8 @@ val with_tuple : t -> Tuple.t -> t
 val with_name : t -> string option -> t
 
 val map_node_tuples : t -> f:(int -> Tuple.t -> Tuple.t) -> t
+(** Same nodes, edges, names and adjacency (shared, not copied); only
+    the node tuples are replaced. *)
 
 val induced_subgraph : t -> int list -> t * int array
 (** [induced_subgraph g vs] keeps the listed nodes (deduplicated) and all

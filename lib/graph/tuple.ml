@@ -37,9 +37,14 @@ let bindings t = t.attrs
 let names t = List.map fst t.attrs
 let cardinal t = List.length t.attrs
 
+let is_empty t = t.tag = None && t.attrs = []
+
 let union a b =
-  let tag = match a.tag with Some _ -> a.tag | None -> b.tag in
-  { tag; attrs = dedup (a.attrs @ b.attrs) }
+  if is_empty a then b
+  else if is_empty b then a
+  else
+    let tag = match a.tag with Some _ -> a.tag | None -> b.tag in
+    { tag; attrs = dedup (a.attrs @ b.attrs) }
 
 let project t keep = { t with attrs = List.filter (fun (k, _) -> List.mem k keep) t.attrs }
 
@@ -70,8 +75,6 @@ let hash t =
   List.fold_left
     (fun acc (k, v) -> acc lxor (Hashtbl.hash k + (31 * Value.hash v)))
     (Hashtbl.hash t.tag) t.attrs
-
-let is_empty t = t.tag = None && t.attrs = []
 
 let add_to_buffer buf t =
   Buffer.add_char buf '<';

@@ -41,7 +41,8 @@ val cardinal : t -> int
 
 val union : t -> t -> t
 (** [union a b] contains all bindings of [a] and [b]; on a name clash [b]
-    wins. The tag of [a] is kept unless [a] has none. *)
+    wins. The tag of [a] is kept unless [a] has none. When one side is
+    {!is_empty} the other is returned as is. *)
 
 val project : t -> string list -> t
 (** Keep only the named attributes (missing names are ignored). *)
