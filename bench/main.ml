@@ -2257,6 +2257,84 @@ let views_bench () =
          ("maintenance_speedup", Json.Float maint_speedup);
        ])
 
+(* ---------------------------------------------------------------------- *)
+(* Text load: a graph declaration to a data graph                          *)
+
+(* Loading is parse plus motif derivation, whose naming scope is a
+   persistent map. A linear-time load takes about 4x as long on a 4x
+   larger text; a quadratic one about 16x, so the ratio gates the
+   complexity independently of the host's speed. *)
+let load_bench () =
+  let module Gql = Gql_core.Gql in
+  header "Text load: parse + derive, graph declaration -> data graph";
+  let repeats = 5 in
+  (* each repeat starts from a collected heap, so one size's timing
+     does not pay for the garbage another left behind *)
+  let median_s f =
+    let ts =
+      List.init repeats (fun _ ->
+          Gc.full_major ();
+          snd (time f))
+    in
+    List.nth (List.sort compare ts) (repeats / 2)
+  in
+  let measure g =
+    let text = Graph.to_string g in
+    let src = text ^ ";" in
+    (* the loaded graph must print back as the text it came from *)
+    (match Gql.collection_of_string src with
+    | [ g' ] when Graph.to_string g' = text -> ()
+    | _ ->
+      Printf.eprintf "FAIL: loaded graph does not print as its source text\n";
+      exit 1);
+    let t_parse = median_s (fun () -> Gql.parse_program src) in
+    let t_load = median_s (fun () -> Gql.collection_of_string src) in
+    row "%-12s %8d %8d %10d %12.2f %12.2f\n"
+      (Option.value (Graph.name g) ~default:"")
+      (Graph.n_nodes g) (Graph.n_edges g)
+      (String.length text / 1024)
+      (ms t_parse) (ms t_load);
+    ( t_load,
+      [
+        ("nodes", Json.Int (Graph.n_nodes g));
+        ("edges", Json.Int (Graph.n_edges g));
+        ("text_kb", Json.Int (String.length text / 1024));
+        ("parse_ms", Json.Float (ms t_parse));
+        ("load_ms", Json.Float (ms t_load));
+      ] )
+  in
+  row "median of %d repeats; load = parse + derive\n" repeats;
+  row "%-12s %8s %8s %10s %12s %12s\n" "graph" "nodes" "edges" "text (kB)"
+    "parse (ms)" "load (ms)";
+  let n = scale 3_000 10_000 in
+  let synthetic n =
+    let g = Synthetic.erdos_renyi (Rng.create n) ~n ~m:(4 * n) in
+    Graph.with_name g (Some (Printf.sprintf "er%d" n))
+  in
+  let t_n, cells_n = measure (synthetic n) in
+  let t_4n, cells_4n = measure (synthetic (4 * n)) in
+  let _, cells_ppi = measure (Ppi.generate ()) in
+  let scaling = t_4n /. Float.max t_n 1e-9 in
+  row "scaling t(4n)/t(n): %.2f (linear ~4, quadratic ~16; gate <= 8)\n" scaling;
+  if scaling > 8.0 then begin
+    Printf.eprintf "FAIL: load scaling %.2f > 8: loading is superlinear\n"
+      scaling;
+    exit 1
+  end;
+  emit_json "load"
+    (Json.Obj
+       [
+         ("repeats", Json.Int repeats);
+         ( "sizes",
+           Json.List
+             [
+               Json.Obj (("size", Json.Int n) :: cells_n);
+               Json.Obj (("size", Json.Int (4 * n)) :: cells_4n);
+             ] );
+         ("ppi", Json.Obj cells_ppi);
+         ("scaling", Json.Float scaling);
+       ])
+
 let experiments =
   [
     ("fig4.20", fig_4_20);
@@ -2276,6 +2354,7 @@ let experiments =
     ("serve", serve_bench);
     ("micro", micro);
     ("views", views_bench);
+    ("load", load_bench);
   ]
 
 let () =

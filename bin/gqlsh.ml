@@ -31,15 +31,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_collection path =
-  let program = Gql.parse_program (read_file path) in
-  let decls =
-    List.filter_map (function Ast.Sgraph g -> Some g | _ -> None) program
-  in
-  let defs name =
-    List.find_opt (fun d -> d.Ast.g_name = Some name) decls
-  in
-  List.map (fun d -> Motif.to_graph ~defs d) decls
+let load_collection path = Gql.collection_of_string (read_file path)
 
 (* A doc source is either a .gql text file or a .store disk store; the
    metrics wiring makes store traffic (page reads, pool hits) visible to

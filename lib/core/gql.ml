@@ -20,6 +20,23 @@ let parse_graph_decl src = wrap src (fun () -> Parser.graph src)
 let graph_of_string ?(defs = []) src =
   wrap src (fun () -> Motif.to_graph ~defs:(Motif.defs_of_list defs) (Parser.graph src))
 
+let collection_of_string src =
+  wrap src (fun () ->
+      let decls =
+        List.filter_map
+          (function Ast.Sgraph g -> Some g | _ -> None)
+          (Parser.program src)
+      in
+      (* when two decls share a name, a reference resolves to the first *)
+      let by_name = Hashtbl.create 16 in
+      List.iter
+        (fun d ->
+          match d.Ast.g_name with
+          | Some n when not (Hashtbl.mem by_name n) -> Hashtbl.add by_name n d
+          | _ -> ())
+        decls;
+      List.map (Motif.to_graph ~defs:(Hashtbl.find_opt by_name)) decls)
+
 let patterns_of_string ?(defs = []) ?max_depth src =
   wrap src (fun () ->
       Motif.flat_patterns ~defs:(Motif.defs_of_list defs) ?max_depth

@@ -19,6 +19,14 @@ val parse_graph_decl : string -> Ast.graph_decl
 val graph_of_string : ?defs:(string * Ast.graph_decl) list -> string -> Graph.t
 (** Parse a ground [graph { ... }] literal into a data graph. *)
 
+val collection_of_string : string -> Graph.t list
+(** The collection a [.gql] file declares: one ground data graph per
+    top-level [graph] declaration, in order. A declaration may
+    reference another by name ([graph I as X;]); when two share a
+    name, the reference resolves to the first. Name lookups are
+    logarithmic, so loading time grows with the size of the derived
+    graphs, not with its square. *)
+
 val pattern_of_string :
   ?defs:(string * Ast.graph_decl) list ->
   ?max_depth:int ->

@@ -11,25 +11,39 @@ let defs_of_list l name = List.assoc_opt name l
 
 (* --- scopes -------------------------------------------------------------- *)
 
+(* A scope maps the names declared at one nesting level to proto ids,
+   and graph aliases to the scopes of the motifs they stand for. It is
+   persistent: derivation backtracks over [Alt] branches and repetition
+   lengths, and each alternative must continue from the scope it
+   started with. Every binding carries the scope's insertion counter,
+   because canonical edge names depend on declaration order (see
+   [collect_names]). *)
+
+module SMap = Map.Make (String)
+
 type scope = {
-  s_nodes : (string * int) list;
-  s_edges : (string * int) list;
-  s_subs : (string * scope) list;
+  s_nodes : (int * int) SMap.t;  (* name -> (seq, proto node id) *)
+  s_edges : (int * int) SMap.t;  (* name -> (seq, proto edge id) *)
+  s_subs : (int * scope) SMap.t;  (* alias -> (seq, sub-scope) *)
+  s_seq : int;  (* next insertion number *)
 }
 
-let empty_scope = { s_nodes = []; s_edges = []; s_subs = [] }
+let empty_scope =
+  { s_nodes = SMap.empty; s_edges = SMap.empty; s_subs = SMap.empty; s_seq = 0 }
+
+let find_id name m = Option.map snd (SMap.find_opt name m)
 
 let rec resolve_node scope = function
   | [] -> None
-  | [ x ] -> List.assoc_opt x scope.s_nodes
+  | [ x ] -> find_id x scope.s_nodes
   | x :: rest ->
-    Option.bind (List.assoc_opt x scope.s_subs) (fun sub -> resolve_node sub rest)
+    Option.bind (find_id x scope.s_subs) (fun sub -> resolve_node sub rest)
 
 let rec resolve_edge scope = function
   | [] -> None
-  | [ x ] -> List.assoc_opt x scope.s_edges
+  | [ x ] -> find_id x scope.s_edges
   | x :: rest ->
-    Option.bind (List.assoc_opt x scope.s_subs) (fun sub -> resolve_edge sub rest)
+    Option.bind (find_id x scope.s_subs) (fun sub -> resolve_edge sub rest)
 
 let split_at l i =
   let rec go acc i = function
@@ -116,16 +130,22 @@ let rec bind (s : 'a step Seq.t) (f : 'a -> 'b step Seq.t) : 'b step Seq.t =
     s
 
 let add_node_name scope name id =
-  if List.mem_assoc name scope.s_nodes then error "duplicate node name %s" name;
-  { scope with s_nodes = (name, id) :: scope.s_nodes }
+  if SMap.mem name scope.s_nodes then error "duplicate node name %s" name;
+  { scope with
+    s_nodes = SMap.add name (scope.s_seq, id) scope.s_nodes;
+    s_seq = scope.s_seq + 1 }
 
 let add_edge_name scope name id =
-  if List.mem_assoc name scope.s_edges then error "duplicate edge name %s" name;
-  { scope with s_edges = (name, id) :: scope.s_edges }
+  if SMap.mem name scope.s_edges then error "duplicate edge name %s" name;
+  { scope with
+    s_edges = SMap.add name (scope.s_seq, id) scope.s_edges;
+    s_seq = scope.s_seq + 1 }
 
 let add_sub scope alias sub =
-  if List.mem_assoc alias scope.s_subs then error "duplicate graph alias %s" alias;
-  { scope with s_subs = (alias, sub) :: scope.s_subs }
+  if SMap.mem alias scope.s_subs then error "duplicate graph alias %s" alias;
+  { scope with
+    s_subs = SMap.add alias (scope.s_seq, sub) scope.s_subs;
+    s_seq = scope.s_seq + 1 }
 
 (* [level] is the nesting level of the members being expanded (root
    decl = 0); entering a graph reference at level [l] contributes
@@ -329,15 +349,29 @@ type derived = {
   segments : Gql_matcher.Rpq.segment list;
 }
 
-let rec collect_names prefix scope =
-  let here_nodes = List.map (fun (n, id) -> (prefix ^ n, id)) scope.s_nodes in
-  let here_edges = List.map (fun (n, id) -> (prefix ^ n, id)) scope.s_edges in
-  List.fold_left
-    (fun (ns, es) (alias, sub) ->
-      let sub_ns, sub_es = collect_names (prefix ^ alias ^ ".") sub in
-      (ns @ sub_ns, es @ sub_es))
-    (here_nodes, here_edges)
-    scope.s_subs
+(* Every name in [scope] and its sub-scopes as a dotted path, in the
+   order that decides canonical edge names (the first name of an edge
+   wins): a scope's own names before its sub-scopes', and within one
+   scope the name added last first. Node names need no order, since
+   [pick_name] does not depend on it. *)
+let collect_names scope =
+  let latest_first m =
+    SMap.fold (fun name (seq, x) acc -> (seq, name, x) :: acc) m []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)
+  in
+  let rec go prefix scope (ns, es) =
+    let ns = SMap.fold (fun n (_, id) ns -> (prefix ^ n, id) :: ns) scope.s_nodes ns in
+    let es =
+      List.fold_left
+        (fun es (_, n, id) -> (prefix ^ n, id) :: es)
+        es (latest_first scope.s_edges)
+    in
+    List.fold_left
+      (fun acc (_, alias, sub) -> go (prefix ^ alias ^ ".") sub acc)
+      (ns, es) (latest_first scope.s_subs)
+  in
+  let ns, es = go "" scope ([], []) in
+  (ns, List.rev es)
 
 let pick_name names =
   match names with
@@ -383,7 +417,7 @@ let build (decl : Ast.graph_decl) (acc, top_scope) =
       preds.(c) <- Pred.( && ) preds.(c) p)
     nodes;
   (* canonical names *)
-  let node_names, edge_names = collect_names "" top_scope in
+  let node_names, edge_names = collect_names top_scope in
   let class_names = Array.make !n_classes [] in
   List.iter
     (fun (name, id) -> class_names.(cls id) <- name :: class_names.(cls id))
@@ -396,7 +430,8 @@ let build (decl : Ast.graph_decl) (acc, top_scope) =
   Array.iteri (fun c t -> ignore (Graph.Builder.add_node b ?name:canonical.(c) t)) tuples;
   let edge_map = Array.make (Array.length edges) (-1) in
   let edge_key = Hashtbl.create 16 in
-  let final_edge_preds = ref [] in
+  (* conjoined predicates, indexed by final edge id *)
+  let final_edge_preds = Array.make (Array.length edges) Pred.True in
   let proto_edge_names = Array.make (Array.length edges) None in
   List.iter
     (fun (name, id) ->
@@ -414,17 +449,14 @@ let build (decl : Ast.graph_decl) (acc, top_scope) =
       match (if candidate then Hashtbl.find_opt edge_key key else None) with
       | Some final_id ->
         edge_map.(i) <- final_id;
-        final_edge_preds :=
-          List.map
-            (fun (e, p) -> if e = final_id then (e, Pred.( && ) p pred) else (e, p))
-            !final_edge_preds
+        final_edge_preds.(final_id) <- Pred.( && ) final_edge_preds.(final_id) pred
       | None ->
         let final_id =
           Graph.Builder.add_edge b ?name:proto_edge_names.(i) ~tuple s d
         in
         Hashtbl.add edge_key key final_id;
         edge_map.(i) <- final_id;
-        final_edge_preds := (final_id, pred) :: !final_edge_preds)
+        final_edge_preds.(final_id) <- pred)
     edges;
   let graph = Graph.Builder.build b in
   (* rewrite pending where-clauses to canonical names *)
@@ -464,7 +496,9 @@ let build (decl : Ast.graph_decl) (acc, top_scope) =
     |> List.filter (fun (_, p) -> not (Pred.equal p Pred.True))
   in
   let edge_preds =
-    List.filter (fun (_, p) -> not (Pred.equal p Pred.True)) !final_edge_preds
+    Array.to_list (Array.sub final_edge_preds 0 (Graph.n_edges graph))
+    |> List.mapi (fun e p -> (e, p))
+    |> List.filter (fun (_, p) -> not (Pred.equal p Pred.True))
   in
   let segments =
     List.rev_map

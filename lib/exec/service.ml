@@ -528,7 +528,9 @@ let refresh_views_locked t ~metrics ~source change =
    materialized view — to the durability sink ([on_write] — the CLI
    appends them to the store there), and only after it returns advance
    the applied watermark, so a reader gated on this write observes it
-   in memory, in the views, and on disk. *)
+   in memory, in the views, and staged in the store. Staged is not
+   durable: the store commits its staged records only when the CLI
+   closes it at shutdown, so a crash before then loses the write. *)
 let writer t job w =
   let refresh_events = ref [] in
   locked t.r_mutex (fun () ->

@@ -167,6 +167,72 @@ let test_depth_bound () =
   (* nesting depths 0..3: paths of 2, 3, 4 and 5 nodes *)
   Alcotest.(check int) "finite language under bound" 4 (List.length all)
 
+(* Naming rules that canonical output depends on *)
+
+let error_of ?defs s =
+  match Motif.to_graph ?defs (decl s) with
+  | exception Motif.Error msg -> msg
+  | _ -> "no error"
+
+(* an edge with several names prints as the one added last in the
+   outermost scope that names it *)
+let test_export_names () =
+  Alcotest.(check string) "top-level export renames the edge"
+    "graph G {\n  node a;\n  node b;\n  edge f (a, b);\n}"
+    (Graph.to_string
+       (Motif.to_graph
+          (decl "graph G { node a, b; edge e (a, b); export e as f; }")));
+  let i = decl "graph I { node a, b; edge e (a, b); export e as f; }" in
+  let defs = Motif.defs_of_list [ ("I", i) ] in
+  Alcotest.(check string) "a reference keeps the export name"
+    "graph G {\n  node X.a;\n  node X.b;\n  edge X.f (X.a, X.b);\n}"
+    (Graph.to_string (Motif.to_graph ~defs (decl "graph G { graph I as X; }")));
+  Alcotest.(check string) "an outer name wins over inner ones"
+    "graph G {\n  node X.a;\n  node X.b;\n  edge g (X.a, X.b);\n}"
+    (Graph.to_string
+       (Motif.to_graph ~defs (decl "graph G { graph I as X; export X.e as g; }")))
+
+let test_duplicate_name_errors () =
+  Alcotest.(check string) "node" "duplicate node name a"
+    (error_of "graph G { node a; node a; }");
+  Alcotest.(check string) "edge" "duplicate edge name e"
+    (error_of "graph G { node a, b; edge e (a, b); edge e (b, a); }");
+  Alcotest.(check string) "export onto a node name" "duplicate node name a"
+    (error_of "graph G { node a, b; export b as a; }");
+  let defs = Motif.defs_of_list [ ("I", decl "graph I { node a; }") ] in
+  Alcotest.(check string) "alias" "duplicate graph alias X"
+    (error_of ~defs "graph G { graph I as X; graph I as X; }")
+
+(* the scope is persistent: a name declared in one branch of a
+   disjunction is unknown in its siblings *)
+let test_alt_branches_isolated () =
+  let g =
+    decl
+      "graph G { node a; { node b; edge (a, b); } | { node b; edge (b, a); }; }"
+  in
+  Alcotest.(check int) "both branches declare b" 2
+    (List.length (List.of_seq (Motif.language g)));
+  let g = decl "graph G { node a; { node c; } | { edge (a, c); }; }" in
+  match List.of_seq (Motif.language g) with
+  | exception Motif.Error msg ->
+    Alcotest.(check string) "c does not leak" "unknown edge endpoint c" msg
+  | _ -> Alcotest.fail "the second branch resolved a sibling's node"
+
+let test_collection_first_decl_wins () =
+  let gs =
+    Gql.collection_of_string
+      {|graph I { node a, b; edge e (a, b); };
+        graph G { graph I as X; };
+        graph I { node other; };|}
+  in
+  Alcotest.(check (list string)) "G references the first I"
+    [
+      "graph I {\n  node a;\n  node b;\n  edge e (a, b);\n}";
+      "graph G {\n  node X.a;\n  node X.b;\n  edge X.e (X.a, X.b);\n}";
+      "graph I {\n  node other;\n}";
+    ]
+    (List.map Graph.to_string gs)
+
 let suite =
   [
     Alcotest.test_case "concatenation by edges (Fig 4.4a)" `Quick test_concat_by_edges;
@@ -181,4 +247,11 @@ let suite =
       test_pattern_predicates_pushed;
     Alcotest.test_case "derivation errors" `Quick test_motif_errors;
     Alcotest.test_case "depth bound" `Quick test_depth_bound;
+    Alcotest.test_case "export names are canonical edge names" `Quick
+      test_export_names;
+    Alcotest.test_case "duplicate name errors" `Quick test_duplicate_name_errors;
+    Alcotest.test_case "names do not leak across branches" `Quick
+      test_alt_branches_isolated;
+    Alcotest.test_case "collection references resolve to the first decl" `Quick
+      test_collection_first_decl_wins;
   ]

@@ -29,6 +29,58 @@ let prop_roundtrip_with_attributes =
       let g' = Gql.graph_of_string (Format.asprintf "%a" Graph.pp g) in
       Graph.equal_structure g g')
 
+(* Graphs the text format can express: some nodes and edges named,
+   the rest printed under their positional names (v3, e7), which
+   reparse as ordinary names; tagged and untagged tuples; parallel
+   edges and self-loops. *)
+let gen_named_graph =
+  QCheck.Gen.(
+    let value =
+      oneof
+        [
+          map (fun i -> Value.Int i) (int_range (-1000) 1000);
+          map (fun b -> Value.Bool b) bool;
+          map
+            (fun s -> Value.Str s)
+            (string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t' ])
+               (int_range 0 6));
+        ]
+    in
+    let tuple =
+      map2
+        (fun tag attrs ->
+          Tuple.make ?tag (List.mapi (fun i v -> (Printf.sprintf "k%d" i, v)) attrs))
+        (opt (oneofl [ "protein"; "atom" ]))
+        (list_size (int_range 0 3) value)
+    in
+    int_range 1 300 >>= fun n ->
+    list_repeat n (pair bool tuple) >>= fun nodes ->
+    list_size (int_range 0 (2 * n))
+      (quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) bool tuple)
+    >>= fun edges ->
+    pair (opt (return "g")) tuple >>= fun (gname, gtuple) ->
+    let name named prefix i =
+      if named then Some (Printf.sprintf "%s%d" prefix i) else None
+    in
+    let b = Graph.Builder.create ?name:gname ~tuple:gtuple () in
+    List.iteri
+      (fun i (named, t) ->
+        ignore (Graph.Builder.add_node b ?name:(name named "n" i) t))
+      nodes;
+    List.iteri
+      (fun i (u, v, named, t) ->
+        ignore (Graph.Builder.add_edge b ?name:(name named "r" i) ~tuple:t u v))
+      edges;
+    return (Graph.Builder.build b))
+
+let prop_text_roundtrip_exact =
+  QCheck.Test.make ~name:"text round-trip is byte-identical (named, <= 300 nodes)"
+    ~count:100
+    (QCheck.make gen_named_graph ~print:Graph.to_string)
+    (fun g ->
+      let text = Graph.to_string g in
+      Graph.to_string (Gql.graph_of_string text) = text)
+
 let prop_three_engines_agree =
   QCheck.Test.make
     ~name:"matcher = SQL plan = Datalog translation on random graphs" ~count:40
@@ -89,6 +141,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_text_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_with_attributes;
+    QCheck_alcotest.to_alcotest prop_text_roundtrip_exact;
     QCheck_alcotest.to_alcotest prop_three_engines_agree;
     QCheck_alcotest.to_alcotest prop_select_first_subset_of_exhaustive;
     QCheck_alcotest.to_alcotest prop_refined_subset_of_initial;
