@@ -461,8 +461,8 @@ let match_cmd pattern_file graph_file strategy domains adaptive exhaustive
       let budget = budget_of timeout max_visited in
       let t0 = Unix.gettimeofday () in
       let matches, stopped =
-        Algebra.select_governed ~strategy ~exhaustive ?limit ?budget ~patterns
-          entries
+        Algebra.select_governed ~strategy ~exhaustive ?limit ?budget
+          ~patterns:(List.map Gql_matcher.Rpq.flat patterns) entries
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       Format.printf "%d match(es) in %.2f ms@." (List.length matches)

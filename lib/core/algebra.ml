@@ -1,7 +1,7 @@
 open Gql_graph
-module Flat_pattern = Gql_matcher.Flat_pattern
 module Engine = Gql_matcher.Engine
 module Budget = Gql_matcher.Budget
+module Rpq = Gql_matcher.Rpq
 
 type entry =
   | G of Graph.t
@@ -16,48 +16,6 @@ let underlying = function
 let graphs c = List.map underlying c
 
 (* --- selection ------------------------------------------------------------ *)
-
-(* A budget is shared across every (pattern, graph) engine run of a
-   selection. Per-run [Hit_limit] stops are normal truncation and do
-   not taint the aggregate reason; a [final] reason (expired deadline,
-   cancelled token) short-circuits the remaining runs — re-entering the
-   engine would only burn a poll to learn the same thing. [Step_budget]
-   is per-run, so later entries still get their own visit allowance. *)
-let select_one_governed ?strategy ?(exhaustive = true) ?limit
-    ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled) pattern c
-    =
-  let module M_ = Gql_obs.Metrics in
-  let stopped = ref Budget.Exhausted in
-  let rev_out = ref [] in
-  List.iter
-    (fun entry ->
-      if not (Budget.final !stopped) then begin
-        let g = underlying entry in
-        let result =
-          (* one "match" span per (pattern, graph) engine run; same-name
-             siblings aggregate in the span forest, so a 1000-graph
-             collection renders as a single match × 1000 line *)
-          M_.with_span metrics "match" (fun () ->
-              Engine.run ?strategy ~exhaustive ?limit ~budget ~metrics pattern
-                g)
-        in
-        if M_.enabled metrics then
-          M_.observe metrics M_.Matches_per_graph
-            result.Engine.outcome.Gql_matcher.Search.n_found;
-        (match result.Engine.outcome.Gql_matcher.Search.stopped with
-        | Budget.Exhausted | Budget.Hit_limit -> ()
-        | r -> stopped := Budget.worst !stopped r);
-        List.iter
-          (fun phi -> rev_out := M (Matched.make pattern g phi) :: !rev_out)
-          result.Engine.outcome.Gql_matcher.Search.mappings
-      end)
-    c;
-  (List.rev !rev_out, !stopped)
-
-let select_one ?strategy ?exhaustive ?limit ?budget ?metrics pattern c =
-  fst
-    (select_one_governed ?strategy ?exhaustive ?limit ?budget ?metrics pattern
-       c)
 
 (* The graph-side analogue of the sqlsim System-R enumerator's
    cheapest-access-first rule, one level up: rank the patterns of a
@@ -81,59 +39,28 @@ let pattern_order ?strategy ~n_nodes patterns =
   List.map fst
     (List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) costed)
 
-let select_governed ?strategy ?exhaustive ?limit ?(budget = Budget.unlimited)
-    ?metrics ~patterns c =
-  let stopped = ref Budget.Exhausted in
-  let pats = Array.of_list patterns in
-  let np = Array.length pats in
-  let ranked =
-    if np <= 1 then List.init np Fun.id
-    else
-      let n_nodes =
-        List.fold_left (fun m e -> max m (Graph.n_nodes (underlying e))) 1 c
-      in
-      pattern_order ?strategy ~n_nodes patterns
-  in
-  (* execute in costed order, emit grouped in program order — the
-     observable result is unchanged unless the budget stops the run,
-     in which case the cheapest patterns' results are the ones that
-     made it *)
-  let per_pattern = Array.make np [] in
-  List.iter
-    (fun i ->
-      if not (Budget.final !stopped) then begin
-        let ms, r =
-          select_one_governed ?strategy ?exhaustive ?limit ~budget ?metrics
-            pats.(i) c
-        in
-        stopped := Budget.worst !stopped r;
-        per_pattern.(i) <- ms
-      end)
-    ranked;
-  (List.concat (Array.to_list per_pattern), !stopped)
-
-let select ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
-  fst (select_governed ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c)
-
-(* Selection over path patterns: like [select_governed], but each
-   (pattern, graph) run goes through {!Gql_matcher.Rpq.run} — the flat
-   core matches through the usual engine, path segments through the
-   product BFS / reachability fast path. One RPQ context (hence one
-   lazily built reachability index) is shared per distinct graph across
-   all patterns of the selection. *)
-module Rpq = Gql_matcher.Rpq
-
-let select_paths_governed ?strategy ?exhaustive ?limit
+(* The one (pattern x graph) loop. A budget is shared across every run
+   of a selection. Per-run [Hit_limit] stops are normal truncation and
+   do not taint the aggregate reason; a [final] reason (expired
+   deadline, cancelled token) short-circuits the remaining runs —
+   re-entering the engine would only burn a poll to learn the same
+   thing. [Step_budget] is per-run, so later entries still get their
+   own visit allowance. Patterns execute in costed order and emit
+   grouped in program order. *)
+let select_governed ?strategy ?(exhaustive = true) ?limit
     ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled)
-    ~patterns c =
+    ?(source = fun _ _ -> None) ?(after = ignore) ~patterns c =
   let module M_ = Gql_obs.Metrics in
-  let ctxs : (Graph.t * Rpq.ctx) list ref = ref [] in
-  let ctx_of g =
-    match List.find_opt (fun (g', _) -> g' == g) !ctxs with
-    | Some (_, cx) -> cx
+  let entries = Array.of_list c in
+  (* one RPQ context (one lazily built reachability index) per entry,
+     shared by every path pattern of the selection *)
+  let ctxs = Array.make (Array.length entries) None in
+  let ctx_of i g =
+    match ctxs.(i) with
+    | Some cx -> cx
     | None ->
       let cx = Rpq.ctx g in
-      ctxs := (g, cx) :: !ctxs;
+      ctxs.(i) <- Some cx;
       cx
   in
   let stopped = ref Budget.Exhausted in
@@ -150,18 +77,23 @@ let select_paths_governed ?strategy ?exhaustive ?limit
   in
   let per_pattern = Array.make np [] in
   List.iter
-    (fun i ->
+    (fun pi ->
       if not (Budget.final !stopped) then begin
-        let p = pats.(i) in
+        let p = pats.(pi) in
         let rev_out = ref [] in
-        List.iter
-          (fun entry ->
+        Array.iteri
+          (fun i entry ->
             if not (Budget.final !stopped) then begin
               let g = underlying entry in
+              let ctx = if Rpq.is_flat p then None else Some (ctx_of i g) in
               let outcome =
+                (* one "match" span per (pattern, graph) run; same-name
+                   siblings aggregate in the span forest, so a
+                   1000-graph collection renders as a single
+                   match × 1000 line *)
                 M_.with_span metrics "match" (fun () ->
-                    Rpq.run ?strategy ?exhaustive ?limit ~budget ~metrics
-                      ~ctx:(ctx_of g) p g)
+                    Rpq.run ?strategy ~exhaustive ?limit ~budget ~metrics ?ctx
+                      ?source:(source p.Rpq.core g) p g)
               in
               if M_.enabled metrics then
                 M_.observe metrics M_.Matches_per_graph
@@ -172,18 +104,19 @@ let select_paths_governed ?strategy ?exhaustive ?limit
               List.iter
                 (fun phi ->
                   rev_out := M (Matched.make p.Rpq.core g phi) :: !rev_out)
-                outcome.Gql_matcher.Search.mappings
+                outcome.Gql_matcher.Search.mappings;
+              after outcome
             end)
-          c;
-        per_pattern.(i) <- List.rev !rev_out
+          entries;
+        per_pattern.(pi) <- List.rev !rev_out
       end)
     ranked;
   (List.concat (Array.to_list per_pattern), !stopped)
 
-let select_paths ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
+let select ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
   fst
-    (select_paths_governed ?strategy ?exhaustive ?limit ?budget ?metrics
-       ~patterns c)
+    (select_governed ?strategy ?exhaustive ?limit ?budget ?metrics
+       ~patterns:(List.map Rpq.flat patterns) c)
 
 (* --- product and join ------------------------------------------------------ *)
 

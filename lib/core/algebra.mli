@@ -40,21 +40,9 @@ val select :
     graph when [exhaustive] is false, §3.3). The result entries are
     matched graphs. [patterns] lists the derivations of the (possibly
     recursive) pattern; a graph's matches accumulate across
-    derivations. The [budget] is shared by every engine run; on a
-    resource stop the matches found so far are returned (use
-    {!select_governed} to learn the reason). With [metrics] enabled,
-    each engine run executes inside a ["match"] span and the per-graph
-    match counts feed the [matches_per_graph] histogram. *)
-
-val select_one :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  Gql_matcher.Flat_pattern.t ->
-  collection ->
-  collection
+    derivations. {!select_governed} over flat patterns, without the
+    stop reason: on a resource stop the matches found so far are
+    returned. *)
 
 val select_governed :
   ?strategy:Gql_matcher.Engine.strategy ->
@@ -62,51 +50,35 @@ val select_governed :
   ?limit:int ->
   ?budget:Gql_matcher.Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
-  patterns:Gql_matcher.Flat_pattern.t list ->
-  collection ->
-  collection * Gql_matcher.Budget.stop_reason
-(** Like {!select}, plus the aggregate stop reason: [Exhausted] when
-    every run completed (per-run [Hit_limit] truncation included —
-    that is requested behaviour, not a resource stop), otherwise the
-    worst resource reason observed. A [final] reason (deadline,
-    cancellation) short-circuits the remaining (pattern, graph) runs. *)
-
-val select_one_governed :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  Gql_matcher.Flat_pattern.t ->
-  collection ->
-  collection * Gql_matcher.Budget.stop_reason
-
-val select_paths_governed :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
+  ?source:
+    (Gql_matcher.Flat_pattern.t ->
+    Graph.t ->
+    Gql_matcher.Engine.source option) ->
+  ?after:(Gql_matcher.Search.outcome -> unit) ->
   patterns:Gql_matcher.Rpq.pattern list ->
   collection ->
   collection * Gql_matcher.Budget.stop_reason
-(** {!select_governed} over path patterns: the flat core of each
-    pattern runs through the matcher engine, path segments (unbounded
-    repetition) through {!Gql_matcher.Rpq} — product BFS with the
-    reachability-index fast path. One RPQ context per distinct graph is
-    shared across all patterns, so a selection builds each graph's
-    reachability index at most once. Patterns are ranked by the cost of
-    their flat cores. *)
+(** The selection loop: one {!Gql_matcher.Rpq.run} per (pattern, graph)
+    pair. The flat core of each pattern matches through the engine;
+    path segments (unbounded repetition) are checked by the RPQ engine.
+    One RPQ context per collection entry is shared by every path
+    pattern, so a selection builds each graph's reachability index at
+    most once. Patterns run cheapest first ({!pattern_order}) and emit
+    grouped in program order.
 
-val select_paths :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  patterns:Gql_matcher.Rpq.pattern list ->
-  collection ->
-  collection
+    The [budget] is shared by every run. Returns the aggregate stop
+    reason besides the matches: [Exhausted] when every run completed
+    (per-run [Hit_limit] truncation included — that is requested
+    behaviour, not a resource stop), otherwise the worst resource
+    reason observed. A [final] reason (deadline, cancellation)
+    short-circuits the remaining runs.
+
+    [source] (default: none for every pair) supplies a (core, graph)
+    run's cached plan ({!Gql_matcher.Engine.source}); [after] runs
+    after each pair with its outcome — the exec service counts its
+    quantum and yields there. With [metrics] enabled, each run
+    executes inside a ["match"] span and the per-graph match counts
+    feed the [matches_per_graph] histogram. *)
 
 val pattern_order :
   ?strategy:Gql_matcher.Engine.strategy ->
@@ -116,11 +88,11 @@ val pattern_order :
 (** Execution order for a multi-pattern selection: indices into the
     input list, cheapest estimated whole-pattern cost
     ({!Gql_matcher.Order.pattern_cost} under the strategy's cost model)
-    first; stable on ties. {!select} and {!select_governed} run
-    patterns in this order — the System-R style cheapest-first rule
-    lifted from join orders to pattern derivations — while emitting
-    results grouped in program order, so only budget-stopped runs can
-    observe the difference. *)
+    first; stable on ties. {!select_governed} runs patterns in this
+    order — the System-R style cheapest-first rule lifted from join
+    orders to pattern derivations — while emitting results grouped in
+    program order, so only budget-stopped runs can observe the
+    difference. *)
 
 (** {1 Product and join} *)
 

@@ -179,7 +179,7 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
     | Some s -> s
     | None ->
       fun ~exhaustive ~patterns entries ->
-        Algebra.select_paths_governed ?strategy ~exhaustive ?budget ~metrics
+        Algebra.select_governed ?strategy ~exhaustive ?budget ~metrics
           ~patterns entries
   in
   let st =

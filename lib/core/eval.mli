@@ -73,8 +73,9 @@ type selector =
     patterns (flat core + unbounded-repetition segments) derived from
     the pattern and the source collection, return the matched entries
     plus the aggregate stop reason. The default is
-    {!Algebra.select_paths_governed}; the batch service ([Gql_exec])
-    installs a caching, quantum-yielding selector instead. *)
+    {!Algebra.select_governed}. The batch service ([Gql_exec]) runs the
+    same loop with its plan cache as the [source] and a quantum-yielding
+    [after] hook. *)
 
 val run :
   ?docs:docs ->

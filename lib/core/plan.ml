@@ -275,7 +275,7 @@ let execute ?(docs = []) ?strategy plan =
       | None -> error "unknown variable %s" v)
     | Select { pname; patterns; exhaustive; post; input } ->
       let entries = eval input in
-      Algebra.select_paths ?strategy ~exhaustive ~patterns entries
+      fst (Algebra.select_governed ?strategy ~exhaustive ~patterns entries)
       |> filter_post pname post
     | Compose { template; param; input } ->
       let entries = eval input in

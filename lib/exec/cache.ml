@@ -37,7 +37,6 @@ type pkey = char * bool * string
 type t = {
   mutex : Mutex.t;
   plan_capacity : int;
-  mutable version : int;
   mutable next_gid : int;
   gids : int GraphTbl.t;
   indexes : (int, Gql_index.Label_index.t * Gql_index.Profile_index.t) Hashtbl.t;
@@ -58,7 +57,6 @@ type t = {
 }
 
 type stats = {
-  version : int;
   graphs : int;
   indexes : int;
   plans : int;
@@ -73,7 +71,6 @@ let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
   {
     mutex = Mutex.create ();
     plan_capacity;
-    version = 0;
     next_gid = 0;
     gids = GraphTbl.create 64;
     indexes = Hashtbl.create 64;
@@ -106,18 +103,6 @@ let register t graphs =
         graphs)
 
 let registered t g = locked t (fun () -> GraphTbl.mem t.gids g)
-let version t = locked t (fun () -> t.version)
-
-let invalidate t ~metrics =
-  locked t (fun () ->
-      t.version <- t.version + 1;
-      t.invalidations <- t.invalidations + 1;
-      GraphTbl.reset t.gids;
-      Hashtbl.reset t.indexes;
-      reset_plans t;
-      Hashtbl.reset t.epochs;
-      Lru.clear t.rows;
-      M.incr metrics M.Exec_cache_invalidations)
 
 let gid_opt t g = GraphTbl.find_opt t.gids g
 
@@ -171,8 +156,7 @@ let replace t ~metrics ~old_graph ~new_graph ~delta =
           let pi', _recomputed = Gql_index.Profile_index.update pi new_graph d in
           Hashtbl.add t.indexes gid' (li', pi');
           M.incr metrics M.Index_incremental
-        | _ -> ());
-        t.version <- t.version + 1)
+        | _ -> ()))
 
 let drop t g =
   locked t (fun () ->
@@ -180,16 +164,13 @@ let drop t g =
       | None -> ()
       | Some gid ->
         drop_gid t g gid;
-        Hashtbl.remove t.epochs gid;
-        t.version <- t.version + 1)
+        Hashtbl.remove t.epochs gid)
 
 let retain t ~metrics ~keep =
   locked t (fun () ->
       let survivors = List.filter (fun g -> GraphTbl.mem t.gids g) keep in
       if survivors = [] && GraphTbl.length t.gids > 0 then begin
-        (* nothing carries over: wholesale replacement, same effect as
-           the old single version stamp *)
-        t.version <- t.version + 1;
+        (* nothing carries over: wholesale replacement *)
         t.invalidations <- t.invalidations + 1;
         GraphTbl.reset t.gids;
         Hashtbl.reset t.indexes;
@@ -213,8 +194,7 @@ let retain t ~metrics ~keep =
           (fun (g, gid) ->
             drop_gid t g gid;
             Hashtbl.remove t.epochs gid)
-          doomed;
-        if doomed <> [] then t.version <- t.version + 1
+          doomed
       end;
       List.iter
         (fun g -> if not (GraphTbl.mem t.gids g) then ignore (add_gid t g))
@@ -341,7 +321,6 @@ let observe_learned t ~f = locked t (fun () -> f t.learned)
 let stats t =
   locked t (fun () ->
       {
-        version = t.version;
         graphs = GraphTbl.length t.gids;
         indexes = Hashtbl.length t.indexes;
         plans = t.n_plans;

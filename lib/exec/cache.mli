@@ -53,12 +53,6 @@ val register : t -> Graph.t list -> unit
     identity). *)
 
 val registered : t -> Graph.t -> bool
-val version : t -> int
-
-val invalidate : t -> metrics:Gql_obs.Metrics.t -> unit
-(** Bump the version stamp, drop every cached index, plan and row, and
-    forget all registrations (documents changed — the new graphs must
-    be re-{!register}ed). Counts [exec.cache.invalidations]. *)
 
 val replace :
   t ->
@@ -85,8 +79,9 @@ val retain : t -> metrics:Gql_obs.Metrics.t -> keep:Graph.t list -> unit
     [keep] that are already registered stay warm (indexes, plans,
     epochs intact); every other registered graph is retired; new
     graphs in [keep] are registered. When {e nothing} survives the
-    reconciliation this degenerates to {!invalidate} (wholesale
-    replacement, counted as such). *)
+    reconciliation this is a wholesale replacement: every cached
+    index, plan and row is dropped, and [exec.cache.invalidations]
+    counts it. The learned statistics survive either way. *)
 
 val graph_epoch : t -> Graph.t -> int option
 (** How many times this document slot has been replaced by writes
@@ -167,7 +162,6 @@ val observe_learned : t -> f:(Gql_matcher.Stats.t -> unit) -> unit
     how jobs fold their per-run observations in. Keep [f] short. *)
 
 type stats = {
-  version : int;
   graphs : int;  (** registered graphs *)
   indexes : int;  (** index pairs actually built *)
   plans : int;  (** cached plans, over every graph *)

@@ -2,16 +2,14 @@ module M = Gql_obs.Metrics
 module Budget = Gql_matcher.Budget
 module Engine = Gql_matcher.Engine
 module Flat_pattern = Gql_matcher.Flat_pattern
-module Rpq = Gql_matcher.Rpq
 module Feasible = Gql_matcher.Feasible
 module Search = Gql_matcher.Search
 module Eval = Gql_core.Eval
 module Algebra = Gql_core.Algebra
-module Matched = Gql_core.Matched
 module Error = Gql_core.Error
 
-(* Cooperative preemption: the caching selector performs [Yield] after
-   an engine run once the quantum is spent; the captured continuation
+(* Cooperative preemption: the selector performs [Yield] after an
+   engine run once the quantum is spent; the captured continuation
    goes to the back of the work queue and any worker domain may resume
    it (one-shot, resumed exactly once — the domainslib pattern). *)
 type _ Effect.t += Yield : unit Effect.t
@@ -137,42 +135,53 @@ let next_task t =
       in
       wait ())
 
-(* --- the caching engine run ----------------------------------------------- *)
+(* --- the plan source ------------------------------------------------------ *)
 
-let empty_outcome stopped =
-  { Search.mappings = []; n_found = 0; visited = 0; stopped }
-
-(* Mirror of [Engine.run]'s phase structure — same spans, same budget
-   polls at phase boundaries — with retrieval rows and the search order
-   pulled from the shared cache when this graph is registered. *)
-let cached_run t job ~exhaustive p g =
-  let metrics = job.j_metrics in
-  let budget = job.j_budget in
+(* Where a job's (pattern, graph) runs get their plans: the shared
+   cache, when the graph is registered. [None] — a graph bound to a
+   query variable, or [`Subgraphs] retrieval — sends the run through
+   the uncached engine with the strategy's own model and fan-out. The
+   callbacks that do not depend on the pair are built once per job. *)
+let source t job =
   let s = t.strategy in
-  let fallback () =
-    (Engine.run ~strategy:s ~exhaustive ~budget ~metrics p g).Engine.outcome
-  in
+  let metrics = job.j_metrics in
+  let refine = s.Engine.refine in
   (* When the caller did not pin a cost model, the service plans with
-     the shared learned statistics: γ and selectivity estimates start at
-     the static defaults (unseen buckets fall back) and converge on what
-     this workload's searches actually observed. *)
+     the shared learned statistics: γ and selectivity estimates start
+     at the static defaults (unseen buckets fall back) and converge on
+     what this workload's searches actually observed. *)
   let uses_learned = Option.is_none s.Engine.cost_model in
-  let order_model () =
+  let model () =
     match s.Engine.cost_model with
     | Some m -> m
     | None ->
       Gql_matcher.Cost.Learned
         { learned = Cache.learned_snapshot t.cache; fallback = None }
   in
-  (* Fold a completed search's observations into the shared stats under
-     the cache mutex. Only exhaustive runs: a truncated search
-     undercounts deep positions and would bias the γ averages. *)
-  let feed outcome space ~order ~profile =
+  (* Inter- vs intra-query split: while other work is queued, every
+     domain runs its own query (inter-query parallelism, caches hot);
+     when this is the only live query and it is about to walk a big
+     search space, fan the search itself out over the work-stealing
+     engine. Tiny searches stay sequential — domain spawn/join costs
+     more than they do. *)
+  let domains ~order space =
+    if
+      t.search_domains > 1
+      && Array.length order > 0
+      && Array.length space.Feasible.candidates.(order.(0)) > 1
+      && Feasible.log10_size space >= 3.0
+      && not (queue_nonempty t)
+    then t.search_domains
+    else 1
+  in
+  (* Fold a new plan's search into the shared stats under the cache
+     mutex. Only exhaustive runs: a truncated search undercounts deep
+     positions and would bias the γ averages. *)
+  let observe p g outcome space ~order profile =
     if
       (uses_learned || s.Engine.adaptive)
       && outcome.Search.stopped = Budget.Exhausted
     then
-      let sizes = Feasible.sizes space in
       Cache.observe_learned t.cache ~f:(fun st ->
           let k = Array.length order in
           let pd = profile.Search.pr_descents in
@@ -182,156 +191,48 @@ let cached_run t job ~exhaustive p g =
               fanouts.(i) <- float_of_int pd.(i) /. float_of_int pd.(i - 1)
           done;
           Gql_matcher.Stats.observe_run st ~p
-            ~n_nodes:(Gql_graph.Graph.n_nodes g) ~sizes ~order ~fanouts)
-  in
-  (* Inter- vs intra-query split: while other work is queued, every
-     domain runs its own query (inter-query parallelism, caches hot);
-     when this is the only live query and it is about to walk a big
-     search space, fan the search itself out over the work-stealing
-     engine so a lone heavy query no longer runs single-threaded while
-     the pool idles. Tiny searches stay sequential — domain spawn/join
-     costs more than they do.
-
-     [observe] is set only for a search on a newly built plan: searching
-     the same immutable graph over the same space in the same order
-     observes the same sizes and fan-outs again, and counting the repeat
-     would only advance the learned epoch and mark every warm plan
-     stale. *)
-  let search ~observe ~order space =
-    M.with_span metrics "search" (fun () ->
-        let domains =
-          if t.search_domains <= 1 || queue_nonempty t then 1
-          else t.search_domains
-        in
-        let heavy =
-          Array.length order > 0
-          && Array.length space.Feasible.candidates.(order.(0)) > 1
-          && Feasible.log10_size space >= 3.0
-        in
-        if domains > 1 && heavy then begin
-          (* the work-stealing engine has no [exhaustive] switch;
-             first-match mode is a global limit of 1 *)
-          let limit = if exhaustive then None else Some 1 in
-          if s.Engine.adaptive then begin
-            let reported = ref None in
-            let o =
-              Gql_matcher.Ws.search ~domains ?limit ~budget ~metrics
-                ~adapt:Gql_matcher.Adapt.default ~model:(order_model ())
-                ~report:(fun r -> reported := Some r)
-                ~order p g space
-            in
-            if observe then
-              Option.iter
-                (fun r ->
-                  feed o space ~order:r.Gql_matcher.Ws.r_order
-                    ~profile:r.Gql_matcher.Ws.r_profile)
-                !reported;
-            o
-          end
-          else
-            Gql_matcher.Ws.search ~domains ?limit ~budget ~metrics ~order p g
-              space
-        end
-        else if s.Engine.adaptive then begin
-          let r =
-            Gql_matcher.Adapt.run ~exhaustive ~budget ~metrics
-              ~model:(order_model ()) ~order p g space
-          in
-          let o = r.Gql_matcher.Adapt.outcome in
-          if observe then
-            feed o space ~order:r.Gql_matcher.Adapt.final_order
-              ~profile:r.Gql_matcher.Adapt.profile;
-          o
-        end
-        else begin
-          let profile =
-            if observe then Some (Search.profile_create (Flat_pattern.size p))
-            else None
-          in
-          let o =
-            Search.run ~exhaustive ~budget ~metrics ~order ?profile p g space
-          in
-          Option.iter (fun profile -> feed o space ~order ~profile) profile;
-          o
-        end)
+            ~n_nodes:(Gql_graph.Graph.n_nodes g) ~sizes:(Feasible.sizes space)
+            ~order ~fanouts)
   in
   match s.Engine.retrieval with
-  | `Subgraphs -> fallback ()
+  | `Subgraphs -> fun _ _ -> None
   | (`Node_attrs | `Profiles) as retrieval -> (
-    let epoch = if uses_learned then Cache.learned_epoch t.cache else 0 in
-    match
-      Cache.plan_find t.cache ~metrics ~retrieval ~refine:s.Engine.refine
-        ~epoch g p
-    with
-    | Some (`Fresh { Cache.p_space; p_order; _ }) -> (
-      (* warm plan: retrieval, refinement and ordering already done *)
-      match Budget.poll budget with
-      | Some r -> empty_outcome r
-      | None ->
-        search ~observe:false ~order:p_order { Feasible.candidates = p_space })
-    | Some (`Stale { Cache.p_space; _ }) -> (
-      (* the learned stats crossed an epoch since this plan was
-         ordered: the refined space is still exact — only re-run the
-         (cheap) ordering under the current model and re-stamp *)
-      let space = { Feasible.candidates = p_space } in
-      let order =
-        if s.Engine.optimize_order then
-          M.with_span metrics "order" (fun () ->
-              Gql_matcher.Order.greedy ~model:(order_model ()) p
-                ~sizes:(Feasible.sizes space))
-        else Gql_matcher.Order.identity p
-      in
-      Cache.plan_add t.cache ~retrieval ~refine:s.Engine.refine g p
-        { Cache.p_space; p_order = order; p_epoch = epoch };
-      match Budget.poll budget with
-      | Some r -> empty_outcome r
-      | None -> search ~observe:false ~order space)
-    | None -> (
-      match Cache.indexes t.cache ~metrics g with
-      | None -> fallback () (* unregistered: a variable binding, not a doc *)
-      | Some (lidx, pidx) -> (
-        let k = Flat_pattern.size p in
-        let space =
-          M.with_span metrics "retrieve" (fun () ->
-              {
-                Feasible.candidates =
-                  Array.init k (fun u ->
-                      Cache.row t.cache ~metrics ~retrieval g p u
-                        ~compute:(fun () ->
-                          Feasible.compute_row ~retrieval ~metrics
-                            ~label_index:lidx ~profile_index:pidx p g u));
-              })
+    fun p g ->
+      let epoch = if uses_learned then Cache.learned_epoch t.cache else 0 in
+      let with_plan plan =
+        let save ~order space =
+          Cache.plan_add t.cache ~retrieval ~refine g p
+            {
+              Cache.p_space = space.Feasible.candidates;
+              p_order = order;
+              p_epoch = epoch;
+            }
         in
-        match Budget.poll budget with
-        | Some r -> empty_outcome r
-        | None -> (
-          let refined =
-            if s.Engine.refine then
-              M.with_span metrics "refine" (fun () ->
-                  fst
-                    (Gql_matcher.Refine.refine ?level:s.Engine.refine_level
-                       ~metrics p g space))
-            else space
-          in
-          match Budget.poll budget with
-          | Some r -> empty_outcome r
-          | None -> (
-            let order =
-              if s.Engine.optimize_order then
-                M.with_span metrics "order" (fun () ->
-                    Gql_matcher.Order.greedy ~model:(order_model ()) p
-                      ~sizes:(Feasible.sizes refined))
-              else Gql_matcher.Order.identity p
-            in
-            Cache.plan_add t.cache ~retrieval ~refine:s.Engine.refine g p
-              {
-                Cache.p_space = refined.Feasible.candidates;
-                p_order = order;
-                p_epoch = epoch;
-              };
-            match Budget.poll budget with
-            | Some r -> empty_outcome r
-            | None -> search ~observe:true ~order refined)))))
+        Some { Engine.plan; save; model; observe = observe p g; domains }
+      in
+      match Cache.plan_find t.cache ~metrics ~retrieval ~refine ~epoch g p with
+      | Some (`Fresh { Cache.p_space; p_order; _ }) ->
+        with_plan (Engine.Fresh ({ Feasible.candidates = p_space }, p_order))
+      | Some (`Stale { Cache.p_space; _ }) ->
+        (* the learned stats crossed an epoch since this plan was
+           ordered: the refined space is still exact, only the order is
+           redone *)
+        with_plan (Engine.Stale { Feasible.candidates = p_space })
+      | None -> (
+        match Cache.indexes t.cache ~metrics g with
+        | None -> None
+        | Some (lidx, pidx) ->
+          with_plan
+            (Engine.Miss
+               (fun () ->
+                 {
+                   Feasible.candidates =
+                     Array.init (Flat_pattern.size p) (fun u ->
+                         Cache.row t.cache ~metrics ~retrieval g p u
+                           ~compute:(fun () ->
+                             Feasible.compute_row ~retrieval ~metrics
+                               ~label_index:lidx ~profile_index:pidx p g u));
+                 }))))
 
 let maybe_yield t job =
   if job.j_slice >= t.quantum && queue_nonempty t then begin
@@ -341,80 +242,18 @@ let maybe_yield t job =
     Effect.perform Yield
   end
 
-(* Same iteration structure, short-circuiting and result order as
-   [Algebra.select_governed] — including its costed pattern ordering —
-   so batch results are equal (and equally ordered) to a sequential
-   [Gql.run_query] of the same text. *)
+(* The sequential selection loop with the plan cache as its source and
+   a yield point after every (pattern, graph) run. Batch results equal
+   a sequential [Gql.run_query]'s up to search order: the service plans
+   with learned statistics, which may reorder a graph's matches or pick
+   a different first match. *)
 let selector t job ~exhaustive ~patterns entries =
-  let metrics = job.j_metrics in
-  let stopped = ref Budget.Exhausted in
-  (* one RPQ context (one lazily built reachability index) per distinct
-     graph, shared across the selection's patterns; keyed by physical
-     equality — the entries alias the service's cached doc graphs *)
-  let ctxs : (Gql_graph.Graph.t * Rpq.ctx) list ref = ref [] in
-  let ctx_of g =
-    match List.find_opt (fun (g', _) -> g' == g) !ctxs with
-    | Some (_, cx) -> cx
-    | None ->
-      let cx = Rpq.ctx g in
-      ctxs := (g, cx) :: !ctxs;
-      cx
-  in
-  let pats = Array.of_list patterns in
-  let np = Array.length pats in
-  let ranked =
-    if np <= 1 then List.init np Fun.id
-    else
-      let n_nodes =
-        List.fold_left
-          (fun m e -> max m (Gql_graph.Graph.n_nodes (Algebra.underlying e)))
-          1 entries
-      in
-      Algebra.pattern_order ~strategy:t.strategy ~n_nodes
-        (List.map (fun p -> p.Rpq.core) patterns)
-  in
-  let per_pattern = Array.make (max 1 np) [] in
-  List.iter
-    (fun pi ->
-      if not (Budget.final !stopped) then begin
-        let p = pats.(pi) in
-        let rev_out = ref [] in
-        List.iter
-          (fun entry ->
-            if not (Budget.final !stopped) then begin
-              let g = Algebra.underlying entry in
-              let outcome =
-                (* flat cores go through the caching engine run; a
-                   pattern with path segments runs its core
-                   exhaustively (a core mapping failing its segments
-                   must not count against the one-per-graph limit) and
-                   filters through the RPQ engine *)
-                M.with_span metrics "match" (fun () ->
-                    if p.Rpq.segments = [] then
-                      cached_run t job ~exhaustive p.Rpq.core g
-                    else
-                      cached_run t job ~exhaustive:true p.Rpq.core g
-                      |> Rpq.filter_outcome ~budget:job.j_budget ~metrics
-                           ~exhaustive (ctx_of g) p)
-              in
-              if M.enabled metrics then
-                M.observe metrics M.Matches_per_graph outcome.Search.n_found;
-              (match outcome.Search.stopped with
-              | Budget.Exhausted | Budget.Hit_limit -> ()
-              | r -> stopped := Budget.worst !stopped r);
-              List.iter
-                (fun phi ->
-                  rev_out :=
-                    Algebra.M (Matched.make p.Rpq.core g phi) :: !rev_out)
-                outcome.Search.mappings;
-              job.j_slice <- job.j_slice + outcome.Search.visited + 1;
-              maybe_yield t job
-            end)
-          entries;
-        per_pattern.(pi) <- List.rev !rev_out
-      end)
-    ranked;
-  (List.concat (Array.to_list per_pattern), !stopped)
+  Algebra.select_governed ~strategy:t.strategy ~exhaustive
+    ~budget:job.j_budget ~metrics:job.j_metrics ~source:(source t job)
+    ~after:(fun outcome ->
+      job.j_slice <- job.j_slice + outcome.Search.visited + 1;
+      maybe_yield t job)
+    ~patterns entries
 
 (* --- job execution --------------------------------------------------------- *)
 
@@ -444,8 +283,8 @@ let internalize e =
    ["view:name"] holding its current materialization; the graphs are
    registered in the cache so view reads get warm indexes and plans.
    Cache state is reconciled per graph (gid-keyed [Cache.drop] /
-   [Cache.register]) — never [Cache.invalidate]: refreshing a view must
-   not cool unrelated documents' plans. *)
+   [Cache.register]), never wholesale: refreshing a view must not cool
+   unrelated documents' plans. *)
 
 let view_key v = Gql_core.Ast.view_source (View.name v)
 
@@ -887,7 +726,6 @@ let views t =
           })
         t.views)
 
-let version t = Cache.version t.cache
 let watermark t = locked t.r_mutex (fun () -> t.staged)
 let applied t = Atomic.get t.applied
 let graph_epoch t g = Cache.graph_epoch t.cache g

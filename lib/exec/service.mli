@@ -8,14 +8,19 @@
     the per-query setup that dominates a sequential [Gql.run_query]
     loop.
 
-    {b Fairness.} Execution is cooperative: each query runs with a
-    caching selector (installed through [Eval.run ~selector]) that
-    performs a [Yield] effect after every (pattern, graph) engine run
-    once the query has expanded [quantum] search-tree nodes in its
-    current slice {e and} other work is queued. The captured
-    continuation is re-enqueued at the back of the work queue and may
-    be resumed by a different domain — so a single exponential query
-    cannot starve cheap ones even on a one-domain pool.
+    {b One pipeline.} Each query runs the ordinary selection loop
+    ({!Gql_core.Algebra.select_governed}, installed through
+    [Eval.run ~selector]). The service adds two things to it: a plan
+    source that hands {!Gql_matcher.Engine.run} the cached plan of each
+    (pattern, graph) pair, and a hook after each pair.
+
+    {b Fairness.} Execution is cooperative: the hook performs a
+    [Yield] effect after a (pattern, graph) engine run once the query
+    has expanded [quantum] search-tree nodes in its current slice
+    {e and} other work is queued. The captured continuation is
+    re-enqueued at the back of the work queue and may be resumed by a
+    different domain — so a single exponential query cannot starve
+    cheap ones even on a one-domain pool.
 
     {b Admission and deadlines.} A per-query [deadline] is converted to
     an absolute budget at submit time, so time spent waiting in the
@@ -126,11 +131,6 @@ val update_docs : t -> Gql_core.Eval.docs -> unit
     retired (wholesale replacement degenerates to a full
     invalidation). Call between {!drain} and the next {!submit} —
     queries already running keep the documents they started with. *)
-
-val version : t -> int
-(** The cache version stamp — now a {e write counter}: it increments
-    once per replaced/dropped/reconciled graph rather than gating any
-    lookup (per-graph epochs and gid retirement do that). *)
 
 val watermark : t -> int
 (** The staged watermark: total DML statements reserved by every

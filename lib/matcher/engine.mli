@@ -67,6 +67,44 @@ type result = {
       [Some Retrieve] with an empty outcome. *)
 }
 
+(** {1 Plan sources}
+
+    A caller that keeps plans across runs (the exec service's plan
+    cache) hands {!run} a {!source}: where this run's plan comes from,
+    and what to do with what the run learns. The phase sequence itself
+    stays in {!run}. *)
+
+type plan =
+  | Fresh of Feasible.space * int array
+      (** a refined space and its order: skip straight to search *)
+  | Stale of Feasible.space
+      (** a refined space whose order is out of date: re-order, then
+          search *)
+  | Miss of (unit -> Feasible.space)
+      (** nothing cached: this thunk is the retrieval phase; refine,
+          order and search follow as usual *)
+
+type source = {
+  plan : plan;
+  save : order:int array -> Feasible.space -> unit;
+      (** called with every order this run computes, and the refined
+          space it was computed for *)
+  model : unit -> Cost.model;
+      (** the planner's cost model; called at most once per run, and
+          only when ordering, adaptive search or drift estimates need
+          it *)
+  observe :
+    Search.outcome ->
+    Feasible.space ->
+    order:int array ->
+    Search.profile ->
+    unit;
+      (** called after a profiled search on a plan built in this run
+          ([Miss]), with the order the search finished under *)
+  domains : order:int array -> Feasible.space -> int;
+      (** the search fan-out; > 1 runs the work-stealing engine *)
+}
+
 val run :
   ?strategy:strategy ->
   ?exhaustive:bool ->
@@ -75,15 +113,23 @@ val run :
   ?metrics:Gql_obs.Metrics.t ->
   ?label_index:Gql_index.Label_index.t ->
   ?profile_index:Gql_index.Profile_index.t ->
+  ?source:source ->
   Flat_pattern.t ->
   Graph.t ->
   result
 (** Defaults: [optimized] strategy, exhaustive, no limit, unlimited
-    budget, disabled metrics. Indexes are built on the fly when not
-    supplied (pass prebuilt ones when timing — the paper treats index
-    construction as offline). With metrics enabled, each phase runs in
-    a span of the same name ([retrieve]/[refine]/[order]/[search]) and
-    the phase counters (retrieval, refine, search) are recorded. *)
+    budget, disabled metrics, no source. Indexes are built on the fly
+    when not supplied (pass prebuilt ones when timing — the paper
+    treats index construction as offline). With metrics enabled, each
+    phase runs in a span of the same name
+    ([retrieve]/[refine]/[order]/[search]) and the phase counters
+    (retrieval, refine, search) are recorded.
+
+    With a [source], the source's model and fan-out replace the
+    strategy's [cost_model] and [search_domains]. A cached plan skips
+    the phases it covers, and its search is neither profiled nor
+    observed, nor does it record drift: a warm run is one budget poll
+    and one [search] span. *)
 
 val count_matches :
   ?strategy:strategy ->

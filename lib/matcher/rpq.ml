@@ -270,6 +270,8 @@ let shortest_walk ?(budget = Budget.unlimited) ?(metrics = M.disabled) c s ~src
 
 (* --- whole-pattern evaluation ---------------------------------------------- *)
 
+(* Keep the mappings whose segment checks all hold, then re-apply the
+   [exhaustive]/[limit] truncation the core run could not enforce. *)
 let filter_outcome ?budget ?(metrics = M.disabled) ?(exhaustive = true) ?limit
     c p (o : Search.outcome) =
   if p.segments = [] then o
@@ -321,14 +323,17 @@ let filter_outcome ?budget ?(metrics = M.disabled) ?(exhaustive = true) ?limit
     }
   end
 
-let run ?strategy ?(exhaustive = true) ?limit ?budget ?metrics ?ctx:c p g =
+let run ?strategy ?(exhaustive = true) ?limit ?budget ?metrics ?ctx:c ?source
+    p g =
   match p.segments with
   | [] ->
-    (Engine.run ?strategy ~exhaustive ?limit ?budget ?metrics p.core g)
+    (Engine.run ?strategy ~exhaustive ?limit ?budget ?metrics ?source p.core g)
       .Engine.outcome
   | _ ->
     (* the core must run exhaustively: a mapping that fails its
        segments cannot count against the caller's limit *)
     let c = match c with Some c -> c | None -> ctx g in
-    let r = Engine.run ?strategy ~exhaustive:true ?budget ?metrics p.core g in
+    let r =
+      Engine.run ?strategy ~exhaustive:true ?budget ?metrics ?source p.core g
+    in
     filter_outcome ?budget ?metrics ~exhaustive ?limit c p r.Engine.outcome

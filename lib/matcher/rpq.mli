@@ -94,21 +94,6 @@ val shortest_walk :
 
 (** {1 Whole-pattern evaluation} *)
 
-val filter_outcome :
-  ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ctx ->
-  pattern ->
-  Search.outcome ->
-  Search.outcome
-(** Keep the mappings whose segment checks all hold, then re-apply the
-    [exhaustive]/[limit] truncation that the core engine run could not
-    enforce (a core mapping may fail its segments, so the engine must
-    run exhaustively first). Used by {!run} and by the exec service's
-    caching selector. *)
-
 val run :
   ?strategy:Engine.strategy ->
   ?exhaustive:bool ->
@@ -116,10 +101,15 @@ val run :
   ?budget:Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
   ?ctx:ctx ->
+  ?source:Engine.source ->
   pattern ->
   Graph.t ->
   Search.outcome
-(** Match the core with {!Engine.run}, then filter by segments. With no
-    segments this is exactly an engine run (limit pushed down); with
-    segments the core runs exhaustively and [exhaustive]/[limit] apply
-    after filtering. *)
+(** Match the core with {!Engine.run} (handing it [source], the core's
+    cached plan if the caller keeps one), then keep the core mappings
+    whose segment checks all hold. With no segments this is exactly an
+    engine run (limit pushed down). With segments the core runs
+    exhaustively, since a core mapping that fails its segments must
+    not count against the limit, and [exhaustive]/[limit] apply after
+    filtering. [ctx] (default: a fresh one) shares the reachability
+    index across runs on one graph. *)
