@@ -6,26 +6,7 @@ let default_max_frame = 16 * 1024 * 1024
 let magic = "GQW1"
 let header_len = 16
 
-(* CRC-32 (IEEE 802.3), the same polynomial the storage codec uses;
-   reimplemented here so the protocol layer has no storage dependency. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc_range ?(crc = 0) s off len =
-  let table = Lazy.force crc_table in
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-let crc32 ?crc s = crc_range ?crc s 0 (String.length s)
+module Codec = Gql_storage.Codec
 
 type frame_error =
   | Torn
@@ -48,16 +29,22 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
+(* Fill the header slot of [b], whose payload is already in place
+   after it. *)
+let seal b =
+  let len = Bytes.length b - header_len in
+  let s = Bytes.unsafe_to_string b in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_int32_be b 4 (Int32.of_int len);
+  Bytes.set_int32_be b 8 (Int32.of_int (Codec.crc32 ~off:header_len ~len s));
+  Bytes.set_int32_be b 12 (Int32.of_int (Codec.crc32 ~len:12 s));
+  s
+
 let encode payload =
   let len = String.length payload in
   let b = Bytes.create (header_len + len) in
-  Bytes.blit_string magic 0 b 0 4;
-  Bytes.set_int32_be b 4 (Int32.of_int len);
-  Bytes.set_int32_be b 8 (Int32.of_int (crc32 payload));
-  Bytes.set_int32_be b 12
-    (Int32.of_int (crc_range (Bytes.unsafe_to_string b) 0 12));
   Bytes.blit_string payload 0 b header_len len;
-  Bytes.unsafe_to_string b
+  seal b
 
 (* Header validation order matters: magic first (catches stream
    desynchronization with a clear message), then the header CRC
@@ -66,7 +53,7 @@ let encode payload =
    the [header_len] bytes of [s] at [off]. *)
 let check_header ?(max_frame = default_max_frame) s off =
   if not (String.equal (String.sub s off 4) magic) then Error Bad_magic
-  else if get_u32 s (off + 12) <> crc_range s off 12 then
+  else if get_u32 s (off + 12) <> Codec.crc32 ~off ~len:12 s then
     Error Header_crc_mismatch
   else
     let len = get_u32 s (off + 4) in
@@ -81,7 +68,7 @@ let decode ?max_frame ?(off = 0) s =
     | Error e -> Error e
     | Ok (len, crc) ->
       if n - off - header_len < len then Error Torn
-      else if crc_range s (off + header_len) len <> crc then
+      else if Codec.crc32 ~off:(off + header_len) ~len s <> crc then
         Error Payload_crc_mismatch
       else Ok (String.sub s (off + header_len) len, off + header_len + len)
 
@@ -109,11 +96,11 @@ let read_frame ?max_frame fd =
       match really_read fd len with
       | Error e -> Error e
       | Ok payload ->
-        if crc32 payload <> crc then Error Payload_crc_mismatch
+        if Codec.crc32 payload <> crc then Error Payload_crc_mismatch
         else Ok payload))
 
-let write_frame fd payload =
-  let s = Bytes.unsafe_of_string (encode payload) in
+let write_encoded fd frame =
+  let s = Bytes.unsafe_of_string frame in
   let len = Bytes.length s in
   let off = ref 0 in
   while !off < len do
@@ -121,6 +108,8 @@ let write_frame fd payload =
     | n -> off := !off + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+let write_frame fd payload = write_encoded fd (encode payload)
 
 (* --- minimal JSON ---------------------------------------------------------- *)
 
@@ -159,41 +148,44 @@ module Json = struct
     in
     go 0 0
 
+  let add_key buf k =
+    Buffer.add_char buf '"';
+    add_escaped buf k;
+    Buffer.add_string buf "\":"
+
+  let rec add_to_buffer buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f ->
+      if Float.is_finite f then
+        Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      else Buffer.add_string buf "null"
+    | Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+    | List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_to_buffer buf item)
+        items;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, item) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_key buf k;
+          add_to_buffer buf item)
+        fields;
+      Buffer.add_char buf '}'
+
   let to_string v =
     let buf = Buffer.create 256 in
-    let rec go = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (string_of_bool b)
-      | Int i -> Buffer.add_string buf (string_of_int i)
-      | Float f ->
-        if Float.is_finite f then
-          Buffer.add_string buf (Printf.sprintf "%.6g" f)
-        else Buffer.add_string buf "null"
-      | Str s ->
-        Buffer.add_char buf '"';
-        add_escaped buf s;
-        Buffer.add_char buf '"'
-      | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            go item)
-          items;
-        Buffer.add_char buf ']'
-      | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            add_escaped buf k;
-            Buffer.add_string buf "\":";
-            go item)
-          fields;
-        Buffer.add_char buf '}'
-    in
-    go v;
+    add_to_buffer buf v;
     Buffer.contents buf
 
   exception Bad of string
@@ -203,6 +195,88 @@ module Json = struct
      server must not let escape a connection thread. No legitimate
      protocol document nests past a handful of levels. *)
   let max_depth = 512
+
+  let bad msg at = raise (Bad (Printf.sprintf "%s at byte %d" msg at))
+
+  (* the quote closing a string literal, searched from [i] inside its
+     body; -1 when there is none *)
+  let rec closing_quote s i =
+    if i >= String.length s then -1
+    else
+      match String.unsafe_get s i with
+      | '"' -> i
+      | '\\' -> closing_quote s (i + 2)
+      | _ -> closing_quote s (i + 1)
+
+  let hex_digit s j =
+    match s.[j] with
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | 'A' .. 'F' as c -> Char.code c - 55
+    | _ -> bad "bad \\u escape" j
+
+  (* Decode the body [start, stop) of a string literal whose closing
+     quote is at [stop]. Decoding never lengthens a string, so the
+     output fits bytes sized by the escaped length. *)
+  let unescape s start stop =
+    let out = Bytes.create (stop - start) in
+    let k = ref 0 and i = ref start in
+    while !i < stop do
+      let c = String.unsafe_get s !i in
+      if c <> '\\' then begin
+        Bytes.unsafe_set out !k c;
+        incr k;
+        incr i
+      end
+      else begin
+        (* [closing_quote] skipped this escape's letter, so it lies
+           before [stop] *)
+        let at = !i in
+        i := at + 2;
+        match s.[at + 1] with
+        | 'u' ->
+          if at + 6 > stop then bad "truncated \\u escape" at;
+          let code =
+            (hex_digit s (at + 2) lsl 12)
+            lor (hex_digit s (at + 3) lsl 8)
+            lor (hex_digit s (at + 4) lsl 4)
+            lor hex_digit s (at + 5)
+          in
+          i := at + 6;
+          (* decode as UTF-8; the protocol only emits \u for control
+             characters but accepts the full BMP *)
+          if code < 0x80 then begin
+            Bytes.unsafe_set out !k (Char.chr code);
+            incr k
+          end
+          else if code < 0x800 then begin
+            Bytes.unsafe_set out !k (Char.chr (0xC0 lor (code lsr 6)));
+            Bytes.unsafe_set out (!k + 1)
+              (Char.chr (0x80 lor (code land 0x3F)));
+            k := !k + 2
+          end
+          else begin
+            Bytes.unsafe_set out !k (Char.chr (0xE0 lor (code lsr 12)));
+            Bytes.unsafe_set out (!k + 1)
+              (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Bytes.unsafe_set out (!k + 2)
+              (Char.chr (0x80 lor (code land 0x3F)));
+            k := !k + 3
+          end
+        | e ->
+          Bytes.unsafe_set out !k
+            (match e with
+            | '"' | '\\' | '/' -> e
+            | 'n' -> '\n'
+            | 't' -> '\t'
+            | 'r' -> '\r'
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | _ -> bad "bad escape" at);
+          incr k
+      end
+    done;
+    Bytes.sub_string out 0 !k
 
   (* recursive-descent parser over a cursor; raises [Bad], caught at
      the [parse] boundary *)
@@ -245,67 +319,12 @@ module Json = struct
         pos := stop + 1;
         String.sub s start (stop - start)
       end
-      else begin
-      let buf = Buffer.create (stop - start + 16) in
-      let rec go () =
-        let stop = plain !pos in
-        Buffer.add_substring buf s !pos (stop - !pos);
-        pos := stop;
-        if !pos >= n then fail "unterminated string"
-        else
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.contents buf
-          | _ (* '\\': [plain] stops at nothing else *) -> (
-            if !pos >= n then fail "unterminated escape"
-            else
-              let e = s.[!pos] in
-              advance ();
-              match e with
-              | '"' | '\\' | '/' ->
-                Buffer.add_char buf e;
-                go ()
-              | 'n' ->
-                Buffer.add_char buf '\n';
-                go ()
-              | 't' ->
-                Buffer.add_char buf '\t';
-                go ()
-              | 'r' ->
-                Buffer.add_char buf '\r';
-                go ()
-              | 'b' ->
-                Buffer.add_char buf '\b';
-                go ()
-              | 'f' ->
-                Buffer.add_char buf '\012';
-                go ()
-              | 'u' ->
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                in
-                (* decode as UTF-8; the protocol only emits \u for
-                   control characters but accepts the full BMP *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-              | _ -> fail "bad escape")
-      in
-      go ()
-      end
+      else
+        match closing_quote s stop with
+        | -1 -> fail "unterminated string"
+        | stop ->
+          pos := stop + 1;
+          unescape s start stop
     in
     let parse_number () =
       let start = !pos in
@@ -542,3 +561,73 @@ let query_response_of_json j =
         qr_shards_ok = geti ~default:1 "shards_ok";
         qr_shards_failed = strs "shards_failed";
       }
+
+(* The one-pass writer. The graphs section is laid out first, in its
+   own buffer: the truncation count it settles decides the "error"
+   field, which precedes "graphs". The other fields are printed from
+   [query_response_to_json] itself, so their order and number format
+   cannot drift from the reference route. *)
+let query_response_frame ~max_frame head ~render ~same items =
+  let budget = (max_frame / 2) - 4096 in
+  (* the last rendered item's text, and that text escaped and quoted *)
+  let text = Buffer.create 256 and quoted = Buffer.create 256 in
+  let section = Buffer.create 256 in
+  let rec go bytes prev = function
+    | [] -> 0
+    | item :: rest ->
+      (match prev with
+      | Some p when same p item -> ()
+      | _ ->
+        Buffer.clear text;
+        render text item;
+        Buffer.clear quoted;
+        Buffer.add_char quoted '"';
+        Json.add_escaped quoted (Buffer.contents text);
+        Buffer.add_char quoted '"');
+      let bytes = bytes + Buffer.length text + 16 in
+      if bytes > budget then 1 + List.length rest
+      else begin
+        if Option.is_some prev then Buffer.add_char section ',';
+        Buffer.add_buffer section quoted;
+        go bytes (Some item) rest
+      end
+  in
+  Buffer.add_char section '[';
+  let dropped = go 0 None items in
+  Buffer.add_char section ']';
+  let error =
+    if dropped = 0 then head.qr_error
+    else
+      let note =
+        Printf.sprintf
+          "%d graph(s) dropped: response would exceed the %d-byte frame limit"
+          dropped max_frame
+      in
+      Some (match head.qr_error with Some e -> e ^ "; " ^ note | None -> note)
+  in
+  let fields =
+    match
+      query_response_to_json { head with qr_error = error; qr_graphs = [] }
+    with
+    | Json.Obj fields -> fields
+    | _ -> assert false
+  in
+  (* the frame but for the graphs section: the header slot, then the
+     fields, with the section's place at [split] *)
+  let frame = Buffer.create 256 and split = ref 0 in
+  Buffer.add_string frame (String.make header_len '\000');
+  Buffer.add_char frame '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char frame ',';
+      Json.add_key frame k;
+      if String.equal k "graphs" then split := Buffer.length frame
+      else Json.add_to_buffer frame v)
+    fields;
+  Buffer.add_char frame '}';
+  let n_frame = Buffer.length frame and n_section = Buffer.length section in
+  let b = Bytes.create (n_frame + n_section) in
+  Buffer.blit frame 0 b 0 !split;
+  Buffer.blit section 0 b !split n_section;
+  Buffer.blit frame !split b (!split + n_section) (n_frame - !split);
+  (seal b, dropped)

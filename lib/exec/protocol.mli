@@ -17,13 +17,13 @@
     The length field is validated against [max_frame] {e before} any
     payload allocation, so a hostile or garbage header cannot make the
     server allocate gigabytes. Every decode failure is a typed
-    {!frame_error}; readers map it onto [Error.Protocol] (exit 5). *)
+    {!frame_error}; readers map it onto [Error.Protocol] (exit 5).
+
+    Both CRCs are [Gql_storage.Codec.crc32], the one CRC-32 of the
+    system, run over byte ranges of the frame in place. *)
 
 val default_max_frame : int
 (** 16 MiB. *)
-
-val crc32 : ?crc:int -> string -> int
-(** Standard CRC-32 (IEEE 802.3), chainable via [?crc]. *)
 
 type frame_error =
   | Torn  (** stream ended inside a header or payload *)
@@ -50,6 +50,10 @@ val read_frame : ?max_frame:int -> Unix.file_descr -> (string, frame_error) resu
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Frame and write a payload, handling short writes. *)
+
+val write_encoded : Unix.file_descr -> string -> unit
+(** Write an already encoded frame (see {!query_response_frame}),
+    handling short writes. *)
 
 (** {1 Minimal JSON}
 
@@ -132,3 +136,30 @@ type query_response = {
 
 val query_response_to_json : query_response -> Json.t
 val query_response_of_json : Json.t -> (query_response, string) result
+
+val query_response_frame :
+  max_frame:int ->
+  query_response ->
+  render:(Buffer.t -> 'a -> unit) ->
+  same:('a -> 'a -> bool) ->
+  'a list ->
+  string * int
+(** [query_response_frame ~max_frame head ~render ~same items] is the
+    encoded frame of the response [head] carrying the texts [render]
+    gives [items] as its graphs ([head.qr_graphs] is ignored), and the
+    number of items dropped to fit the frame.
+
+    The frame is written in one pass: each item is rendered into one
+    reused scratch buffer and JSON-escaped once; when [same prev item]
+    holds for the previous item, that escaped text is appended again
+    without rendering. [same] must therefore imply equal rendered text
+    — [Gql_graph.Graph.prints_as] for graphs, [String.equal] for
+    texts. Only the previous item is remembered, which is what a run
+    of answers from one compiled template needs.
+
+    Items are kept while their rendered lengths plus 16 bytes each fit
+    in half the frame budget less 4 KiB, leaving room for escaping; the
+    rest are dropped and a note saying how many is appended to the
+    error field. The bytes equal
+    [encode (Json.to_string (query_response_to_json r))], where [r] is
+    [head] with those kept texts and that error. *)

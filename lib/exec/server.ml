@@ -1,7 +1,6 @@
 module Budget = Gql_matcher.Budget
 module Error = Gql_core.Error
 module Eval = Gql_core.Eval
-module Algebra = Gql_core.Algebra
 module Json = Protocol.Json
 
 type mode =
@@ -31,10 +30,7 @@ let locked m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let render_graphs result =
-  match result.Eval.last with
-  | None -> []
-  | Some coll ->
-    List.map Gql_graph.Graph.to_string (Algebra.graphs coll)
+  List.map Gql_graph.Graph.to_string (Eval.returned result)
 
 (* A stale socket file from a crashed server must be unlinked before
    bind, but only when it provably is one: a typo'd --listen pointing
@@ -127,39 +123,18 @@ let ok_response id fields =
    can be holding an unbounded pile of partial result graphs; rendering
    them all would produce a frame the peer must reject as oversized (and
    then drop the connection, since the stream cannot be resynchronized).
-   Keep the prefix that fits comfortably — half the frame budget, which
-   leaves room for JSON string escaping — and record the drop in the
-   error field. *)
-let fit_frame t resp =
-  let budget = (t.max_frame / 2) - 4096 in
-  let rec take acc bytes dropped = function
-    | [] -> (List.rev acc, dropped)
-    | g :: rest ->
-      let bytes = bytes + String.length g + 16 in
-      if bytes > budget then (List.rev acc, dropped + 1 + List.length rest)
-      else take (g :: acc) bytes dropped rest
+   [Protocol.query_response_frame] keeps the prefix that fits and
+   records the drop in the error field. *)
+let send_query t fd head ~render ~same items =
+  let frame, dropped =
+    Protocol.query_response_frame ~max_frame:t.max_frame head ~render ~same
+      items
   in
-  let kept, dropped = take [] 0 0 resp.Protocol.qr_graphs in
-  if dropped = 0 then resp
-  else begin
+  if dropped > 0 then
     t.log
       (Printf.sprintf "response truncated: %d graph(s) over the frame limit"
          dropped);
-    let note =
-      Printf.sprintf
-        "%d graph(s) dropped: response would exceed the %d-byte frame limit"
-        dropped t.max_frame
-    in
-    {
-      resp with
-      Protocol.qr_graphs = kept;
-      qr_error =
-        Some
-          (match resp.Protocol.qr_error with
-          | Some e -> e ^ "; " ^ note
-          | None -> note);
-    }
-  end
+  Protocol.write_encoded fd frame
 
 (* --- local dispatch --------------------------------------------------------- *)
 
@@ -185,33 +160,36 @@ let run_local t svc ~session ~id ~src ~deadline ~wait_watermark =
       ~finally:(fun () -> Session.finish t.sessions ~qid)
       (fun () -> Service.wait svc qid)
   in
+  (* the response head and the graphs it returns, rendered by
+     [send_query] *)
   let base status stopped error graphs vars writes =
-    {
-      Protocol.qr_id = id;
-      qr_qid = qid;
-      qr_status = status;
-      qr_stopped = Budget.stop_reason_to_string stopped;
-      qr_error = error;
-      qr_graphs = graphs;
-      qr_vars = vars;
-      qr_writes = writes;
-      qr_wall_ms = outcome.Service.o_wall_ms;
-      qr_shards_ok = 1;
-      qr_shards_failed = [];
-    }
+    ( {
+        Protocol.qr_id = id;
+        qr_qid = qid;
+        qr_status = status;
+        qr_stopped = Budget.stop_reason_to_string stopped;
+        qr_error = error;
+        qr_graphs = [];
+        qr_vars = vars;
+        qr_writes = writes;
+        qr_wall_ms = outcome.Service.o_wall_ms;
+        qr_shards_ok = 1;
+        qr_shards_failed = [];
+      },
+      graphs )
   in
   match outcome.Service.o_status with
   | Service.Done result -> (
     match Error.of_stop_reason result.Eval.stopped "query" with
     | None ->
-      base "ok" result.Eval.stopped None (render_graphs result)
+      base "ok" result.Eval.stopped None (Eval.returned result)
         (List.length result.Eval.vars) result.Eval.writes
     | Some err ->
       (* resource stop: typed status, but the partial results still
          travel — the client decides whether truncated is useful *)
       base (Error.wire_status err) result.Eval.stopped
         (Some (Error.to_string err))
-        (render_graphs result)
+        (Eval.returned result)
         (List.length result.Eval.vars) result.Eval.writes)
   | Service.Rejected reason ->
     let err =
@@ -306,7 +284,9 @@ let dispatch t ~session ~fd req =
       run_local t svc ~session ~id ~src:q_src ~deadline:q_deadline
         ~wait_watermark:q_wait_watermark
     with
-    | resp -> send fd (Protocol.query_response_to_json (fit_frame t resp))
+    | head, graphs ->
+      send_query t fd head ~render:Gql_graph.Graph.add_to_buffer
+        ~same:Gql_graph.Graph.prints_as graphs
     | exception Error.E err -> send fd (error_response id err))
   | Protocol.Query { q_src; q_deadline; q_wait_watermark; _ }, Routed router -> (
     match
@@ -314,9 +294,8 @@ let dispatch t ~session ~fd req =
         ~wait_watermark:q_wait_watermark q_src
     with
     | resp ->
-      send fd
-        (Protocol.query_response_to_json
-           (fit_frame t { resp with Protocol.qr_id = id }))
+      send_query t fd { resp with Protocol.qr_id = id }
+        ~render:Buffer.add_string ~same:String.equal resp.Protocol.qr_graphs
     | exception Error.E err -> send fd (error_response id err))
   | Protocol.Show_queries _, Local _ ->
     send fd

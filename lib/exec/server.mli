@@ -49,4 +49,9 @@ val stop : t -> unit
 val render_graphs : Gql_core.Eval.result -> string list
 (** The wire rendering of a result's last returned collection — shared
     with the single-process path in tests asserting router/local
-    equality. *)
+    equality. The server itself never builds this list: a local query's
+    response frame is written in one pass by
+    {!Protocol.query_response_frame}, which renders the same texts with
+    [Gql_graph.Graph.add_to_buffer] and reuses the previous graph's
+    text whenever [Gql_graph.Graph.prints_as] holds; a routed query's
+    merged texts go through the same writer with [String.equal]. *)

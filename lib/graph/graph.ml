@@ -459,15 +459,36 @@ let add_decl buf g k =
 
 let n_decls g = n_nodes g + n_edges g
 
-let to_string g =
-  let buf = Buffer.create (64 + (32 * n_decls g)) in
+let add_to_buffer buf g =
   add_header buf g;
   for k = 0 to n_decls g - 1 do
     Buffer.add_string buf "\n  ";
     add_decl buf g k
   done;
-  Buffer.add_string buf "\n}";
+  Buffer.add_string buf "\n}"
+
+let to_string g =
+  let buf = Buffer.create (64 + (32 * n_decls g)) in
+  add_to_buffer buf g;
   Buffer.contents buf
+
+(* Everything [add_to_buffer] reads besides the node tuples is
+   compared physically: graphs built from one compiled template share
+   their skeleton's arrays, so the check costs a few pointer compares
+   plus one pass over the node tuples. *)
+let prints_as a b =
+  a.name == b.name && a.gtuple == b.gtuple && a.node_names == b.node_names
+  && a.edges == b.edges && a.edge_names == b.edge_names
+  && Bool.equal a.directed b.directed
+  &&
+  let n = Array.length a.node_tuples in
+  n = Array.length b.node_tuples
+  &&
+  let rec go v =
+    v = n
+    || Tuple.prints_as a.node_tuples.(v) b.node_tuples.(v) && go (v + 1)
+  in
+  go 0
 
 (* Each line is one string token in a vertical box: no box opens inside
    a line, so a line past the margin or max indent is never split. *)

@@ -137,9 +137,21 @@ val pp : Format.formatter -> t -> unit
     two, and a closing brace. A declaration is never split across lines,
     however long. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the text of [Format.asprintf "%a" pp g], without the
+    formatter. *)
+
 val to_string : t -> string
-(** The text of [Format.asprintf "%a" pp g], written into one buffer
-    without the formatter. *)
+(** The text {!add_to_buffer} appends, as a string. *)
+
+val prints_as : t -> t -> bool
+(** A sufficient test that two graphs print the same text: the same
+    skeleton — physically equal name, graph tuple, node names, edges and
+    edge names, and equal directedness — and node tuples that pairwise
+    {!Tuple.prints_as}. Graphs one compiled template returns
+    ([Gql_core.Template.compile]) share their skeleton, so the test is
+    a few pointer compares plus one pass over the node tuples; any two
+    graphs built separately fail it, whatever their text. *)
 
 (** {1 Construction} *)
 

@@ -92,6 +92,13 @@ let add_to_buffer buf t =
     t.attrs;
   Buffer.add_char buf '>'
 
+let prints_as a b =
+  a == b
+  || Option.equal String.equal a.tag b.tag
+     && List.equal
+          (fun (k, v) (k', v') -> String.equal k k' && Value.prints_as v v')
+          a.attrs b.attrs
+
 (* The h box never breaks inside the tuple, but opening it past the
    formatter's max indent still breaks the enclosing box before it;
    printers embedding tuples in program text keep that layout. *)

@@ -71,3 +71,10 @@ val pp : Format.formatter -> t -> unit
 
 val add_to_buffer : Buffer.t -> t -> unit
 (** Appends the {!pp} text. *)
+
+val prints_as : t -> t -> bool
+(** A sufficient test that two tuples print the same text: same tag and
+    the same attributes in the same order, pairwise
+    {!Value.prints_as}. Unlike {!equal} it neither sorts nor allocates,
+    and it tells reordered attributes apart, since they print
+    differently. *)

@@ -81,6 +81,17 @@ let add_to_buffer buf = function
     Buffer.add_string buf (String.escaped s);
     Buffer.add_char buf '"'
 
+let prints_as a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y ->
+    (* by bits: [0.0] and [-0.0] are equal but print differently *)
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Str x, Str y -> String.equal x y
+  | _ -> false
+
 let to_string v =
   let buf = Buffer.create 16 in
   add_to_buffer buf v;

@@ -56,6 +56,12 @@ val to_string : t -> string
 val add_to_buffer : Buffer.t -> t -> unit
 (** Appends the {!pp} text. *)
 
+val prints_as : t -> t -> bool
+(** A sufficient test that two values print the same text: same
+    constructor and same payload, floats compared by their bits ([0.0]
+    and [-0.0] print differently though {!equal} holds). [false] does
+    not imply different text ([Int 1] and [Float 1.0] both print [1]). *)
+
 val of_literal : string -> t
 (** Parses an unquoted literal as it appears in the graph text format:
     tries [Int], then [Float], then [Bool], else [Str]. *)

@@ -41,8 +41,12 @@ val read_ops : string -> int -> Gql_graph.Mutate.op list * int
 
 exception Corrupt of string
 
-val crc32 : ?crc:int -> string -> int
-(** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]) of the string, in
-    [0, 2^32). [crc] continues a running checksum over concatenated
-    chunks. Guards every {!Store} record and header slot against torn
-    writes and bit rot. *)
+val crc32 : ?crc:int -> ?off:int -> ?len:int -> string -> int
+(** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]) of the [len] bytes of
+    the string at [off], in [0, 2^32); [off] defaults to 0 and [len] to
+    the rest of the string.
+    [crc] continues a running checksum over concatenated chunks. The
+    one CRC of the system: it guards every {!Store} record and header
+    slot against torn writes and bit rot, and every wire frame of
+    [Gql_exec.Protocol]. Raises [Invalid_argument] when the range is
+    not inside the string. *)

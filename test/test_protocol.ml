@@ -8,6 +8,10 @@
 module Protocol = Gql_exec.Protocol
 module Json = Protocol.Json
 module Error = Gql_core.Error
+module Codec = Gql_storage.Codec
+module Graph = Gql_graph.Graph
+module Tuple = Gql_graph.Tuple
+module Value = Gql_graph.Value
 
 let frame_error = function
   | Protocol.Torn -> "torn"
@@ -27,11 +31,11 @@ let decode_exn s =
    exactly these bytes. *)
 let ref_frame payload =
   let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF)) in
-  let h = "GQW1" ^ u32 (String.length payload) ^ u32 (Protocol.crc32 payload) in
-  h ^ u32 (Protocol.crc32 h) ^ payload
+  let h = "GQW1" ^ u32 (String.length payload) ^ u32 (Codec.crc32 payload) in
+  h ^ u32 (Codec.crc32 h) ^ payload
 
-let ref_crc32 s =
-  let c = ref 0xFFFFFFFF in
+let ref_crc32 ?(crc = 0) s =
+  let c = ref (crc lxor 0xFFFFFFFF) in
   String.iter
     (fun ch ->
       c := !c lxor Char.code ch;
@@ -60,12 +64,46 @@ let ref_json_string s =
 
 let any_string = QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
 
+(* a string of up to 4 kB, a range inside it and a running CRC to
+   chain from *)
+let crc_case =
+  QCheck.make
+    ~print:(fun (s, off, len, crc) ->
+      Printf.sprintf "%d-byte string, off %d, len %d, crc %#x" (String.length s)
+        off len crc)
+    QCheck.Gen.(
+      let* n = int_bound 4096 in
+      let* s = string_size ~gen:char (return n) in
+      let* off = int_bound n in
+      let* len = int_bound (n - off) in
+      let+ crc = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF) in
+      (s, off, len, crc))
+
 let prop_frame_bytes =
   QCheck.Test.make ~name:"frames and CRCs match the per-byte reference" ~count:300
-    any_string
-    (fun payload ->
-      Protocol.crc32 payload = ref_crc32 payload
+    crc_case
+    (fun (payload, off, len, crc) ->
+      let sub = String.sub payload off len in
+      Codec.crc32 payload = ref_crc32 payload
+      && Codec.crc32 ~crc ~off ~len payload = ref_crc32 ~crc sub
+      && Codec.crc32 ~crc:(Codec.crc32 ~len:off payload) ~off payload
+         = Codec.crc32 payload
       && Protocol.encode payload = ref_frame payload)
+
+(* lengths 0-15 are where the 8-byte loop hands over to the tail loop;
+   offsets 0-8 cover every alignment of the block reads *)
+let test_crc_short_lengths () =
+  let s = String.init 64 (fun i -> Char.chr (((i * 37) + 11) land 0xFF)) in
+  for off = 0 to 8 do
+    for len = 0 to 15 do
+      Alcotest.(check int)
+        (Printf.sprintf "off %d len %d" off len)
+        (ref_crc32 ~crc:0x1234 (String.sub s off len))
+        (Codec.crc32 ~crc:0x1234 ~off ~len s)
+    done
+  done;
+  Alcotest.check_raises "range past the end" (Invalid_argument "Codec.crc32")
+    (fun () -> ignore (Codec.crc32 ~off:60 ~len:5 s))
 
 let prop_json_string =
   QCheck.Test.make ~name:"json strings: reference escaping, exact round-trip"
@@ -221,6 +259,45 @@ let test_json_depth_bound () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "depth-100 document rejected: %s" msg
 
+(* Damaged string literals. A strict prefix of a literal lacks its
+   closing quote; a literal cut inside an escape and closed again ends
+   mid-escape (or escapes its own closing quote); a \u escape with one
+   of its four digits replaced by a non-hex byte — '_' included, which
+   [int_of_string "0x..."] would accept — is malformed. All three must
+   be [Error]. Any other single-byte flip may parse or not, but must
+   never raise. *)
+let prop_json_damaged_strings =
+  QCheck.Test.make ~name:"damaged json string literals are errors, never raises"
+    ~count:500
+    QCheck.(
+      triple
+        (string_gen Gen.(char_range '\000' '\255'))
+        small_nat
+        (pair (oneofl [ '_'; 'g'; 'G'; ' '; '"'; '\\'; 'x'; '\000' ]) char))
+    (fun (s, k, (non_hex, flip)) ->
+      let lit = Json.to_string (Json.Str ("\001" ^ s ^ "\\")) in
+      let n = String.length lit in
+      let parses t =
+        match Json.parse t with
+        | Ok _ -> true
+        | Error _ -> false
+        | exception e ->
+          QCheck.Test.fail_reportf "parse %S raised %s" t (Printexc.to_string e)
+      in
+      (* [lit] is '"', the escape \u0001 at bytes 1-6, the escaped [s],
+         then the escape \\ and '"' in its last three bytes *)
+      let cut_in_u = 2 + (k mod 5) and cut_in_bs = n - 2 in
+      let bad_hex = Bytes.of_string lit in
+      Bytes.set bad_hex (3 + (k mod 4)) non_hex;
+      let flipped = Bytes.of_string lit in
+      Bytes.set flipped (k mod n) flip;
+      ignore (parses (Bytes.to_string flipped));
+      parses lit
+      && (not (parses (String.sub lit 0 (k mod n))))
+      && (not (parses (String.sub lit 0 cut_in_u ^ "\"")))
+      && (not (parses (String.sub lit 0 cut_in_bs ^ "\"")))
+      && not (parses (Bytes.to_string bad_hex)))
+
 (* --- requests and responses ------------------------------------------------ *)
 
 let test_request_roundtrip () =
@@ -264,6 +341,244 @@ let test_response_roundtrip () =
   match Protocol.query_response_of_json (Protocol.query_response_to_json r) with
   | Ok r' -> Alcotest.(check bool) "response round-trip" true (r = r')
   | Error msg -> Alcotest.failf "response parse failed: %s" msg
+
+(* --- the one-pass response writer ------------------------------------------ *)
+
+(* The reference route the writer replaces: keep the graphs that fit
+   half the frame budget, note the drop in the error field, then
+   encode the JSON document. *)
+let ref_fit_frame ~max_frame r =
+  let budget = (max_frame / 2) - 4096 in
+  let rec take acc bytes = function
+    | [] -> (List.rev acc, 0)
+    | g :: rest ->
+      let bytes = bytes + String.length g + 16 in
+      if bytes > budget then (List.rev acc, 1 + List.length rest)
+      else take (g :: acc) bytes rest
+  in
+  let kept, dropped = take [] 0 r.Protocol.qr_graphs in
+  if dropped = 0 then r
+  else
+    let note =
+      Printf.sprintf
+        "%d graph(s) dropped: response would exceed the %d-byte frame limit"
+        dropped max_frame
+    in
+    {
+      r with
+      Protocol.qr_graphs = kept;
+      qr_error =
+        Some (match r.Protocol.qr_error with Some e -> e ^ "; " ^ note | None -> note);
+    }
+
+let ref_response_frame ~max_frame r =
+  Protocol.encode
+    (Json.to_string
+       (Protocol.query_response_to_json (ref_fit_frame ~max_frame r)))
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+let rand_text st =
+  String.init (Random.State.int st 12) (fun _ ->
+      pick st [| 'a'; 'Z'; '"'; '\\'; '\n'; '\t'; '\001'; '\031'; ' '; '\200'; '\255' |])
+
+let rand_value st =
+  match Random.State.int st 6 with
+  | 0 -> Value.Str (rand_text st)
+  | 1 -> Value.Int (Random.State.int st 2000 - 1000)
+  | 2 -> Value.Float (pick st [| 0.0; -0.0; nan; -.nan; infinity; 1.5; -2.25e-7 |])
+  | 3 -> Value.Bool (Random.State.bool st)
+  | 4 -> Value.Null
+  | _ -> Value.Str "C"
+
+let rand_tuple st =
+  Tuple.make
+    ?tag:(if Random.State.bool st then Some (pick st [| "atom"; "t" |]) else None)
+    (List.init (Random.State.int st 3) (fun _ ->
+         (pick st [| "label"; "w"; "x" |], rand_value st)))
+
+(* named and unnamed nodes and edges, tagged tuples, every value kind *)
+let rand_graph st =
+  let b =
+    Graph.Builder.create ~directed:(Random.State.bool st)
+      ?name:(if Random.State.bool st then Some "G" else None)
+      ~tuple:(rand_tuple st) ()
+  in
+  let n = Random.State.int st 4 in
+  for v = 0 to n - 1 do
+    ignore
+      (Graph.Builder.add_node b
+         ?name:(if Random.State.bool st then Some (Printf.sprintf "n%d" v) else None)
+         (rand_tuple st))
+  done;
+  if n > 0 then
+    for i = 0 to Random.State.int st 4 - 1 do
+      ignore
+        (Graph.Builder.add_edge b
+           ?name:(if Random.State.bool st then Some (Printf.sprintf "e%d" i) else None)
+           ~tuple:(rand_tuple st) (Random.State.int st n) (Random.State.int st n))
+    done;
+  Graph.Builder.build b
+
+(* Copied tuples from a small pool, so neighbours in a run are often
+   equal (physically or not) and sometimes differ only where
+   [Tuple.equal] cannot see it: reordered attributes, 0.0 against
+   -0.0. *)
+let tuple_pool =
+  lazy
+    [|
+      Tuple.make [ ("label", Value.Str "C") ];
+      Tuple.make [ ("label", Value.Str "C") ];
+      Tuple.make [ ("label", Value.Str "O") ];
+      Tuple.make ~tag:"atom" [ ("label", Value.Str "C") ];
+      Tuple.make [ ("label", Value.Str "C"); ("w", Value.Int 1) ];
+      Tuple.make [ ("w", Value.Int 1); ("label", Value.Str "C") ];
+      Tuple.make [ ("x", Value.Float 0.0) ];
+      Tuple.make [ ("x", Value.Float (-0.0)) ];
+      Tuple.make [ ("x", Value.Float nan) ];
+      Tuple.make [ ("s", Value.Str "q\"\\\001") ];
+    |]
+
+let template =
+  lazy
+    (Gql_core.Template.compile
+       (Gql_core.Gql.parse_graph_decl
+          {|graph { node C.a, C.b; edge f (C.a, C.b); }|}))
+
+(* one compiled template instantiated over data graphs whose nodes a, b
+   carry pool tuples: the answers share one skeleton *)
+let template_run st =
+  let pool = Lazy.force tuple_pool and t = Lazy.force template in
+  let prev = ref None in
+  List.init (Random.State.int st 12) (fun _ ->
+      match !prev with
+      | Some g when Random.State.int st 3 = 0 -> g
+      | _ ->
+        let b = Graph.Builder.create () in
+        let a = Graph.Builder.add_node b ~name:"a" (pick st pool) in
+        let c = Graph.Builder.add_node b ~name:"b" (pick st pool) in
+        ignore (Graph.Builder.add_edge b a c);
+        let g = t [ ("C", Gql_core.Template.Pgraph (Graph.Builder.build b)) ] in
+        prev := Some g;
+        g)
+
+let rand_graphs st =
+  if Random.State.bool st then template_run st
+  else
+    let pool = Array.init (1 + Random.State.int st 4) (fun _ -> rand_graph st) in
+    List.init (Random.State.int st 10) (fun _ -> pick st pool)
+
+let rand_head st =
+  {
+    Protocol.qr_id = Random.State.int st 100;
+    qr_qid = Random.State.int st 100 - 1;
+    qr_status = pick st [| "ok"; "deadline"; "shard-failure" |];
+    qr_stopped = "exhausted";
+    qr_error = (if Random.State.bool st then Some (rand_text st) else None);
+    qr_graphs = [];
+    qr_vars = Random.State.int st 3;
+    qr_writes = Random.State.int st 3;
+    qr_wall_ms = pick st [| 0.0; 1.25; 12345.678; nan; infinity; -0.0 |];
+    qr_shards_ok = Random.State.int st 3;
+    qr_shards_failed = (if Random.State.bool st then [ rand_text st ] else []);
+  }
+
+(* often small enough to truncate: the budget is max_frame / 2 - 4096 *)
+let rand_max_frame st =
+  if Random.State.int st 4 = 0 then Protocol.default_max_frame
+  else 8192 + Random.State.int st 3000
+
+let writer_case name f =
+  QCheck.Test.make ~name ~count:300 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let head = rand_head st and max_frame = rand_max_frame st in
+      let frame, texts, dropped = f st ~max_frame head in
+      let r = { head with Protocol.qr_graphs = texts } in
+      let kept = (ref_fit_frame ~max_frame r).Protocol.qr_graphs in
+      let expected = ref_response_frame ~max_frame r in
+      (frame = expected && dropped = List.length texts - List.length kept)
+      || QCheck.Test.fail_reportf "seed %d: writer@.%S@.reference@.%S" seed
+           frame expected)
+
+let prop_writer_graphs =
+  writer_case "graph response writer = reference route (incl. template runs)"
+    (fun st ~max_frame head ->
+      let graphs = rand_graphs st in
+      let frame, dropped =
+        Protocol.query_response_frame ~max_frame head ~render:Graph.add_to_buffer
+          ~same:Graph.prints_as graphs
+      in
+      (frame, List.map Graph.to_string graphs, dropped))
+
+let prop_writer_strings =
+  writer_case "string response writer = reference route (router path)"
+    (fun st ~max_frame head ->
+      let pool = Array.init (1 + Random.State.int st 3) (fun _ -> rand_text st ^ rand_text st) in
+      let texts =
+        List.init (Random.State.int st 40) (fun _ ->
+            if Random.State.int st 8 = 0 then String.make (Random.State.int st 3000) 'g'
+            else pick st pool)
+      in
+      let frame, dropped =
+        Protocol.query_response_frame ~max_frame head ~render:Buffer.add_string
+          ~same:String.equal texts
+      in
+      (frame, texts, dropped))
+
+(* The cut sits exactly where the reference puts it: at a budget of
+   100 bytes, one 84-byte text (plus 16) fits and one 85-byte text does
+   not, whether rendered or reused from the previous item. *)
+let test_writer_boundary () =
+  let max_frame = 8192 + 200 in
+  let head = { (rand_head (Random.State.make [| 0 |])) with qr_error = None } in
+  List.iter
+    (fun lengths ->
+      let texts = List.map (fun n -> String.make n 'a') lengths in
+      let frame, _ =
+        Protocol.query_response_frame ~max_frame head
+          ~render:Buffer.add_string ~same:String.equal texts
+      in
+      Alcotest.(check string)
+        (String.concat "," (List.map string_of_int lengths))
+        (ref_response_frame ~max_frame { head with Protocol.qr_graphs = texts })
+        frame)
+    [ [ 84 ]; [ 85 ]; [ 34; 34 ]; [ 34; 35 ]; [ 35; 35 ] ]
+
+let prop_prints_as =
+  QCheck.Test.make ~name:"Graph.prints_as implies equal text" ~count:300
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let gs = Array.of_list (template_run st @ rand_graphs st) in
+      Array.for_all
+        (fun a ->
+          Array.for_all
+            (fun b -> (not (Graph.prints_as a b)) || Graph.to_string a = Graph.to_string b)
+            gs)
+        gs)
+
+let test_prints_as_skeleton () =
+  let t = Lazy.force template and pool = Lazy.force tuple_pool in
+  let inst ta tb =
+    let b = Graph.Builder.create () in
+    let a = Graph.Builder.add_node b ~name:"a" ta in
+    let c = Graph.Builder.add_node b ~name:"b" tb in
+    ignore (Graph.Builder.add_edge b a c);
+    t [ ("C", Gql_core.Template.Pgraph (Graph.Builder.build b)) ]
+  in
+  let check what expected x y =
+    Alcotest.(check bool) what expected (Graph.prints_as x y)
+  in
+  (* pool.(0) and pool.(1) are equal tuples built separately *)
+  check "equal copies" true (inst pool.(0) pool.(2)) (inst pool.(1) pool.(2));
+  check "different label" false (inst pool.(0) pool.(2)) (inst pool.(2) pool.(2));
+  check "reordered attributes" false (inst pool.(4) pool.(0)) (inst pool.(5) pool.(0));
+  check "0.0 against -0.0" false (inst pool.(6) pool.(0)) (inst pool.(7) pool.(0));
+  let one_node () =
+    let b = Graph.Builder.create () in
+    ignore (Graph.Builder.add_node b ~name:"a" pool.(0));
+    Graph.Builder.build b
+  in
+  check "separately built graphs" false (one_node ()) (one_node ())
 
 let test_wire_status_inverts () =
   List.iter
@@ -475,5 +790,15 @@ let suite =
     Alcotest.test_case "unix-socket session end to end" `Quick
       test_server_session;
     QCheck_alcotest.to_alcotest prop_frame_bytes;
+    Alcotest.test_case "crc32 over lengths 0-15 at every alignment" `Quick
+      test_crc_short_lengths;
     QCheck_alcotest.to_alcotest prop_json_string;
+    QCheck_alcotest.to_alcotest prop_json_damaged_strings;
+    QCheck_alcotest.to_alcotest prop_writer_graphs;
+    QCheck_alcotest.to_alcotest prop_writer_strings;
+    Alcotest.test_case "writer truncates at the reference's boundary" `Quick
+      test_writer_boundary;
+    QCheck_alcotest.to_alcotest prop_prints_as;
+    Alcotest.test_case "prints_as sees the shared skeleton and tuple text" `Quick
+      test_prints_as_skeleton;
   ]
