@@ -480,12 +480,11 @@ let match_cmd pattern_file graph_file strategy domains adaptive exhaustive
 let explain_cmd query_file analyze json docs domains adaptive timeout
     max_visited =
   guarded (fun () ->
-      let src = read_file query_file in
+      let program = Gql.parse_program (read_file query_file) in
       if not analyze then begin
         if json then
           Error.raise_ (Error.Usage "--json requires --analyze");
-        let plan = Plan.compile (Gql.parse_program src) in
-        Format.printf "%a@." Plan.pp plan;
+        Format.printf "%a@." Plan.pp (Plan.compile program);
         0
       end
       else begin
@@ -499,7 +498,6 @@ let explain_cmd query_file analyze json docs domains adaptive timeout
           M.with_span metrics "load" (fun () -> parse_docs ~metrics docs)
         in
         let docs = docs_with_views views docs in
-        let program = Gql.parse_program src in
         let view_reads =
           List.length
             (List.filter
@@ -515,12 +513,11 @@ let explain_cmd query_file analyze json docs domains adaptive timeout
         let budget = budget_of timeout max_visited in
         let result =
           M.with_span metrics "query" (fun () ->
-              Gql.run_query ~docs ?strategy ?budget ~metrics src)
+              Eval.run ~docs ?strategy ?budget ~metrics program)
         in
         if json then print_string (M.to_json metrics)
         else begin
-          let plan = Plan.compile program in
-          Format.printf "%a@.@." Plan.pp plan;
+          Format.printf "%a@.@." Plan.pp (Plan.compile program);
           Format.printf "%a" M.pp metrics;
           if views <> [] then begin
             Format.printf "@.views:@.";

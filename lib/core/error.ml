@@ -68,7 +68,6 @@ let classify = function
   | Eval.Error msg -> Some (Eval msg)
   | Motif.Error msg -> Some (Eval (Printf.sprintf "pattern: %s" msg))
   | Template.Error msg -> Some (Eval (Printf.sprintf "template: %s" msg))
-  | Plan.Error msg -> Some (Eval (Printf.sprintf "plan: %s" msg))
   | Gql_graph.Value.Type_error msg -> Some (Eval (Printf.sprintf "type: %s" msg))
   | Gql_graph.Pred.Unresolved names ->
     Some (Eval ("unresolved references: " ^ String.concat ", " names))

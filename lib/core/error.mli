@@ -55,8 +55,9 @@ val of_wire_status : string -> msg:string -> t option
 
 val classify : exn -> t option
 (** Map a known exception from any layer onto the taxonomy:
-    [Eval.Error], [Motif.Error], [Template.Error], [Plan.Error],
-    [Value.Type_error] and [Pred.Unresolved] become [Eval];
+    [Eval.Error] (which compile errors raise too), [Motif.Error],
+    [Template.Error], [Value.Type_error] and [Pred.Unresolved] become
+    [Eval];
     [Codec.Corrupt] becomes [Corrupt]; [Sys_error] becomes [Usage].
     Positioned lexer/parser errors are {e not} classified here — they
     need the source text to compute line/column, which [Gql.wrap]

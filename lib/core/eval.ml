@@ -1,6 +1,6 @@
 open Gql_graph
 
-exception Error of string
+exception Error = Plan.Error
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
@@ -169,7 +169,7 @@ let exec_dml st instantiate writer = function
     st.s_writes <- st.s_writes + 1;
     writer (W_remove { source = r.d_doc; index = i; old_graph = g })
 
-let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
+let run ?(docs = []) ?strategy ?max_depth ?max_derivations ?budget
     ?(metrics = Gql_obs.Metrics.disabled) ?selector ?(writer = fun _ -> ())
     (program : Ast.program) =
   let selector =
@@ -192,7 +192,6 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
       s_writes = 0;
     }
   in
-  let defs name = List.assoc_opt name st.s_defs in
   (* resolve a statement source: a doc (or mounted view) first, then a
      variable holding a single graph *)
   let resolve_source source =
@@ -206,175 +205,71 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
         | Some v -> error "unknown view %S" v
         | None -> error "unknown collection %S" source))
   in
-  (* the selection half of a FLWR statement: derive the patterns, run
-     the (possibly cached) selector over the source collection, apply
-     the where filter; shared by Sflwr and view creation *)
-  let flwr_matches (f : Ast.flwr) =
-      let decl, pname =
-        match f.Ast.f_pattern with
-        | `Named n ->
-          (match defs n with
-          | Some d -> (d, n)
-          | None -> error "unknown pattern %s" n)
-        | `Inline d ->
-          (d, Option.value d.Ast.g_name ~default:"P")
-      in
-      (* enumerate derivations lazily, polling the budget between
-         derivations: a branching recursive def no longer materializes
-         exponentially many derivations before any admission check, and
-         hitting the cap is a typed error instead of silent loss *)
-      let truncated = ref false in
-      let patterns, enum_stopped =
-        let rec take n acc seq =
-          match
-            match budget with Some b -> Budget.poll b | None -> None
-          with
-          | Some r -> (List.rev acc, r)
-          | None ->
-            (match Seq.uncons seq with
-            | None -> (List.rev acc, Budget.Exhausted)
-            | Some (p, rest) ->
-              if n >= max_derivations then
-                error
-                  "pattern %s has more than %d derivations; bound the \
-                   recursion or raise the derivation cap"
-                  pname max_derivations
-              else take (n + 1) (p :: acc) rest)
-        in
-        take 0 [] (Motif.path_patterns ~defs ?max_depth ~truncated decl)
-      in
-      st.s_stopped <- Budget.worst st.s_stopped enum_stopped;
-      if patterns = [] && enum_stopped = Budget.Exhausted then
-        if !truncated then
-          error
-            "pattern %s has no derivation within the depth cap (recursive \
-             references truncated; use unbounded repetition or raise \
-             max_depth)"
-            pname
-        else error "pattern %s has no derivation" pname;
-      let source = resolve_source f.Ast.f_source in
-      let entries = List.map (fun g -> Algebra.G g) source in
-      let matches, sel_stopped =
-        Gql_obs.Metrics.with_span metrics "flwr" (fun () ->
-            selector ~exhaustive:f.Ast.f_exhaustive ~patterns entries)
-      in
-      st.s_stopped <- Budget.worst st.s_stopped sel_stopped;
-      let matches =
-        match f.Ast.f_where with
-        | None -> matches
-        | Some pred ->
-          List.filter
-            (fun entry ->
-              match entry with
-              | Algebra.M m ->
-                let env =
-                  Pred.env_extend (Matched.env m) [ (pname, Matched.env m) ]
-                in
-                Pred.holds env pred
-              | Algebra.G _ -> true)
-            matches
-      in
-      (pname, matches)
+  (* σ: run the (possibly cached) selector over the source collection,
+     then the where filter *)
+  let select (sel : Plan.select) =
+    st.s_stopped <- Budget.worst st.s_stopped sel.enum_stopped;
+    let entries = List.map (fun g -> Algebra.G g) (resolve_source sel.source) in
+    let matches, sel_stopped =
+      Gql_obs.Metrics.with_span metrics "flwr" (fun () ->
+          selector ~exhaustive:sel.exhaustive ~patterns:sel.patterns entries)
+    in
+    st.s_stopped <- Budget.worst st.s_stopped sel_stopped;
+    if sel.where = None then matches
+    else
+      List.filter
+        (function Algebra.M m -> Plan.admits sel m | Algebra.G _ -> true)
+        matches
   in
-  (* the composition half of a return body: one instantiated template
-     graph per match *)
-  let compose_matches pname t matches =
-    let instantiate = compile_template st t in
-    let vars = vars_env st.s_vars in
+  (* ω: one instantiated template graph per match *)
+  let compose (sel : Plan.select) instantiate vars matches =
     List.map
-      (fun entry -> instantiate ((pname, Algebra.template_param entry) :: vars))
+      (fun entry ->
+        instantiate ((sel.pname, Algebra.template_param entry) :: vars))
       matches
   in
-  let statement = function
-    | Ast.Sgraph g ->
-      (match g.Ast.g_name with
-      | Some name -> st.s_defs <- st.s_defs @ [ (name, g) ]
-      | None -> error "top-level graph declarations must be named")
-    | Ast.Sassign (v, t) ->
+  let exec = function
+    | Plan.Assign (v, t) ->
       let g = instantiate_template st t in
       st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars
-    | Ast.Sflwr f ->
-      let pname, matches = flwr_matches f in
-      (match f.Ast.f_body with
-      | Ast.Return t ->
-        st.s_last <-
-          Some (List.map (fun g -> Algebra.G g) (compose_matches pname t matches))
-      | Ast.Let (v, t) ->
-        (* each match rebinds [v]; the other variables stay put *)
-        let instantiate = compile_template st t in
-        let others = vars_env (List.remove_assoc v st.s_vars) in
-        let vars = ref (vars_env st.s_vars) in
-        List.iter
-          (fun entry ->
-            let g = instantiate ((pname, Algebra.template_param entry) :: !vars) in
-            st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars;
-            vars := (v, Template.Pgraph g) :: others)
-          matches)
-    | Ast.Screate_view v ->
-      let q = v.Ast.v_query in
-      (match q.Ast.f_body with
-      | Ast.Return _ -> ()
-      | Ast.Let (x, _) ->
-        error "view %s: the defining query must return (let %s folds cannot \
-               be maintained)" v.Ast.v_name x);
-      (match Ast.view_of_source q.Ast.f_source with
-      | Some src ->
-        error "view %s cannot be defined over view %S (views read base docs \
-               only)" v.Ast.v_name src
-      | None -> ());
-      if not (List.mem_assoc q.Ast.f_source st.s_docs) then
+    | Plan.Return (sel, t) ->
+      let matches = select sel in
+      st.s_last <-
+        Some
+          (List.map
+             (fun g -> Algebra.G g)
+             (compose sel (compile_template st t) (vars_env st.s_vars) matches))
+    | Plan.Fold (v, sel, t) ->
+      let matches = select sel in
+      (* each match rebinds [v]; the other variables stay put *)
+      let instantiate = compile_template st t in
+      let others = vars_env (List.remove_assoc v st.s_vars) in
+      let vars = ref (vars_env st.s_vars) in
+      List.iter
+        (fun entry ->
+          let param = Algebra.template_param entry in
+          let g = instantiate ((sel.pname, param) :: !vars) in
+          st.s_vars <- (v, g) :: List.remove_assoc v st.s_vars;
+          vars := (v, Template.Pgraph g) :: others)
+        matches
+    | Plan.Create_view { name; materialized; def; sel; compose = t } ->
+      if not (List.mem_assoc sel.source st.s_docs) then
         error "view %s: %a is not a document collection (views over \
-               variables cannot be maintained)" v.Ast.v_name Ast.pp_source
-          q.Ast.f_source;
-      (* resolve a named pattern now, so the stored definition is
-         self-contained and replayable without the defining program *)
-      let q =
-        match q.Ast.f_pattern with
-        | `Named n ->
-          (match defs n with
-          | Some d ->
-            { q with Ast.f_pattern = `Inline { d with Ast.g_name = Some n } }
-          | None -> error "unknown pattern %s" n)
-        | `Inline _ -> q
-      in
-      (* evaluate with the program's variables hidden: a definition
-         that references them would evaluate now but be unmaintainable
-         (the maintainer replays the definition alone), so reject it
-         here with the same error a refresh would hit *)
-      let saved_vars = st.s_vars in
-      st.s_vars <- [];
-      let graphs =
-        Fun.protect
-          ~finally:(fun () -> st.s_vars <- saved_vars)
-          (fun () ->
-            try
-              let pname, matches = flwr_matches q in
-              match q.Ast.f_body with
-              | Ast.Return t -> compose_matches pname t matches
-              | Ast.Let _ -> assert false
-            with Error m ->
-              error "view %s: the definition must be self-contained: %s"
-                v.Ast.v_name m)
-      in
-      set_doc st (Ast.view_source v.Ast.v_name) graphs;
+               variables cannot be maintained)" name Ast.pp_source sel.source;
+      (* the program's variables stay out of the template environment:
+         the maintainer replays the definition alone *)
+      let graphs = compose sel t [] (select sel) in
+      set_doc st (Ast.view_source name) graphs;
       st.s_writes <- st.s_writes + 1;
-      writer
-        (W_create_view
-           {
-             name = v.Ast.v_name;
-             materialized = v.Ast.v_materialized;
-             def = q;
-             graphs;
-             epoch = 0;
-           })
-    | Ast.Sdrop_view name ->
+      writer (W_create_view { name; materialized; def; graphs; epoch = 0 })
+    | Plan.Drop_view name ->
       let source = Ast.view_source name in
       if not (List.mem_assoc source st.s_docs) then
         error "unknown view %S" name;
       st.s_docs <- List.remove_assoc source st.s_docs;
       st.s_writes <- st.s_writes + 1;
       writer (W_drop_view { name })
-    | Ast.Spath q ->
+    | Plan.Path q ->
       let module Rpq = Gql_matcher.Rpq in
       let source = resolve_source q.Ast.q_source in
       let node_candidates g (d : Ast.node_decl) =
@@ -507,9 +402,19 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
           with Exit -> ());
       st.s_stopped <- Budget.worst st.s_stopped !stop;
       st.s_last <- Some (List.rev !results)
-    | Ast.Sdml d -> exec_dml st (instantiate_template st) writer d
+    | Plan.Write d -> exec_dml st (instantiate_template st) writer d
   in
-  List.iter statement program;
+  (* compile, then run, one statement at a time: an error surfaces
+     after the earlier statements' writes have reached the sink *)
+  List.iter
+    (fun stmt ->
+      let defs, node =
+        Plan.compile_statement ?max_depth ?max_derivations ?budget st.s_defs
+          stmt
+      in
+      st.s_defs <- defs;
+      Option.iter exec node)
+    program;
   {
     defs = st.s_defs;
     vars = st.s_vars;

@@ -17,6 +17,8 @@
 open Gql_graph
 
 exception Error of string
+(** Compile and evaluation errors alike: the same exception as
+    {!Plan.Error}. *)
 
 type docs = (string * Graph.t list) list
 (** The [doc("name")] data sources. *)
@@ -88,7 +90,10 @@ val run :
   ?writer:(write -> unit) ->
   Ast.program ->
   result
-(** [max_depth] bounds recursive motif derivation (default 16) —
+(** Each statement is compiled by {!Plan.compile_statement} and its
+    node executed before the next statement compiles, so an error
+    surfaces after the earlier statements' writes reached [writer].
+    [max_depth] bounds recursive motif derivation (default 16) —
     unbounded repetition ([*1..]) is evaluated by the RPQ engine and
     never unrolled, so it is exempt. Derivations are enumerated lazily
     and budget-polled; a pattern with more than [max_derivations]

@@ -1,11 +1,12 @@
 (** Compilation of GraphQL programs into algebra expressions.
 
     §3.4: "The query can be translated into a recursive algebraic
-    expression C = σ_J(ω_{T_{P,C}}(σ_P("DBLP"), {C}))". {!Eval}
-    interprets statements directly; this module makes the translation
-    a first-class value — a tree of algebra operators that can be
-    inspected ({!pp}, the EXPLAIN view) and executed. The test suite
-    checks {!execute} agrees with {!Eval.run}.
+    expression C = σ_J(ω_{T_{P,C}}(σ_P("DBLP"), {C}))". This module is
+    that translation: each statement compiles to one node, which {!pp}
+    prints (the EXPLAIN view) and {!Eval.run} executes — there is no
+    other compiled form and no other executor. Views compile through
+    the same code ({!compile_view}), so their maintainer shares the
+    derivation enumeration and the [where] filter ({!admits}).
 
     FLWR forms compile as:
     - [for P in doc(D) return T]  ⇒  ω_T(σ_P(D))
@@ -15,69 +16,85 @@
 
 open Gql_graph
 
-type expr =
-  | Source of string  (** doc("...") or a variable used as a source *)
-  | Var of string
-  | Select of {
-      pname : string;
-      patterns : Gql_matcher.Rpq.pattern list;
-          (** derivations of the (possibly recursive) pattern: flat core
-              plus unbounded-repetition path segments *)
-      exhaustive : bool;
-      post : Pred.t option;  (** the FLWR [where] filter *)
-      input : expr;
-    }
-  | Compose of {
-      template : Ast.template;
-      param : string;
-      input : expr;
-    }
-  | Fold_compose of {
-      template : Ast.template;
-      param : string;
-      var : string;  (** the accumulated variable, e.g. [C] *)
-      input : expr;
-    }
+exception Error of string
+(** Compile errors. {!Eval.Error} is the same exception. *)
+
+type select = {
+  pname : string;
+  patterns : Gql_matcher.Rpq.pattern list;
+      (** derivations of the (possibly recursive) pattern: flat core
+          plus unbounded-repetition path segments *)
+  enum_stopped : Gql_matcher.Budget.stop_reason;
+      (** [Exhausted], or the budget stop that cut the enumeration of
+          derivations short — [patterns] is then a prefix *)
+  exhaustive : bool;
+  where : Pred.t option;  (** the FLWR [where] filter, see {!admits} *)
+  source : string;  (** a doc or view source, or a variable's name *)
+}
+(** σ_P(source) *)
+
+type view = {
+  name : string;
+  materialized : bool;
+  def : Ast.flwr;
+      (** the defining query, pattern resolved inline: self-contained,
+          so it persists and replays without the defining program *)
+  sel : select;
+  compose : Template.env -> Graph.t;
+      (** the return template, compiled once *)
+}
 
 type statement =
-  | Assign of string * expr
-  | Output of expr
+  | Assign of string * Ast.template  (** [C := T] *)
+  | Return of select * Ast.template  (** ω_T(σ_P(D)) *)
+  | Fold of string * select * Ast.template
+      (** [let C := T]: C := fold-ω_T(σ_P(D), {C}) *)
   | Write of Ast.dml
-      (** DML pass-through: printable in EXPLAIN, but only {!Eval.run}
-          executes writes (it carries the durability sink) *)
   | Path of Ast.path_query
-      (** path-query pass-through ([find path] / [get subgraph]):
-          printable in EXPLAIN, but only {!Eval.run} evaluates it *)
-  | Create_view of { cv_name : string; cv_materialized : bool; cv_body : expr }
-      (** the view's defining query compiled to algebra, so EXPLAIN
-          shows what the maintainer keeps fresh; only {!Eval.run}
-          executes the DDL *)
+      (** [find path] / [get subgraph]: run by the RPQ engine *)
+  | Create_view of view
   | Drop_view of string
 
 type t = statement list
 
-exception Error of string
+type scope = (string * Ast.graph_decl) list
+(** Named pattern definitions in program order; the first of a name
+    wins. *)
+
+val compile_statement :
+  ?max_depth:int ->
+  ?max_derivations:int ->
+  ?budget:Gql_matcher.Budget.t ->
+  scope ->
+  Ast.statement ->
+  scope * statement option
+(** One statement. A named [graph] declaration extends the scope and
+    compiles to no node. Derivations are enumerated lazily, polling
+    [budget] between them; [max_depth] bounds recursive derivation
+    (default 16 — unbounded repetition is never unrolled, so it is
+    exempt). Raises {!Error} on unknown names, on more than
+    [max_derivations] (default 4096) derivations, and on a pattern with
+    no derivation — distinguishing "none within depth" from "none
+    exists". *)
+
+val compile_view :
+  ?max_depth:int ->
+  ?max_derivations:int ->
+  ?budget:Gql_matcher.Budget.t ->
+  ?scope:scope ->
+  Ast.view_def ->
+  view
+(** A view definition, as {!compile_statement} compiles it. Raises
+    {!Error} when the query folds with [let], returns a variable, or
+    reads another view. *)
 
 val compile : ?max_depth:int -> ?max_derivations:int -> Ast.program -> t
-(** Named pattern definitions are resolved during compilation (they do
-    not appear in the plan). Derivations are enumerated lazily up to
-    [max_derivations] (default 4096); beyond that, and on unknown
-    names, raises {!Error}. *)
+(** {!compile_statement} over a whole program, for EXPLAIN. *)
 
-val pp_expr : Format.formatter -> expr -> unit
-(** Algebraic notation: [σ], [ω], [fold-ω]. *)
+val admits : select -> Matched.t -> bool
+(** The [where] filter on one match: it sees both [P.v1.attr] and
+    [v1.attr] paths. *)
 
 val pp : Format.formatter -> t -> unit
-
-val execute : ?docs:Eval.docs -> ?strategy:Gql_matcher.Engine.strategy -> t -> Eval.result
-(** Same result type as {!Eval.run}; [defs] is empty in the result
-    (definitions were compiled away). *)
-
-val optimize : t -> t
-(** Algebraic rewriting — "laws of relational algebra carry over"
-    (§3.3): conjuncts of a selection's residual [where] filter that
-    mention a single pattern variable are pushed into the pattern's
-    node/edge predicates, so the access methods prune on them during
-    retrieval instead of filtering complete matches. Only applied to
-    single-derivation selections (disjunctive/recursive patterns keep
-    the filter). Results are unchanged; spaces shrink. *)
+(** One line per statement, in algebraic notation: [σ], [ω],
+    [fold-ω]. *)

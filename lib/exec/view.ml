@@ -8,7 +8,7 @@ module Ast = Gql_core.Ast
 module Eval = Gql_core.Eval
 module Matched = Gql_core.Matched
 module Template = Gql_core.Template
-module Motif = Gql_core.Motif
+module Plan = Gql_core.Plan
 module Codec = Gql_storage.Codec
 open Gql_graph
 
@@ -19,13 +19,8 @@ open Gql_graph
 type cached = { cm_phi : int array; cm_out : Graph.t }
 
 type t = {
-  v_name : string;
-  v_materialized : bool;
-  v_def : Ast.flwr;
-  v_pname : string;
-  v_compose : Template.env -> Graph.t;
-      (* the return template (views reject Tvar/Let), compiled once *)
-  v_patterns : Rpq.pattern list;  (* compiled derivations of the pattern *)
+  v_plan : Plan.view;
+      (* the compiled definition: derivations, where filter, template *)
   v_incremental : bool;
   mutable v_epoch : int;
   mutable v_graphs : Graph.t list;
@@ -37,42 +32,18 @@ type t = {
   mutable v_full : int;
 }
 
-let error fmt = Format.kasprintf (fun s -> raise (Eval.Error s)) fmt
-
 let make ~name ~materialized ?(epoch = 0) (def : Ast.flwr) =
-  let decl, pname =
-    match def.Ast.f_pattern with
-    | `Inline d -> (d, Option.value d.Ast.g_name ~default:"P")
-    | `Named n ->
-      error "view %s: pattern %s is not resolved inline (the definition \
-             must be self-contained)" name n
-  in
-  let tmpl =
-    match def.Ast.f_body with
-    | Ast.Return (Ast.Tgraph d) -> d
-    | Ast.Return (Ast.Tvar v) ->
-      error "view %s: the return template references variable %s (the \
-             definition must be self-contained)" name v
-    | Ast.Let _ -> error "view %s: let folds cannot be maintained" name
-  in
-  let patterns =
-    List.of_seq (Motif.path_patterns ~defs:(fun _ -> None) decl)
-  in
-  let incremental =
-    (* the delta rule needs: every match enumerated (exhaustive) and
-       every constraint radius-local (flat cores, no path segments) *)
-    def.Ast.f_exhaustive
-    && patterns <> []
-    && List.for_all (fun p -> p.Rpq.segments = []) patterns
+  let plan =
+    Plan.compile_view
+      { Ast.v_name = name; v_materialized = materialized; v_query = def }
   in
   {
-    v_name = name;
-    v_materialized = materialized;
-    v_def = def;
-    v_pname = pname;
-    v_compose = Template.compile tmpl;
-    v_patterns = patterns;
-    v_incremental = incremental;
+    v_plan = plan;
+    v_incremental =
+      (* the delta rule needs: every match enumerated (exhaustive) and
+         every constraint radius-local (flat cores, no path segments) *)
+      plan.sel.exhaustive
+      && List.for_all (fun p -> p.Rpq.segments = []) plan.sel.patterns;
     v_epoch = epoch;
     v_graphs = [];
     v_matches = [];
@@ -81,10 +52,10 @@ let make ~name ~materialized ?(epoch = 0) (def : Ast.flwr) =
     v_full = 0;
   }
 
-let name t = t.v_name
-let materialized t = t.v_materialized
-let source t = t.v_def.Ast.f_source
-let def t = t.v_def
+let name t = t.v_plan.name
+let materialized t = t.v_plan.materialized
+let source t = t.v_plan.sel.source
+let def t = t.v_plan.def
 let epoch t = t.v_epoch
 let graphs t = t.v_graphs
 let incremental t = t.v_incremental
@@ -95,21 +66,16 @@ type indexes =
 
 (* --- evaluating one source graph (the scratch path, phi-retaining) --- *)
 
-let keep_match t m =
-  match t.v_def.Ast.f_where with
-  | None -> true
-  | Some pred ->
-    let env = Pred.env_extend (Matched.env m) [ (t.v_pname, Matched.env m) ] in
-    Pred.holds env pred
-
-let instantiate t m = t.v_compose [ (t.v_pname, Template.Pmatched m) ]
+let instantiate t m =
+  t.v_plan.compose [ (t.v_plan.sel.pname, Template.Pmatched m) ]
 
 (* Turn raw mappings into cached matches: where-filter, instantiate. *)
 let searched t core g phis =
   List.filter_map
     (fun phi ->
       let m = Matched.make core g phi in
-      if keep_match t m then Some { cm_phi = phi; cm_out = instantiate t m }
+      if Plan.admits t.v_plan.sel m then
+        Some { cm_phi = phi; cm_out = instantiate t m }
       else None)
     phis
 
@@ -133,13 +99,13 @@ let eval_graph t ?(metrics = M.disabled) ?(indexes = fun _ -> None) g =
          let order = Order.greedy core ~sizes:(Feasible.sizes space) in
          let o = Search.run ~exhaustive:true ~metrics ~order core g space in
          searched t core g o.Search.mappings)
-       t.v_patterns)
+       t.v_plan.sel.patterns)
 
 (* Canonical materialization order: derivation-major, then source
    collection order, then discovery order — multiset-equal to a scratch
    evaluation (which orders derivations by estimated cost). *)
 let recompose t =
-  let np = List.length t.v_patterns in
+  let np = List.length t.v_plan.sel.patterns in
   t.v_graphs <-
     List.concat
       (List.init np (fun pi ->
@@ -159,8 +125,8 @@ let rebuild t ?metrics ?indexes ~docs () =
 let full_eval t ?strategy ~docs () =
   let res =
     Eval.run ?strategy
-      ~docs:[ (t.v_def.Ast.f_source, docs) ]
-      [ Ast.Sflwr t.v_def ]
+      ~docs:[ (source t, docs) ]
+      [ Ast.Sflwr t.v_plan.def ]
   in
   t.v_graphs <- Eval.returned res;
   t.v_matches <- [];
@@ -274,7 +240,7 @@ let refresh_update t ~metrics ~indexes ~index ~new_graph ~(delta : Mutate.delta)
                ~is_dirty
            in
            kept @ searched t core new_graph found)
-         t.v_patterns)
+         t.v_plan.sel.patterns)
   in
   t.v_matches <- replace_nth t.v_matches index entry;
   recompose t
@@ -349,13 +315,13 @@ let def_text (f : Ast.flwr) = Format.asprintf "%a" Ast.pp_flwr f
 
 let encode t =
   let buf = Buffer.create 256 in
-  let with_graphs = t.v_materialized in
+  let with_graphs = t.v_plan.materialized in
   let flags =
-    (if t.v_materialized then 1 else 0) lor if with_graphs then 2 else 0
+    (if t.v_plan.materialized then 1 else 0) lor if with_graphs then 2 else 0
   in
   Buffer.add_char buf (Char.chr flags);
   Codec.write_uvarint buf t.v_epoch;
-  Codec.write_string buf (def_text t.v_def);
+  Codec.write_string buf (def_text t.v_plan.def);
   if with_graphs then begin
     Codec.write_uvarint buf (List.length t.v_graphs);
     List.iter (fun g -> Codec.write_graph buf g) t.v_graphs

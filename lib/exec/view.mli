@@ -42,10 +42,13 @@ type t
 
 val make :
   name:string -> materialized:bool -> ?epoch:int -> Gql_core.Ast.flwr -> t
-(** Compile the definition (pattern derivations, incremental
-    eligibility). The view starts unseeded: materialization and match
-    caches are built by {!attach}. Raises {!Gql_core.Eval.Error} on a
-    definition whose body is not [return]. *)
+(** Compile the definition with {!Gql_core.Plan.compile_view} — the
+    derivations, the [where] filter and the template {!Gql_core.Eval.run}
+    uses — and decide incremental eligibility. The view starts
+    unseeded: materialization and match caches are built by
+    {!attach}. Raises {!Gql_core.Eval.Error} on a definition that is
+    not self-contained, does not [return], or has more derivations
+    than the cap. *)
 
 val name : t -> string
 val materialized : t -> bool
@@ -127,8 +130,10 @@ val refresh :
 
 val encode : t -> string
 val decode : name:string -> string -> t
-(** Raises [Gql_storage.Codec.Corrupt] on a malformed blob and
-    [Gql_core.Error.E] if the definition text no longer parses. *)
+(** Raises [Gql_storage.Codec.Corrupt] on a malformed blob or a
+    definition text that no longer parses, and {!Gql_core.Eval.Error}
+    on a definition {!make} rejects — one over the derivation cap
+    fails before its derivations are materialized. *)
 
 val decoded_graphs : string -> Graph.t list
 (** The persisted materialization inside a blob ([[]] for

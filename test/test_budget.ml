@@ -285,6 +285,27 @@ let test_eval_budget () =
   Alcotest.(check bool) "expired budget reported in the result" true
     (Budget.final r.Gql_core.Eval.stopped)
 
+(* Enumerating derivations polls the budget: a pattern over the
+   derivation cap, under an already-cancelled token, stops with the
+   token's reason instead of raising the cap error. *)
+let test_eval_cancelled_enumeration () =
+  let tok = Budget.token () in
+  Budget.cancel tok;
+  let query =
+    Test_eval.alternatives 13
+    ^ {|; for P exhaustive in doc("D") return graph { node out; };|}
+  in
+  let r =
+    Gql_core.Gql.run_query
+      ~docs:[ ("D", [ Test_graph.sample_g () ]) ]
+      ~budget:(Budget.make ~cancel:tok ())
+      query
+  in
+  Alcotest.(check bool) "reason is Cancelled" true
+    (r.Gql_core.Eval.stopped = Budget.Cancelled);
+  Alcotest.(check int) "nothing returned" 0
+    (List.length (Gql_core.Eval.returned r))
+
 let suite =
   [
     Alcotest.test_case "stop-reason algebra" `Quick test_reason_algebra;
@@ -308,4 +329,6 @@ let suite =
     Alcotest.test_case "engine phase attribution" `Quick
       test_engine_phase_attribution;
     Alcotest.test_case "eval-level budget" `Quick test_eval_budget;
+    Alcotest.test_case "derivation enumeration polls the budget" `Quick
+      test_eval_cancelled_enumeration;
   ]

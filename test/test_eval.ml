@@ -218,6 +218,30 @@ let test_dml_errors () =
   Alcotest.(check bool) "non-constant attribute" true
     (fails {|insert node c <x=P.v1.name> into doc("mols").G1;|})
 
+(* A pattern of [n] two-way alternatives: 2^n derivations. *)
+let alternatives n =
+  "graph P { "
+  ^ String.concat " "
+      (List.init n (fun i ->
+           Printf.sprintf "{ node a%d; } | { node b%d; };" i i))
+  ^ " }"
+
+(* Each statement is compiled just before it runs: a compile error in a
+   later statement surfaces after the earlier writes reached the sink. *)
+let test_effects_before_compile_error () =
+  let writes = ref 0 in
+  match
+    Eval.run
+      ~docs:[ ("mols", [ mol () ]) ]
+      ~writer:(fun _ -> incr writes)
+      (Gql.parse_program
+         {|insert node c <label="C"> into doc("mols").G1;
+           for Nope in doc("mols") return graph { node m; };|})
+  with
+  | exception Eval.Error _ ->
+    Alcotest.(check int) "the insert reached the writer" 1 !writes
+  | _ -> Alcotest.fail "the unknown pattern should fail"
+
 let suite =
   [
     Alcotest.test_case "co-authorship query (Fig 4.12/4.13)" `Quick
@@ -236,4 +260,6 @@ let suite =
     Alcotest.test_case "insert/delete graph lifecycle" `Quick
       test_dml_graph_lifecycle;
     Alcotest.test_case "DML errors" `Quick test_dml_errors;
+    Alcotest.test_case "writes precede a later compile error" `Quick
+      test_effects_before_compile_error;
   ]

@@ -1,21 +1,47 @@
 open Gql_core
-open Gql_graph
 
-let dblp = Test_eval.dblp
+(* One statement of every kind: assignment, return, let fold, DML, path
+   query, create view, drop view. *)
+let every_kind =
+  {|graph P { node v1; node v2; edge e (v1, v2); };
+    C := graph { node z; };
+    for P exhaustive in doc("D") return graph { node P.v1; };
+    for P exhaustive in doc("D") let C := graph { graph C; node P.v2; };
+    insert node n <person name="x"> into doc("D").G;
+    find path from a <k="s"> to b <k="t"> in doc("D");
+    create materialized view hot as for P exhaustive in doc("D")
+      return graph { node P.v1; };
+    drop view hot;|}
 
 let test_compile_shape () =
   let plan = Plan.compile (Gql.parse_program Test_eval.coauthor_query) in
   (* graph P definition compiles away; C := ...; for ... let C := ... *)
   Alcotest.(check int) "two statements" 2 (List.length plan);
-  match plan with
-  | [ Plan.Assign ("C", _); Plan.Assign ("C", Plan.Fold_compose { input; _ }) ] ->
-    (match input with
-    | Plan.Select { input = Plan.Source d; exhaustive; patterns; _ } ->
-      Alcotest.(check string) "selection over the doc" "DBLP" d;
-      Alcotest.(check bool) "exhaustive" true exhaustive;
-      Alcotest.(check int) "one derivation" 1 (List.length patterns)
-    | _ -> Alcotest.fail "expected a selection under the fold")
-  | _ -> Alcotest.fail "unexpected plan shape"
+  (match plan with
+  | [ Plan.Assign ("C", Ast.Tgraph _); Plan.Fold ("C", sel, Ast.Tgraph _) ] ->
+    Alcotest.(check string) "selection over the doc" "DBLP" sel.Plan.source;
+    Alcotest.(check bool) "exhaustive" true sel.Plan.exhaustive;
+    Alcotest.(check int) "one derivation" 1 (List.length sel.Plan.patterns);
+    Alcotest.(check bool) "where filter kept" true (sel.Plan.where <> None)
+  | _ -> Alcotest.fail "unexpected plan shape");
+  match Plan.compile (Gql.parse_program every_kind) with
+  | [
+   Plan.Assign ("C", _);
+   Plan.Return (_, _);
+   Plan.Fold ("C", _, _);
+   Plan.Write (Ast.Insert_node _);
+   Plan.Path _;
+   Plan.Create_view { name = "hot"; materialized = true; def; sel; _ };
+   Plan.Drop_view "hot";
+  ] ->
+    (* the view carries its definition with the pattern resolved inline *)
+    (match def.Ast.f_pattern with
+    | `Inline d ->
+      Alcotest.(check (option string)) "pattern named" (Some "P") d.Ast.g_name
+    | `Named _ -> Alcotest.fail "view pattern left unresolved");
+    Alcotest.(check string) "view pattern name" "P" sel.Plan.pname
+  | plan ->
+    Alcotest.failf "unexpected plan shape:@.%a" Plan.pp plan
 
 let test_explain () =
   let plan = Plan.compile (Gql.parse_program Test_eval.coauthor_query) in
@@ -25,83 +51,22 @@ let test_explain () =
   Alcotest.(check bool) "mentions fold-ω" true (Test_graph.contains text "fold-ω");
   Alcotest.(check bool) "mentions the source" true (Test_graph.contains text "doc(\"DBLP\")")
 
-let test_plan_equals_eval () =
-  let program = Gql.parse_program Test_eval.coauthor_query in
-  let docs = [ ("DBLP", dblp ()) ] in
-  let via_eval = Eval.run ~docs program in
-  let via_plan = Plan.execute ~docs (Plan.compile program) in
-  match Eval.var via_eval "C", Eval.var via_plan "C" with
-  | Some a, Some b ->
-    Alcotest.(check bool) "same co-authorship graph" true (Iso.isomorphic a b)
-  | _ -> Alcotest.fail "C unbound in one of the engines"
-
-let test_plan_return () =
-  let program =
-    Gql.parse_program
-      {|for graph P { node v1 <author>; node v2 <author>; }
-          exhaustive in doc("DBLP")
-        where P.v1.name < P.v2.name
-        return graph { node a <name=P.v1.name>; node b <name=P.v2.name>; edge e (a, b); }|}
-  in
-  let docs = [ ("DBLP", dblp ()) ] in
-  let via_eval = Eval.run ~docs program in
-  let via_plan = Plan.execute ~docs (Plan.compile program) in
-  Alcotest.(check int) "same number of returned graphs"
-    (List.length (Eval.returned via_eval))
-    (List.length (Eval.returned via_plan))
-
-let test_optimize_pushdown () =
-  let program =
-    Gql.parse_program
-      {|for graph P { node v1; node v2; edge e (v1, v2); }
-          exhaustive in doc("G")
-        where P.v1.label = "A" & P.v1.label != P.v2.label
-        return graph { node out <l=P.v2.label>; }|}
-  in
-  let plan = Plan.compile program in
-  let optimized = Plan.optimize plan in
-  (* the single-variable conjunct moves into the pattern; the
-     cross-variable one stays in the filter *)
-  (match optimized with
-  | [ Plan.Output (Plan.Compose { input = Plan.Select { patterns = [ p ]; post; _ }; _ }) ] ->
-    Alcotest.(check (option string)) "label constraint pushed into v1" (Some "A")
-      (Gql_matcher.Flat_pattern.required_label p.Gql_matcher.Rpq.core 0);
-    Alcotest.(check bool) "residual filter kept" true (post <> None)
-  | _ -> Alcotest.fail "unexpected optimized plan shape");
-  (* and both plans compute the same result *)
-  let docs = [ ("G", [ Test_graph.sample_g () ]) ] in
-  let a = Eval.returned (Plan.execute ~docs plan) in
-  let b = Eval.returned (Plan.execute ~docs optimized) in
-  Alcotest.(check int) "same result size" (List.length a) (List.length b)
-
-let test_optimize_skips_non_exhaustive () =
-  let program =
-    Gql.parse_program
-      {|for graph P { node v1; } in doc("G")
-        where P.v1.label = "A"
-        return graph { node out; }|}
-  in
-  match Plan.optimize (Plan.compile program) with
-  | [ Plan.Output (Plan.Compose { input = Plan.Select { post = Some _; _ }; _ }) ] -> ()
-  | _ -> Alcotest.fail "non-exhaustive filter must not move"
-
 let test_compile_errors () =
   let fails src =
     match Plan.compile (Gql.parse_program src) with
-    | exception Plan.Error _ -> true
+    | exception Eval.Error _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "unknown pattern" true
-    (fails {|for Nope in doc("X") return graph {}|})
+    (fails {|for Nope in doc("X") return graph {}|});
+  Alcotest.(check bool) "view with a let fold" true
+    (fails
+       {|create view v as for graph P { node a; } in doc("X")
+         let C := graph { node P.a; };|})
 
 let suite =
   [
     Alcotest.test_case "compilation shape" `Quick test_compile_shape;
     Alcotest.test_case "EXPLAIN output (§3.4 expression)" `Quick test_explain;
-    Alcotest.test_case "plan executor = interpreter (let)" `Quick test_plan_equals_eval;
-    Alcotest.test_case "plan executor = interpreter (return)" `Quick test_plan_return;
-    Alcotest.test_case "predicate pushdown optimization" `Quick test_optimize_pushdown;
-    Alcotest.test_case "pushdown respects non-exhaustive" `Quick
-      test_optimize_skips_non_exhaustive;
     Alcotest.test_case "compile errors" `Quick test_compile_errors;
   ]

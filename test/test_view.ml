@@ -160,6 +160,19 @@ let test_eval_self_containment () =
     {|C := graph { node z <Z> ; };
       create view bad as for graph P { node a; } exhaustive in doc("D")
       return C;|};
+  (* a resolved pattern must not lean on the program's other patterns:
+     the stored definition would not compile again *)
+  (match
+     Eval.run ~docs:[ ("D", [ chain 6 ]) ]
+       (Gql.parse_program
+          {|graph X { node a; };
+            graph W { graph X; node b; };
+            create view bad as for W exhaustive in doc("D")
+            return graph { node W.b; };|})
+   with
+  | exception Gql_core.Motif.Error msg ->
+    Alcotest.(check bool) "names the other pattern" true (contains ~sub:"X" msg)
+  | _ -> Alcotest.fail "a view leaning on another pattern should fail");
   (* views read base documents only *)
   expect_eval_error "base docs"
     ("create view a as " ^ def_src ^ ";\n"
@@ -383,6 +396,33 @@ let test_encode_decode () =
   match View.decode ~name:"x" "\003\255" with
   | exception Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated blob should be corrupt"
+
+(* A stored definition goes through the same derivation cap as a
+   query: decoding one with 2^13 derivations fails with the typed cap
+   error at the 4,097th, before the rest are built. *)
+let test_decode_derivation_cap () =
+  let def =
+    Test_eval.alternatives 13
+    ^ {| exhaustive in doc("D") return graph { node P.a0; }|}
+  in
+  (* the same definition is over the cap for a query, too *)
+  (match
+     Eval.run ~docs:[ ("D", [ chain 6 ]) ]
+       (Gql.parse_program ("for " ^ def ^ ";"))
+   with
+  | exception Eval.Error msg ->
+    Alcotest.(check bool) "query names the cap" true
+      (contains ~sub:"more than 4096 derivations" msg)
+  | _ -> Alcotest.fail "query over the derivation cap should fail");
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf '\000';
+  Codec.write_uvarint buf 0;
+  Codec.write_string buf ("for " ^ def);
+  match View.decode ~name:"wide" (Buffer.contents buf) with
+  | exception Eval.Error msg ->
+    Alcotest.(check bool) "decode names the cap" true
+      (contains ~sub:"more than 4096 derivations" msg)
+  | _ -> Alcotest.fail "decoding a view over the derivation cap should fail"
 
 let test_store_view_records () =
   let path = tmp "gql_view_records.db" in
@@ -615,6 +655,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
     Alcotest.test_case "blob encode/decode round-trip" `Quick
       test_encode_decode;
+    Alcotest.test_case "blob over the derivation cap is rejected" `Quick
+      test_decode_derivation_cap;
     Alcotest.test_case "store view records: newest wins, drop, verify" `Quick
       test_store_view_records;
     Alcotest.test_case "crash matrix: view records are all-or-nothing" `Slow
