@@ -512,26 +512,28 @@ let collection () =
         (t_scan /. t_filtered))
     patterns
 
-(* Two workloads, two engines.  Balanced: PPI clique queries whose
-   Φ(u₁) candidates carry comparable subtrees — static slicing is
-   already fine there, and the work-stealing engine must not regress
-   it.  Skewed: a synthetic hub graph where a single Φ(u₁) candidate
-   owns every match, the adversarial case for static slicing (one
-   domain inherits the whole search while the rest idle); stealing
-   redistributes the hub's subtrees.  Both engines must agree on
-   [n_found]; the WS steal/spawn counters are emitted so the JSON shows
-   the protocol actually engaged (on a single-core runner the
-   wall-clock columns are about overhead, not speedup). *)
+(* The work-stealing engine on two workloads, plus its dispatch cost.
+   Balanced: PPI clique queries whose Φ(u₁) candidates carry comparable
+   subtrees; more domains must not regress them. Skewed: a synthetic
+   hub graph where a single Φ(u₁) candidate owns every match (one
+   static slice would inherit the whole search); stealing redistributes
+   the hub's subtrees. Every width must find the sequential [n_found];
+   the steal/spawn counters are emitted so the JSON shows the protocol
+   actually engaged (on a single-core runner the wall-clock columns are
+   about overhead, not speedup). Dispatch: 2,000 fanned-out searches of
+   a triangle on a 6-node graph (two matches), so the time is the
+   fan-out itself; the pool's helper count must not grow across them. *)
 let parallel () =
-  header "Parallel search: work-stealing vs static slicing";
+  header "Parallel search: work-stealing engine, balanced and skewed";
   let module Par = Gql_matcher.Parallel in
   let module Ws = Gql_matcher.Ws in
+  let module Pool = Gql_matcher.Pool in
   let module M = Gql_obs.Metrics in
   let g, lidx, pidx = Lazy.force ppi_env in
   let labels = Queries.top_labels lidx 40 in
   let weights = Queries.label_weights lidx labels in
   row "balanced workload: PPI clique queries, profile-pruned spaces\n";
-  row "%-8s %12s %12s %12s %12s\n" "size" "ws x1" "ws x2" "ws x4" "static x4";
+  row "%-8s %12s %12s %12s\n" "size" "ws x1" "ws x2" "ws x4";
   List.iter
     (fun size ->
       let rng = Rng.create (9000 + size) in
@@ -548,19 +550,17 @@ let parallel () =
                 ~profile_index:pidx q g ))
           qs
       in
-      let cell engine domains =
+      let ws domains =
         let _, t =
           time (fun () ->
               List.iter
-                (fun (q, space) -> ignore (engine ~domains q g space))
+                (fun (q, space) -> ignore (Par.search ~domains q g space))
                 spaces)
         in
         ms t /. float_of_int n_queries
       in
-      let ws d = cell (fun ~domains q g s -> Par.search ~domains q g s) d in
-      let st d = cell (fun ~domains q g s -> Par.search_static ~domains q g s) d in
-      let c1 = ws 1 and c2 = ws 2 and c4 = ws 4 and s4 = st 4 in
-      row "%-8d %12.3f %12.3f %12.3f %12.3f\n" size c1 c2 c4 s4;
+      let c1 = ws 1 and c2 = ws 2 and c4 = ws 4 in
+      row "%-8d %12.3f %12.3f %12.3f\n" size c1 c2 c4;
       emit_json
         (Printf.sprintf "parallel.balanced.size%d" size)
         (Json.Obj
@@ -568,7 +568,6 @@ let parallel () =
              ("ws1_ms", Json.Float c1);
              ("ws2_ms", Json.Float c2);
              ("ws4_ms", Json.Float c4);
-             ("static4_ms", Json.Float s4);
            ]))
     [ 4; 5; 6 ];
   (* skewed workload: 64 candidates for u₁, one hub adjacent to a
@@ -591,28 +590,21 @@ let parallel () =
   let hub_space = Feasible.compute ~retrieval:`Node_attrs hub_p hub_g in
   let reps = scale 10 30 in
   let expected = (Search.run hub_p hub_g hub_space).Search.n_found in
-  let skew_cell engine domains =
-    let check (out : Search.outcome) =
-      if out.Search.n_found <> expected then begin
-        Printf.eprintf "FAIL: skewed run found %d matches, expected %d\n"
-          out.Search.n_found expected;
-        exit 1
-      end
-    in
-    check (engine ~domains hub_p hub_g hub_space);
+  let ws_cell domains =
+    let out = Par.search ~domains hub_p hub_g hub_space in
+    if out.Search.n_found <> expected then begin
+      Printf.eprintf "FAIL: skewed run found %d matches, expected %d\n"
+        out.Search.n_found expected;
+      exit 1
+    end;
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
-            ignore (engine ~domains hub_p hub_g hub_space)
+            ignore (Par.search ~domains hub_p hub_g hub_space)
           done)
     in
     ms t /. float_of_int reps
   in
-  let ws_cell d = skew_cell (fun ~domains p g s -> Par.search ~domains p g s) d in
-  let st_cell d =
-    skew_cell (fun ~domains p g s -> Par.search_static ~domains p g s) d
-  in
-  let s1 = st_cell 1 and s2 = st_cell 2 and s4 = st_cell 4 in
   let w1 = ws_cell 1 and w2 = ws_cell 2 and w4 = ws_cell 4 in
   (* counters from one instrumented 4-domain WS run: nonzero spawn and
      steal counts are the proof the skewed search was redistributed *)
@@ -623,7 +615,6 @@ let parallel () =
   let idle = M.get metrics M.Parallel_idle_polls in
   row "skewed workload: hub graph, %d matches, all through Φ(u1)[0]\n" expected;
   row "%-8s %12s %12s %12s\n" "engine" "x1" "x2" "x4";
-  row "%-8s %12.3f %12.3f %12.3f\n" "static" s1 s2 s4;
   row "%-8s %12.3f %12.3f %12.3f\n" "ws" w1 w2 w4;
   row "ws x4 counters: %d task(s) spawned, %d steal(s), %d idle poll(s)\n"
     spawned steals idle;
@@ -637,12 +628,9 @@ let parallel () =
          ( "workload",
            Json.Str
              "hub graph: |Φ(u1)| = 64, one hub owns every 4-clique match \
-              (24-node community); static slicing strands the search in one \
-              domain" );
+              (24-node community); one static slice per domain would strand \
+              the search in one domain" );
          ("n_found", Json.Int expected);
-         ("static1_ms", Json.Float s1);
-         ("static2_ms", Json.Float s2);
-         ("static4_ms", Json.Float s4);
          ("ws1_ms", Json.Float w1);
          ("ws2_ms", Json.Float w2);
          ("ws4_ms", Json.Float w4);
@@ -655,6 +643,51 @@ let parallel () =
                 "measured on %d available core(s): speedup columns only mean \
                  anything above 1"
                 (Domain.recommended_domain_count ())) );
+       ]);
+  (* dispatch: the per-search fan-out cost, and the proof that the
+     pool's helpers are reused rather than started per search *)
+  let tiny_g =
+    Graph.of_labeled
+      ~labels:[| "A"; "B"; "C"; "A"; "B"; "C" |]
+      [ (0, 1); (1, 2); (0, 2); (3, 4); (4, 5); (3, 5) ]
+  in
+  let tiny_p = FP.clique [ "A"; "B"; "C" ] in
+  let tiny_space = Feasible.compute ~retrieval:`Node_attrs tiny_p tiny_g in
+  let tiny_expected = (Search.run tiny_p tiny_g tiny_space).Search.n_found in
+  let domains = 4 and searches = 2000 in
+  let before = Pool.helpers () in
+  ignore (Par.search ~domains tiny_p tiny_g tiny_space);
+  let warm = Pool.helpers () in
+  let wrong = ref 0 in
+  let _, t =
+    time (fun () ->
+        for _ = 1 to searches do
+          let out = Par.search ~domains tiny_p tiny_g tiny_space in
+          if out.Search.n_found <> tiny_expected then incr wrong
+        done)
+  in
+  let after = Pool.helpers () in
+  let us = t *. 1e6 /. float_of_int searches in
+  row "dispatch: %d searches x%d domains, %.1f us/search, %d helper(s)\n"
+    searches domains us after;
+  if !wrong > 0 then begin
+    Printf.eprintf "FAIL: %d dispatch search(es) found the wrong count\n" !wrong;
+    exit 1
+  end;
+  if after <> warm || after > max before (domains - 1) then begin
+    Printf.eprintf
+      "FAIL: the pool grew to %d helper(s) over %d searches (%d after the \
+       first, %d before)\n"
+      after searches warm before;
+    exit 1
+  end;
+  emit_json "parallel.dispatch"
+    (Json.Obj
+       [
+         ("searches", Json.Int searches);
+         ("domains", Json.Int domains);
+         ("us_per_search", Json.Float us);
+         ("helpers", Json.Int after);
        ])
 
 let storage () =

@@ -43,7 +43,7 @@ type t = {
   (* gid -> that graph's plans, so retiring a graph is one removal *)
   plans : (int, (pkey, plan) Hashtbl.t) Hashtbl.t;
   mutable n_plans : int;  (* total over the per-graph tables *)
-  rows : Lru.t;
+  rows : int array Lru.t;
   pkeys : string PatTbl.t;
   (* per-graph epochs: gid -> how many times this document slot has been
      replaced by a write. Gids are never reused, so a stale retrieval
@@ -53,6 +53,8 @@ type t = {
   (* the shared learned planner statistics: only ever touched under the
      mutex ([Stats.t] is not domain-safe); planners read {!Stats.snapshot}s *)
   learned : Gql_matcher.Stats.t;
+  (* the copy planners read, and the learned epoch it was taken at *)
+  mutable snapshot : (int * Gql_matcher.Stats.t) option;
   mutable invalidations : int;
 }
 
@@ -76,10 +78,12 @@ let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
     indexes = Hashtbl.create 64;
     plans = Hashtbl.create 256;
     n_plans = 0;
-    rows = Lru.create ~budget_bytes:retrieval_budget_bytes;
+    rows =
+      Lru.create ~budget_bytes:retrieval_budget_bytes ~weight:Lru.entry_bytes;
     pkeys = PatTbl.create 64;
     epochs = Hashtbl.create 64;
     learned = Gql_matcher.Stats.create ();
+    snapshot = None;
     invalidations = 0;
   }
 
@@ -313,8 +317,17 @@ let row t ~metrics ~retrieval g p u ~compute =
 
 let learned_epoch t = locked t (fun () -> Gql_matcher.Stats.epoch t.learned)
 
+(* One copy per epoch: plans are keyed by the epoch, so a plan made
+   from this copy is as fresh as the cache will treat it anyway. *)
 let learned_snapshot t =
-  locked t (fun () -> Gql_matcher.Stats.snapshot t.learned)
+  locked t (fun () ->
+      let epoch = Gql_matcher.Stats.epoch t.learned in
+      match t.snapshot with
+      | Some (e, s) when e = epoch -> s
+      | _ ->
+        let s = Gql_matcher.Stats.snapshot t.learned in
+        t.snapshot <- Some (epoch, s);
+        s)
 
 let observe_learned t ~f = locked t (fun () -> f t.learned)
 

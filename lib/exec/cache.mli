@@ -154,8 +154,12 @@ val learned_epoch : t -> int
     [epoch_every] observed runs — see {!Gql_matcher.Stats}). *)
 
 val learned_snapshot : t -> Gql_matcher.Stats.t
-(** Deep copy of the shared learned statistics, safe to plan from on
-    any domain while jobs keep feeding the original. *)
+(** A deep copy of the shared learned statistics, safe to plan from on
+    any domain while jobs keep feeding the original. The copy is taken
+    once per {!learned_epoch} and shared by every caller in that epoch
+    (physically the same value — do not mutate it): observations folded
+    in since are seen from the next epoch on, the same granularity at
+    which cached plans age. *)
 
 val observe_learned : t -> f:(Gql_matcher.Stats.t -> unit) -> unit
 (** Run [f] on the shared learned statistics under the cache mutex —

@@ -1,14 +1,15 @@
-(* Byte-budgeted LRU over a doubly-linked recency list + Hashtbl.
+(* Byte-budgeted LRU over a doubly-linked recency list + Hashtbl,
+   polymorphic in the value; the creator says what an entry weighs.
 
    The list head is the most recently used entry, the tail the coldest.
    Every operation is O(1) except the eviction loop, which is O(evicted). *)
 
-type node = {
+type 'a node = {
   key : string;
-  mutable value : int array;
+  mutable value : 'a;
   mutable bytes : int;
-  mutable prev : node option;
-  mutable next : node option;
+  mutable prev : 'a node option;
+  mutable next : 'a node option;
 }
 
 type stats = {
@@ -20,22 +21,24 @@ type stats = {
   evictions : int;
 }
 
-type t = {
-  tbl : (string, node) Hashtbl.t;
+type 'a t = {
+  tbl : (string, 'a node) Hashtbl.t;
   budget : int;
-  mutable head : node option;
-  mutable tail : node option;
+  weight : string -> 'a -> int;
+  mutable head : 'a node option;
+  mutable tail : 'a node option;
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-let create ~budget_bytes =
+let create ~budget_bytes ~weight =
   if budget_bytes <= 0 then invalid_arg "Lru.create: budget_bytes <= 0";
   {
     tbl = Hashtbl.create 256;
     budget = budget_bytes;
+    weight;
     head = None;
     tail = None;
     bytes = 0;
@@ -92,8 +95,8 @@ let evict_to_fit t =
     | None -> t.bytes <- 0 (* unreachable: no entries charge no bytes *)
   done
 
-let add t key row =
-  let cost = entry_bytes key row in
+let add t key value =
+  let cost = t.weight key value in
   if cost > t.budget then
     (* Would evict the whole cache and still not fit: refuse. *)
     t.evictions <- t.evictions + 1
@@ -101,11 +104,11 @@ let add t key row =
     (match Hashtbl.find_opt t.tbl key with
     | Some n ->
       t.bytes <- t.bytes - n.bytes + cost;
-      n.value <- row;
+      n.value <- value;
       n.bytes <- cost;
       touch t n
     | None ->
-      let n = { key; value = row; bytes = cost; prev = None; next = None } in
+      let n = { key; value; bytes = cost; prev = None; next = None } in
       Hashtbl.add t.tbl key n;
       push_front t n;
       t.bytes <- t.bytes + cost);

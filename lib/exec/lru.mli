@@ -1,30 +1,31 @@
-(** Byte-budgeted LRU cache of candidate rows.
+(** Byte-budgeted LRU cache keyed by strings.
 
-    The exec service's retrieval cache: maps a pattern-node signature to
-    the feasible-mate row Φ(u) computed for it. Entries are charged
-    their approximate heap footprint (key bytes + 8 bytes per candidate
-    + constant overhead) against a fixed byte budget; inserting past the
-    budget evicts least-recently-used entries until the cache fits
-    again.
+    Two caches of the exec service are instances: the retrieval cache
+    ({!Cache}), which maps a pattern-node signature to the feasible-mate
+    row Φ(u) computed for it, and the {!Service} parse cache, which maps
+    a query text to its AST. Each entry is charged the [weight] its
+    creator gives it — an approximate heap footprint — against a fixed
+    byte budget; inserting past the budget evicts least-recently-used
+    entries until the cache fits again.
 
-    Not synchronized — [Gql_exec.Cache] wraps every call in the service
-    cache mutex. *)
+    Not synchronized — the owner wraps every call in its mutex. *)
 
-type t
+type 'a t
 
-val create : budget_bytes:int -> t
-(** [budget_bytes] must be positive. An entry larger than the whole
-    budget is not cached at all (counted as an eviction). *)
+val create : budget_bytes:int -> weight:(string -> 'a -> int) -> 'a t
+(** [budget_bytes] must be positive. [weight key value] is the bytes an
+    entry is charged. An entry larger than the whole budget is not
+    cached at all (counted as an eviction). *)
 
-val find : t -> string -> int array option
+val find : 'a t -> string -> 'a option
 (** Marks the entry most recently used. Counts a hit or a miss. *)
 
-val add : t -> string -> int array -> unit
+val add : 'a t -> string -> 'a -> unit
 (** Insert (or replace) and evict from the cold end until within
-    budget. The stored array is shared with the caller — treat rows as
+    budget. The stored value is shared with the caller — treat it as
     immutable. *)
 
-val mem : t -> string -> bool
+val mem : 'a t -> string -> bool
 (** Does not touch recency or the hit/miss counters. *)
 
 type stats = {
@@ -36,11 +37,12 @@ type stats = {
   evictions : int;
 }
 
-val stats : t -> stats
+val stats : 'a t -> stats
 
-val clear : t -> unit
+val clear : 'a t -> unit
 (** Drop every entry (does not reset the counters). *)
 
 val entry_bytes : string -> int array -> int
-(** The footprint charged for a (key, row) pair — exposed so tests can
+(** The weight of a candidate row: key bytes + 8 bytes per candidate +
+    constant overhead — what {!Cache} charges, exposed so tests can
     size a budget for an exact eviction scenario. *)

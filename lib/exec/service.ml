@@ -78,7 +78,7 @@ type t = {
   agg : M.t;
   (* parse cache: query text -> AST (ASTs are immutable, sharing is safe) *)
   p_mutex : Mutex.t;
-  parsed : (string, Gql_core.Ast.program) Hashtbl.t;
+  parsed : Gql_core.Ast.program Lru.t;
   mutable domains : unit Domain.t list;
 }
 
@@ -162,8 +162,9 @@ let source t job =
      domain runs its own query (inter-query parallelism, caches hot);
      when this is the only live query and it is about to walk a big
      search space, fan the search itself out over the work-stealing
-     engine. Tiny searches stay sequential — domain spawn/join costs
-     more than they do. *)
+     engine. Tiny searches stay sequential — handing work to the
+     pool's parked helpers and waiting for them costs more than they
+     do. *)
   let domains ~order space =
     if
       t.search_domains > 1
@@ -536,6 +537,15 @@ let worker t () =
 
 (* --- public API ------------------------------------------------------------ *)
 
+(* The parse cache's budget: a never-repeated workload must not grow the
+   process with every text it sends. An entry is charged the AST's
+   reachable heap words plus the text; a few KB each on the PPI
+   selections, so the budget keeps several hundred texts. *)
+let parse_budget_bytes = 4 * 1024 * 1024
+
+let ast_bytes src program =
+  String.length src + (8 * Obj.reachable_words (Obj.repr program)) + 64
+
 let create ?jobs ?search_domains ?(quantum = 4096)
     ?(strategy = Engine.optimized) ?plan_capacity ?retrieval_budget_bytes
     ?(docs = []) ?on_write () =
@@ -577,7 +587,7 @@ let create ?jobs ?search_domains ?(quantum = 4096)
       on_write;
       agg = M.create ();
       p_mutex = Mutex.create ();
-      parsed = Hashtbl.create 64;
+      parsed = Lru.create ~budget_bytes:parse_budget_bytes ~weight:ast_bytes;
       domains = [];
     }
   in
@@ -596,12 +606,12 @@ let submit t ?deadline ?cancel ?after src =
      and its DML statements reserve log positions now. A parse failure
      reserves none; the job reports it when run. *)
   let parsed =
-    match locked t.p_mutex (fun () -> Hashtbl.find_opt t.parsed src) with
+    match locked t.p_mutex (fun () -> Lru.find t.parsed src) with
     | Some program -> Ok (program, true)
     | None -> (
       match Gql_core.Gql.parse_program src with
       | program ->
-        locked t.p_mutex (fun () -> Hashtbl.replace t.parsed src program);
+        locked t.p_mutex (fun () -> Lru.add t.parsed src program);
         Ok (program, false)
       | exception e -> Error e)
   in
@@ -731,6 +741,7 @@ let applied t = Atomic.get t.applied
 let graph_epoch t g = Cache.graph_epoch t.cache g
 let metrics t = t.agg
 let cache_stats t = Cache.stats t.cache
+let parse_stats t = locked t.p_mutex (fun () -> Lru.stats t.parsed)
 
 let shutdown t =
   locked t.q_mutex (fun () ->

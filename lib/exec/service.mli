@@ -33,9 +33,12 @@
     as [Error.Eval "internal: ..."] so the batch completes and the
     failure is visible in its outcome.
 
-    {b Warm path.} Each text is parsed once, at {!submit}, through a
-    parse cache. A (pattern, graph) run whose plan is cached goes
-    straight to search. Only a search on a newly built plan feeds the
+    {b Warm path.} A text is parsed at {!submit}, through a parse
+    cache, once for as long as it stays cached. The parse cache is an
+    {!Lru} with a fixed budget of a few MiB, charged each AST's
+    reachable heap size, so a stream of never-repeated texts evicts the
+    coldest instead of growing the process. A (pattern, graph) run
+    whose plan is cached goes straight to search. Only a search on a newly built plan feeds the
     shared learned statistics: repeating a search on an immutable graph
     observes nothing new, so warm plans stay fresh.
 
@@ -85,8 +88,11 @@ val create :
     [search_domains] splits the machine between inter- and intra-query
     parallelism: when a query reaches its search phase with {e nothing
     else queued} and a non-trivial candidate space, the search runs on
-    the work-stealing engine with this many domains instead of
-    sequentially. Defaults to
+    the work-stealing engine with this many workers instead of
+    sequentially — one on the job's own domain, the others on the
+    parked helper domains of {!Gql_matcher.Pool}, which the first such
+    search starts and later ones reuse (no domain is spawned per
+    search). Defaults to
     [max 1 (Domain.recommended_domain_count () / jobs)] — the cores the
     job pool leaves idle. Cached (warm-plan) searches use it too; the
     [`Subgraphs] fallback path stays sequential. *)
@@ -180,6 +186,10 @@ val metrics : t -> Gql_obs.Metrics.t
     {!drain}) — completions merge into it concurrently. *)
 
 val cache_stats : t -> Cache.stats
+
+val parse_stats : t -> Lru.stats
+(** The parse cache: entries, charged bytes against its constant
+    budget, hits, misses and evictions. *)
 
 val shutdown : t -> unit
 (** Stop the workers (after finishing queued work) and join them. Call

@@ -1,142 +1,3 @@
-let default_domains () = Ws.default_domains ()
-
-let slices k xs =
-  (* round-robin so dense candidate regions spread across domains *)
-  let n = Array.length xs in
-  let buckets =
-    Array.init (min k n) (fun b ->
-        (* bucket b takes xs.(b), xs.(b+k), ... — preserves ascending
-           order within each slice *)
-        Array.init ((n - b + k - 1) / k) (fun i -> xs.((i * k) + b)))
-  in
-  Array.to_list buckets
-
-let min_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (min a b)
-
-(* The PR4-era static engine: Φ(u₁) is round-robin partitioned once and
-   each domain runs the sequential search on its slice. Kept as the
-   baseline the work-stealing engine is benchmarked against (bench
-   `parallel`), and as a property-test cross-check. *)
-let search_static ?domains ?order ?limit ?limit_per_domain
-    ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled) p g
-    space =
-  let module M = Gql_obs.Metrics in
-  let k = Flat_pattern.size p in
-  let n_domains = max 1 (Option.value domains ~default:(default_domains ())) in
-  let order =
-    match order with
-    | Some o when Array.length o > 0 -> o
-    | _ -> Array.init k (fun i -> i)
-  in
-  if k = 0 || n_domains = 1 then
-    Search.run ?limit:(min_opt limit limit_per_domain) ~budget ~metrics ~order p
-      g space
-  else begin
-    let u0 = order.(0) in
-    let parts = slices n_domains space.Feasible.candidates.(u0) in
-    (* Cancelling [siblings] stops every domain at its next poll: used
-       when the global limit is reached or a domain dies, on top of
-       whatever tokens the caller's budget already carries. *)
-    let siblings = Budget.token () in
-    let domain_budget = Budget.with_token budget siblings in
-    (* Tickets make the global limit exact: a mapping is recorded iff
-       its fetch-and-add ticket is below [limit], so the merged outcome
-       holds exactly [min limit total] mappings — not the old
-       [domains × limit_per_domain] over-delivery. *)
-    let tickets = Atomic.make 0 in
-    let worker part () =
-      (* metrics are single-domain: each worker writes into its own
-         instance (plain int refs, no contention) and the per-domain
-         results are merged into the caller's after the join *)
-      let dm = if M.enabled metrics then M.create () else M.disabled in
-      let space' =
-        {
-          Feasible.candidates =
-            Array.mapi
-              (fun u c -> if u = u0 then part else c)
-              space.Feasible.candidates;
-        }
-      in
-      let results = ref [] in
-      let n = ref 0 in
-      let on_match phi =
-        let accepted =
-          match limit with
-          | None -> true
-          | Some l ->
-            let ticket = Atomic.fetch_and_add tickets 1 in
-            if ticket + 1 >= l then Budget.cancel siblings;
-            ticket < l
-        in
-        if accepted then begin
-          incr n;
-          results := Array.copy phi :: !results
-        end;
-        let local_full =
-          match limit_per_domain with Some l -> !n >= l | None -> false
-        in
-        if (not accepted) || local_full then `Stop else `Continue
-      in
-      let visited, stopped =
-        Search.run_raw ~budget:domain_budget ~metrics:dm ~order ~on_match p g
-          space'
-      in
-      (List.rev !results, !n, visited, stopped, dm)
-    in
-    let spawned =
-      List.map
-        (fun part ->
-          Domain.spawn (fun () ->
-              match worker part () with
-              | outcome -> Ok outcome
-              | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                (* stop the siblings promptly, then report after join *)
-                Budget.cancel siblings;
-                Error (e, bt)))
-        parts
-    in
-    (* join every domain before acting on failures: no wedged domain is
-       ever leaked, and the first captured exception is re-raised with
-       its original backtrace once all the others have landed *)
-    let joined = List.map Domain.join spawned in
-    let failure =
-      List.find_map (function Error eb -> Some eb | Ok _ -> None) joined
-    in
-    (match failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    let outcomes =
-      List.filter_map (function Ok o -> Some o | Error _ -> None) joined
-    in
-    (* accumulate reversed with rev_append (linear overall), then one
-       final rev — the old [acc.mappings @ o.mappings] fold was
-       quadratic in the number of domains × results *)
-    let rev_mappings, n_found, visited, reason =
-      List.fold_left
-        (fun (ms, n, vis, reason) (mappings, n_dom, visited, stopped, dm) ->
-          M.merge ~into:metrics dm;
-          ( List.rev_append mappings ms,
-            n + n_dom,
-            vis + visited,
-            Budget.worst reason stopped ))
-        ([], 0, 0, Budget.Exhausted)
-        outcomes
-    in
-    let stopped =
-      (* the limit being reached dominates: domains stopped by the
-         internal token report Cancelled, but globally this is just the
-         requested truncation *)
-      match limit with
-      | Some l when n_found >= l -> Budget.Hit_limit
-      | _ -> reason
-    in
-    { Search.mappings = List.rev rev_mappings; n_found; visited; stopped }
-  end
-
 let search ?domains ?order ?limit ?limit_per_domain ?budget ?metrics p g space
     =
   Ws.search ?domains ?order ?limit ?limit_per_domain ?budget ?metrics p g

@@ -1,21 +1,21 @@
 (** Parallel graph pattern matching (OCaml 5 domains).
 
     §7's scalability direction: the Algorithm 4.1 search parallelizes
-    naturally over the Φ(u₁) × … product space. Since PR5 the default
-    engine is {e work-stealing} ({!Ws}): domains start from seed slices
-    of Φ(u₁) but rebalance by stealing the shallowest pending subtree
-    from a busy sibling, so a skewed Φ(u₁) no longer strands the work
-    on one domain. The historical static-slicing engine survives as
-    {!search_static} (benchmark baseline and property-test
-    cross-check).
+    naturally over the Φ(u₁) × … product space. The engine is
+    {e work-stealing} ({!Ws}): workers start from seed slices of Φ(u₁)
+    but rebalance by stealing the shallowest pending subtree from a
+    busy sibling, so a skewed Φ(u₁) does not strand the work on one
+    domain. Worker 0 runs on the calling domain; the others run on the
+    parked helpers of the process-wide {!Pool}, so a search spawns no
+    domain once the pool has grown to the widest fan-out seen.
 
     Retrieval, refinement and ordering stay sequential (they are a
     small fraction of the time on selective queries); only the search
     fans out.
 
-    Governance: the caller's {!Budget.t} is shared by every domain,
+    Governance: the caller's {!Budget.t} is shared by every worker,
     extended with an internal cancellation token so that reaching the
-    global [limit] — or a domain dying — stops the siblings at their
+    global [limit] — or a worker dying — stops the siblings at their
     next poll instead of letting them run to exhaustion. *)
 
 open Gql_graph
@@ -49,37 +49,21 @@ val search :
     bound per-worker latency; combine with [limit] for an exact global
     cap.
 
-    If a domain raises, the siblings are cancelled, {e all} domains are
-    joined, and the first captured exception is re-raised with its
-    original backtrace — no domain is ever leaked.
+    If a worker raises, the siblings are cancelled, the call waits for
+    {e every} worker to finish, and the first captured exception is
+    re-raised with its original backtrace — no helper is left running
+    the search.
 
     When the budget stops the search, [stopped] is the worst reason
     across domains ([Cancelled] > [Deadline] > [Step_budget]) and
     [mappings] holds whatever each domain had found; [visited] sums the
     per-domain Check calls.
 
-    [metrics]: each domain records into a private instance (no shared
+    [metrics]: each worker records into a private instance (no shared
     mutable state on the hot path) and the per-domain counters —
     including [parallel.steals] / [parallel.tasks_spawned] /
     [parallel.idle_polls] — are merged into the caller's metrics after
-    every domain has joined. *)
-
-val search_static :
-  ?domains:int ->
-  ?order:int array ->
-  ?limit:int ->
-  ?limit_per_domain:int ->
-  ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  Flat_pattern.t ->
-  Graph.t ->
-  Feasible.space ->
-  Search.outcome
-(** The PR4-era engine: Φ(u₁) round-robin partitioned into one static
-    slice per domain, no rebalancing. Same limit / budget / exception
-    contract as {!search}. Kept as the bench baseline for the
-    work-stealing engine and as a second implementation for property
-    tests; new callers should use {!search}. *)
+    every worker has finished. *)
 
 val count_matches :
   ?domains:int ->

@@ -1,10 +1,10 @@
 (* Work-stealing parallel search.
 
-   The static slicing in [Parallel.search_static] partitions Φ(u₁) once
-   and hopes the slices are balanced; under a skewed Φ(u₁) (one hub
-   node owning almost the whole search tree) every domain but one goes
-   idle. Here each domain owns a {!Deque} of subtree tasks — a prefix
-   assignment u₁…uⱼ ↦ v₁…vⱼ plus a candidate range at level j — and:
+   Partitioning Φ(u₁) once into static slices leaves every domain but
+   one idle under a skewed Φ(u₁) (one hub node owning almost the whole
+   search tree). Here each worker owns a {!Deque} of subtree tasks — a
+   prefix assignment u₁…uⱼ ↦ v₁…vⱼ plus a candidate range at level j —
+   and:
 
    - expands its own subtree depth-first, exactly like the sequential
      engine (same [Search.node_check], same budget accounting);
@@ -20,9 +20,11 @@
      backing off to a micro-sleep) until either work appears or the
      global pending-task count hits zero.
 
-   Global ~limit, sibling cancellation, exception re-raise and
-   per-domain metrics behave exactly as in the static engine; see
-   Parallel's interface for the contract.
+   Worker 0 runs on the calling domain, workers 1..n-1 on parked
+   helpers of {!Pool}, which outlive the search: no domain is spawned
+   or joined per search once the pool is warm. Global ~limit, sibling
+   cancellation, exception re-raise (after every worker has finished)
+   and per-worker metrics are described in Parallel's interface.
 
    Adaptive mode ([~adapt]) shares one plan — (order, back edges,
    per-position estimates, epoch) — through an Atomic. A task is bound
@@ -409,25 +411,22 @@ let search ?domains ?order ?limit ?limit_per_domain
       end;
       (List.rev !results, !n, !visited, !reason, dm, prof, !prof_epoch)
     in
-    let spawned_domains =
-      List.init n_domains (fun wid ->
-          Domain.spawn (fun () ->
-              match worker wid () with
-              | outcome -> Ok outcome
-              | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                Budget.cancel siblings;
-                Error (e, bt)))
+    (* worker 0 runs here, the others on parked pool helpers; [Pool.run]
+       returns only after every worker has finished *)
+    let finished =
+      Pool.run n_domains (fun wid ->
+          match worker wid () with
+          | outcome -> outcome
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Budget.cancel siblings;
+            Printexc.raise_with_backtrace e bt)
     in
-    let joined = List.map Domain.join spawned_domains in
-    let failure =
-      List.find_map (function Error eb -> Some eb | Ok _ -> None) joined
-    in
-    (match failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
     let outcomes =
-      List.filter_map (function Ok o -> Some o | Error _ -> None) joined
+      Array.to_list finished
+      |> List.map (function
+           | Ok o -> o
+           | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     in
     let rev_mappings, n_found, visited, reason =
       List.fold_left

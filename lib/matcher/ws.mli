@@ -2,7 +2,10 @@
 
     Sits below {!Engine} so both the single-query pipeline and
     {!Parallel.search} (which delegates here) can fan a search out
-    across OCaml 5 domains. Each domain owns a {!Deque} of subtree
+    across OCaml 5 domains. [~domains:n] runs worker 0 on the calling
+    domain and workers 1..n-1 on parked helpers of the process-wide
+    {!Pool}: once the pool has grown to the widest fan-out seen, a
+    search spawns no domain. Each worker owns a {!Deque} of subtree
     tasks (prefix assignment + candidate range), expands depth-first
     with the shared {!Search.node_check}, lazily exposes the shallowest
     untouched siblings for thieves, and steals the shallowest pending
@@ -10,13 +13,14 @@
 
     Semantics match {!Search.run} up to mapping order: the returned
     mapping {e set}, [n_found], and the [stopped] classification are
-    identical; [visited] sums per-domain Check calls. [limit] is a
-    global cap enforced exactly via atomic tickets; when any domain
-    raises, siblings are cancelled, all are joined, and the first
-    exception is re-raised with its backtrace.
+    identical; [visited] sums per-worker Check calls. [limit] is a
+    global cap enforced exactly via atomic tickets; when any worker
+    raises, siblings are cancelled, the call waits until every worker
+    has finished, and the first exception is re-raised with its
+    backtrace.
 
-    Per-domain metrics (merged after join) additionally record
-    [parallel.steals], [parallel.tasks_spawned] and
+    Per-worker metrics (merged once all have finished) additionally
+    record [parallel.steals], [parallel.tasks_spawned] and
     [parallel.idle_polls]. *)
 
 open Gql_graph
@@ -60,4 +64,4 @@ val search :
     their prefix was captured under, so the match set is exactly that
     of the static search. [model] is the γ source for re-planning
     estimates (default [Constant]); [report] receives the final plan,
-    merged profile and re-plan count after the join. *)
+    merged profile and re-plan count once every worker has finished. *)

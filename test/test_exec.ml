@@ -20,7 +20,7 @@ let test_lru_eviction () =
   let k i = Printf.sprintf "key%d" i in
   let r = Array.init 4 (fun i -> i) in
   let per = Lru.entry_bytes (k 0) r in
-  let lru = Lru.create ~budget_bytes:(2 * per) in
+  let lru = Lru.create ~budget_bytes:(2 * per) ~weight:Lru.entry_bytes in
   Lru.add lru (k 0) r;
   Lru.add lru (k 1) r;
   (* touch k0 so k1 is the cold end when k2 arrives *)
@@ -42,7 +42,7 @@ let test_lru_eviction () =
   Alcotest.(check int) "residents untouched" 2 s'.Lru.entries
 
 let test_lru_counters () =
-  let lru = Lru.create ~budget_bytes:(1024 * 1024) in
+  let lru = Lru.create ~budget_bytes:(1024 * 1024) ~weight:Lru.entry_bytes in
   Lru.add lru "a" [| 1; 2 |];
   ignore (Lru.find lru "a");
   ignore (Lru.find lru "a");
@@ -592,6 +592,65 @@ let test_parse_once_per_text () =
     (M.get (Service.metrics t) M.Exec_cache_miss);
   Alcotest.(check int) "repeats hit" 2 (M.get (Service.metrics t) M.Exec_cache_hit)
 
+(* A stream of never-repeated texts keeps the parse cache within its
+   constant budget: the coldest ASTs are evicted. *)
+let test_parse_cache_bounded () =
+  let q x =
+    Printf.sprintf
+      {|C := graph { node a <label="A">; };
+        for graph P { node v1 where label="A"; } in doc("C")
+        return graph { node m <x=%d>; };|}
+      x
+  in
+  let t = Service.create ~jobs:1 () in
+  let n = 5000 in
+  for x = 1 to n do
+    ignore (Service.submit t (q x));
+    let s = Service.parse_stats t in
+    if s.Lru.bytes > s.Lru.budget then
+      Alcotest.failf "after %d texts: %d bytes > budget %d" x s.Lru.bytes
+        s.Lru.budget
+  done;
+  let outs = Service.drain t in
+  Service.shutdown t;
+  Alcotest.(check int) "every query found its one match" n
+    (List.length
+       (List.filter (fun o -> returned_count o.Service.o_status = 1) outs));
+  let s = Service.parse_stats t in
+  Alcotest.(check int) "every text missed" n s.Lru.misses;
+  Alcotest.(check bool) "the coldest were evicted" true (s.Lru.evictions > 0);
+  Alcotest.(check int) "entries = texts - evictions" (n - s.Lru.evictions)
+    s.Lru.entries
+
+(* Planners share one copy of the learned statistics per epoch. *)
+let test_learned_snapshot_per_epoch () =
+  let module Cache = Gql_exec.Cache in
+  let module Stats = Gql_matcher.Stats in
+  let c = Cache.create () in
+  let p = flat_pattern [ "A"; "B" ] [ (0, 1) ] in
+  let observe () =
+    Cache.observe_learned c ~f:(fun st ->
+        Stats.observe_run st ~p ~n_nodes:10 ~sizes:[| 3; 3 |] ~order:[| 0; 1 |]
+          ~fanouts:[| nan; 0.5 |])
+  in
+  observe ();
+  let s1 = Cache.learned_snapshot c in
+  let e1 = Cache.learned_epoch c in
+  observe ();
+  Alcotest.(check bool) "same epoch, same copy" true
+    (Cache.learned_snapshot c == s1);
+  let rounds = ref 0 in
+  while Cache.learned_epoch c = e1 && !rounds < 10_000 do
+    observe ();
+    incr rounds
+  done;
+  Alcotest.(check bool) "the epoch moved" true (Cache.learned_epoch c > e1);
+  let s2 = Cache.learned_snapshot c in
+  Alcotest.(check bool) "a new epoch, a new copy" true (s2 != s1);
+  Alcotest.(check int) "the new copy holds every observation"
+    (Stats.observations s2)
+    (Cache.stats c).Cache.observations
+
 let test_replace_retires_one_graph () =
   let module Cache = Gql_exec.Cache in
   let ga = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
@@ -652,4 +711,8 @@ let suite =
       test_parse_once_per_text;
     Alcotest.test_case "replace retires exactly one graph's plans" `Quick
       test_replace_retires_one_graph;
+    Alcotest.test_case "the parse cache stays within its budget" `Quick
+      test_parse_cache_bounded;
+    Alcotest.test_case "one learned snapshot per epoch" `Quick
+      test_learned_snapshot_per_epoch;
   ]

@@ -110,21 +110,78 @@ let test_ws_skewed_spawns_tasks () =
     "subtree tasks were exposed" true
     (M.get metrics M.Parallel_tasks_spawned > 0)
 
-let test_static_engine_agrees () =
+(* --- the helper pool ------------------------------------------------- *)
+
+let er_clique seed =
   let g = Synthetic.erdos_renyi (Rng.create 31) ~n:300 ~m:1500 ~n_labels:6 in
   let idx = Gql_index.Label_index.build g in
   let labels = Gql_index.Label_index.top_frequent idx 3 in
-  let p = Queries.clique (Rng.create 32) ~labels ~size:3 in
+  let p = Queries.clique (Rng.create seed) ~labels ~size:3 in
+  (g, p, Feasible.compute ~retrieval:`Node_attrs p g)
+
+(* Consecutive fan-outs reuse the parked helpers: the pool grows to at
+   most [domains - 1] (or stays at the width an earlier test left), and
+   not at all after the first search. *)
+let test_pool_reuses_helpers () =
+  let g, p, space = er_clique 32 in
+  let seq = mapping_set (Search.run p g space) in
+  let before = Pool.helpers () in
+  ignore (Ws.search ~domains:3 p g space);
+  let warm = Pool.helpers () in
+  for i = 1 to 500 do
+    let out = Ws.search ~domains:3 p g space in
+    if mapping_set out <> seq then
+      Alcotest.failf "search %d: mapping set differs from Search.run" i
+  done;
+  let after = Pool.helpers () in
+  Alcotest.(check int) "no helper started after the first search" warm after;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d helper(s) <= max 2 %d" after before)
+    true
+    (after <= max 2 before)
+
+(* Root candidates beyond the graph make a worker raise (the bounds-
+   checked used set); the caller gets the exception, and the next search
+   runs on the same helpers. *)
+let test_pool_worker_raises () =
+  let g = Test_graph.sample_g () in
+  let p = Flat_pattern.clique [ "A"; "B" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let seq = Search.run p g space in
-  let ws = Parallel.search ~domains:env_domains p g space in
-  let static = Parallel.search_static ~domains:env_domains p g space in
+  let bad =
+    {
+      Feasible.candidates =
+        Array.mapi
+          (fun u c -> if u = 0 then Array.init 6 (fun i -> 1000 + i) else c)
+          space.Feasible.candidates;
+    }
+  in
+  let domains = max 2 env_domains in
+  ignore (Ws.search ~domains p g space);
+  let helpers = Pool.helpers () in
+  (match Ws.search ~domains ~order:[| 0; 1 |] p g bad with
+  | _ -> Alcotest.fail "a malformed space must raise"
+  | exception Invalid_argument _ -> ());
+  let out = Ws.search ~domains p g space in
   Alcotest.(check (list (list int)))
-    "work-stealing = sequential mapping set" (mapping_set seq)
-    (mapping_set ws);
-  Alcotest.(check (list (list int)))
-    "static slicing = sequential mapping set" (mapping_set seq)
-    (mapping_set static)
+    "the next search is correct"
+    (mapping_set (Search.run p g space))
+    (mapping_set out);
+  Alcotest.(check int) "and starts no helper" helpers (Pool.helpers ())
+
+(* Two domains fanning out at once share the pool; each gets its own
+   answers. *)
+let test_pool_concurrent_callers () =
+  let caller seed () =
+    let g, p, space = er_clique seed in
+    let seq = mapping_set (Search.run p g space) in
+    List.init 40 (fun _ ->
+        mapping_set (Ws.search ~domains:env_domains p g space) = seq)
+    |> List.for_all Fun.id
+  in
+  let a = Domain.spawn (caller 41) and b = Domain.spawn (caller 42) in
+  let ok_a = Domain.join a and ok_b = Domain.join b in
+  Alcotest.(check bool) "first caller's answers" true ok_a;
+  Alcotest.(check bool) "second caller's answers" true ok_b
 
 let prop_ws_mapping_set =
   QCheck.Test.make
@@ -188,8 +245,12 @@ let suite =
       test_ws_expired_deadline;
     Alcotest.test_case "skewed hub graph exposes subtree tasks" `Quick
       test_ws_skewed_spawns_tasks;
-    Alcotest.test_case "static and work-stealing engines agree" `Quick
-      test_static_engine_agrees;
+    Alcotest.test_case "consecutive searches reuse the pool's helpers" `Quick
+      test_pool_reuses_helpers;
+    Alcotest.test_case "a raising worker re-raises; the pool survives" `Quick
+      test_pool_worker_raises;
+    Alcotest.test_case "two domains fan out at once" `Quick
+      test_pool_concurrent_callers;
     QCheck_alcotest.to_alcotest prop_ws_mapping_set;
     QCheck_alcotest.to_alcotest prop_ws_limit_exact;
     QCheck_alcotest.to_alcotest prop_parallel_matches_oracle;
