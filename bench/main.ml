@@ -506,7 +506,9 @@ let collection () =
                 (fun n id -> if contains compounds.(id) then n + 1 else n)
                 0 cands ))
       in
-      assert (scan_count = filtered_count);
+      check (scan_count = filtered_count)
+        "%s: index-filtered scan found %d graphs, full scan %d" name
+        filtered_count scan_count;
       row "%-14s %10d %12d %12.2f %12.2f %9.1fx\n" name scan_count
         (List.length cands) (ms t_scan) (ms t_filtered)
         (t_scan /. t_filtered))
@@ -592,11 +594,9 @@ let parallel () =
   let expected = (Search.run hub_p hub_g hub_space).Search.n_found in
   let ws_cell domains =
     let out = Par.search ~domains hub_p hub_g hub_space in
-    if out.Search.n_found <> expected then begin
-      Printf.eprintf "FAIL: skewed run found %d matches, expected %d\n"
-        out.Search.n_found expected;
-      exit 1
-    end;
+    check (out.Search.n_found = expected)
+      "skewed run found %d matches, expected %d"
+      out.Search.n_found expected;
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
@@ -618,10 +618,7 @@ let parallel () =
   row "%-8s %12.3f %12.3f %12.3f\n" "ws" w1 w2 w4;
   row "ws x4 counters: %d task(s) spawned, %d steal(s), %d idle poll(s)\n"
     spawned steals idle;
-  if spawned = 0 then begin
-    Printf.eprintf "FAIL: work-stealing run spawned no subtree tasks\n";
-    exit 1
-  end;
+  check (spawned > 0) "work-stealing run spawned no subtree tasks";
   emit_json "parallel.skewed"
     (Json.Obj
        [
@@ -670,17 +667,12 @@ let parallel () =
   let us = t *. 1e6 /. float_of_int searches in
   row "dispatch: %d searches x%d domains, %.1f us/search, %d helper(s)\n"
     searches domains us after;
-  if !wrong > 0 then begin
-    Printf.eprintf "FAIL: %d dispatch search(es) found the wrong count\n" !wrong;
-    exit 1
-  end;
-  if after <> warm || after > max before (domains - 1) then begin
-    Printf.eprintf
-      "FAIL: the pool grew to %d helper(s) over %d searches (%d after the \
-       first, %d before)\n"
-      after searches warm before;
-    exit 1
-  end;
+  check (!wrong = 0) "%d dispatch search(es) found the wrong count" !wrong;
+  check
+    (after = warm && after <= max before (domains - 1))
+    "the pool grew to %d helper(s) over %d searches (%d after the first, %d \
+     before)"
+    after searches warm before;
   emit_json "parallel.dispatch"
     (Json.Obj
        [
@@ -818,10 +810,9 @@ let budget_overhead () =
          ("overhead_pct", Json.Float (100.0 *. overhead));
          ("threshold_pct", Json.Float 2.0);
        ]);
-  if overhead >= 0.02 then (
-    Printf.eprintf "FAIL: budget governance overhead %.2f%% >= 2%%\n"
-      (100.0 *. overhead);
-    exit 1)
+  check (overhead < 0.02)
+    "budget governance overhead %.2f%% >= 2%%"
+    (100.0 *. overhead)
 
 (* observability smoke: the Gql_obs instrumentation must be invisible.
    Same prepared spaces and orders on both sides; one side runs with the
@@ -948,10 +939,9 @@ let obs_overhead () =
          ("snapshot_queries", Json.Int snap_queries);
          ("counters", Json.Obj counters);
        ]);
-  if overhead >= 0.02 then (
-    Printf.eprintf "FAIL: observability overhead %.2f%% >= 2%%\n"
-      (100.0 *. overhead);
-    exit 1)
+  check (overhead < 0.02)
+    "observability overhead %.2f%% >= 2%%"
+    (100.0 *. overhead)
 
 (* ---------------------------------------------------------------------- *)
 (* bechamel micro-benchmarks of the core primitives                        *)
@@ -1025,7 +1015,9 @@ let micro_search_comparison () =
         in
         List.iter2
           (fun (a : Search.outcome) (b : Search.outcome) ->
-            assert (a.Search.n_found = b.Search.n_found))
+            check (a.Search.n_found = b.Search.n_found)
+              "Search found %d matches, Reference %d" a.Search.n_found
+              b.Search.n_found)
           opt refr;
         let speedup = t_ref /. t_opt in
         row "%-6d %10d %18.3f %18.3f %9.2fx\n" size n_queries (ms t_opt)
@@ -1122,14 +1114,16 @@ let micro_refine_comparison () =
         let t_auto = !t_auto
         and t_packed = !t_packed
         and t_lists = !t_lists in
-        List.iter2
-          (fun (a : Feasible.space) (b : Feasible.space) ->
-            assert (a.Feasible.candidates = b.Feasible.candidates))
-          auto packed;
-        List.iter2
-          (fun (a : Feasible.space) (b : Feasible.space) ->
-            assert (a.Feasible.candidates = b.Feasible.candidates))
-          auto lists;
+        List.iter
+          (fun (kernel, spaces) ->
+            List.iter2
+              (fun (a : Feasible.space) (b : Feasible.space) ->
+                check
+                  (a.Feasible.candidates = b.Feasible.candidates)
+                  "refine auto and %s kernels disagree at size %d" kernel
+                  size)
+              auto spaces)
+          [ ("packed", packed); ("lists", lists) ];
         let speedup = t_lists /. t_auto in
         row "%-6d %10d %14.3f %14.3f %14.3f %9.2fx\n" size n_queries (ms t_auto)
           (ms t_packed) (ms t_lists) speedup;
@@ -1138,20 +1132,14 @@ let micro_refine_comparison () =
            exists to pin — tight 5% allowance), and must track the
            better pure kernel within a wider band that absorbs
            run-to-run timer noise on the mixed path *)
-        if t_auto > 1.05 *. t_lists then begin
-          Printf.eprintf
-            "FAIL: refine auto dispatch lost to lists at size %d: auto %.3fms \
-             lists %.3fms\n"
-            size (ms t_auto) (ms t_lists);
-          exit 1
-        end;
-        if t_auto > 1.3 *. Float.min t_packed t_lists then begin
-          Printf.eprintf
-            "FAIL: refine auto dispatch lost at size %d: auto %.3fms packed \
-             %.3fms lists %.3fms\n"
-            size (ms t_auto) (ms t_packed) (ms t_lists);
-          exit 1
-        end;
+        check (t_auto <= 1.05 *. t_lists)
+          "refine auto dispatch lost to lists at size %d: auto %.3fms lists \
+           %.3fms"
+          size (ms t_auto) (ms t_lists);
+        check (t_auto <= 1.3 *. Float.min t_packed t_lists)
+          "refine auto dispatch lost at size %d: auto %.3fms packed %.3fms \
+           lists %.3fms"
+          size (ms t_auto) (ms t_packed) (ms t_lists);
         (size, n_queries, t_auto, t_packed, t_lists))
       [ 4; 5; 6 ]
   in
@@ -1386,24 +1374,13 @@ let exec_service () =
          ("yields", Json.Int yields);
          ("threshold_speedup", Json.Float 2.0);
        ]);
-  if batch_returned <> seq_returned then begin
-    Printf.eprintf "FAIL: batch returned %d graphs, sequential %d\n"
-      batch_returned seq_returned;
-    exit 1
-  end;
-  if hits = 0 then begin
-    Printf.eprintf "FAIL: no exec.cache.hit on a repeated workload\n";
-    exit 1
-  end;
-  if yields = 0 then begin
-    Printf.eprintf
-      "FAIL: no exec.queue.yields — the workload never crossed the quantum\n";
-    exit 1
-  end;
-  if speedup < 2.0 then begin
-    Printf.eprintf "FAIL: batch speedup %.2fx < 2x\n" speedup;
-    exit 1
-  end
+  check (batch_returned = seq_returned)
+    "batch returned %d graphs, sequential %d"
+    batch_returned seq_returned;
+  check (hits > 0) "no exec.cache.hit on a repeated workload";
+  check (yields > 0)
+    "no exec.queue.yields — the workload never crossed the quantum";
+  check (speedup >= 2.0) "batch speedup %.2fx < 2x" speedup
 
 (* ---------------------------------------------------------------------- *)
 (* adaptive planner: mid-query re-planning vs the static greedy order     *)
@@ -1430,16 +1407,11 @@ let adaptive () =
   let order = Order.greedy ~model p ~sizes in
   let static_out = Search.run ~order p g space in
   let adaptive_res = Adapt.run ~model ~order p g space in
-  if adaptive_res.Adapt.outcome.Search.n_found <> static_out.Search.n_found
-  then begin
-    Printf.eprintf "FAIL: adaptive found %d matches, static %d\n"
-      adaptive_res.Adapt.outcome.Search.n_found static_out.Search.n_found;
-    exit 1
-  end;
-  if adaptive_res.Adapt.replans = 0 then begin
-    Printf.eprintf "FAIL: hub workload triggered no re-plan\n";
-    exit 1
-  end;
+  check
+    (adaptive_res.Adapt.outcome.Search.n_found = static_out.Search.n_found)
+    "adaptive found %d matches, static %d"
+    adaptive_res.Adapt.outcome.Search.n_found static_out.Search.n_found;
+  check (adaptive_res.Adapt.replans > 0) "hub workload triggered no re-plan";
   let reps = scale 5 20 in
   let t_static = ref infinity and t_adaptive = ref infinity in
   for _ = 1 to 3 do
@@ -1471,11 +1443,9 @@ let adaptive () =
   row "%-10s %12.3f\n" "adaptive" t_adaptive;
   row "speedup (static / adaptive): %.2fx, %d re-plan(s)\n" speedup
     adaptive_res.Adapt.replans;
-  if speedup < 1.2 then begin
-    Printf.eprintf "FAIL: adaptive speedup %.2fx < 1.2x on the hub workload\n"
-      speedup;
-    exit 1
-  end;
+  check (speedup >= 1.2)
+    "adaptive speedup %.2fx < 1.2x on the hub workload"
+    speedup;
   emit_json "adaptive.skewed"
     (Json.Obj
        [
@@ -1527,12 +1497,9 @@ let adaptive () =
             0 prepared
         in
         let found_static = static_pass () and found_adaptive = adaptive_pass () in
-        if found_static <> found_adaptive then begin
-          Printf.eprintf
-            "FAIL: size %d: adaptive found %d total matches, static %d\n" size
-            found_adaptive found_static;
-          exit 1
-        end;
+        check (found_static = found_adaptive)
+          "size %d: adaptive found %d total matches, static %d"
+          size found_adaptive found_static;
         let t_static = ref infinity and t_adaptive = ref infinity in
         for _ = 1 to 5 do
           let _, ts = time (fun () -> ignore (static_pass ())) in
@@ -1553,12 +1520,9 @@ let adaptive () =
   row "overall overhead (t_adaptive / t_static): %.2fx\n" ratio;
   (* the "never lose beyond noise" claim; the committed snapshot must
      show ≤ 1.05, the in-run gate allows CI timer jitter on top *)
-  if ratio > 1.15 then begin
-    Printf.eprintf
-      "FAIL: adaptive overhead %.2fx > 1.15x on the uniform PPI workload\n"
-      ratio;
-    exit 1
-  end;
+  check (ratio <= 1.15)
+    "adaptive overhead %.2fx > 1.15x on the uniform PPI workload"
+    ratio;
   emit_json "adaptive.ppi"
     (Json.Obj
        [
@@ -1650,17 +1614,15 @@ let write_path () =
   (* oracle: the maintained index is the rebuilt index *)
   let li_full = LI.build final and pi_full = PI.build ~r:1 final in
   for v = 0 to Graph.n_nodes final - 1 do
-    if not (Profile.equal (PI.profile pi_inc v) (PI.profile pi_full v)) then begin
-      Printf.eprintf "FAIL: incremental profile of node %d diverged\n" v;
-      exit 1
-    end
+    check
+      (Profile.equal (PI.profile pi_inc v) (PI.profile pi_full v))
+      "incremental profile of node %d diverged" v
   done;
   List.iter
     (fun l ->
-      if LI.nodes_with_label li_inc l <> LI.nodes_with_label li_full l then begin
-        Printf.eprintf "FAIL: incremental postings for %S diverged\n" l;
-        exit 1
-      end)
+      check (LI.nodes_with_label li_inc l = LI.nodes_with_label li_full l)
+        "incremental postings for %S diverged"
+        l)
     (LI.labels li_full);
   let speedup = t_rebuild /. t_incremental in
   row "%d r-hop-local updates on %d nodes: %d profiles recomputed (%.1f/update)\n"
@@ -1670,10 +1632,7 @@ let write_path () =
   row "%-14s %14.2f\n" "incremental" (ms t_incremental);
   row "%-14s %14.2f\n" "rebuild" (ms t_rebuild);
   row "speedup (rebuild / incremental): %.1fx\n" speedup;
-  if speedup < 3.0 then begin
-    Printf.eprintf "FAIL: incremental maintenance speedup %.1fx < 3x\n" speedup;
-    exit 1
-  end;
+  check (speedup >= 3.0) "incremental maintenance speedup %.1fx < 3x" speedup;
   header "Transaction log: group commit vs a flush per record";
   let base =
     let b = Graph.Builder.create ~name:"G" () in
@@ -1820,11 +1779,9 @@ let paths () =
         done;
         !out)
   in
-  if naive <> rpq then begin
-    Printf.eprintf "FAIL: unrolled and RPQ target sets differ (%d vs %d)\n"
-      (List.length naive) (List.length rpq);
-    exit 1
-  end;
+  check (naive = rpq)
+    "unrolled and RPQ target sets differ (%d vs %d)"
+    (List.length naive) (List.length rpq);
   let speedup = t_naive /. t_rpq in
   (* the old evaluator: unrolling silently capped at depth 16 *)
   let truncated16 = unrolled_targets 16 patterns in
@@ -1838,23 +1795,20 @@ let paths () =
   row "%-28s %14s %10d   (%d silently missed)\n" "unrolled, capped at 16"
     "-" (List.length truncated16) missed;
   row "fast-path speedup: %.1fx (threshold 5x)\n" speedup;
-  if missed <> n - 1 - 16 then begin
-    Printf.eprintf "FAIL: expected the 16-cap to miss %d targets, missed %d\n"
-      (n - 1 - 16) missed;
-    exit 1
-  end;
-  if speedup < 5.0 then begin
-    Printf.eprintf "FAIL: RPQ speedup %.1fx < 5x\n" speedup;
-    exit 1
-  end;
+  check (missed = n - 1 - 16)
+    "expected the 16-cap to miss %d targets, missed %d"
+    (n - 1 - 16) missed;
+  check (speedup >= 5.0) "RPQ speedup %.1fx < 5x" speedup;
   (* a shortest witness across the whole chain, for the record *)
   let (_, t_witness) =
     time (fun () ->
         match
           fst (Rpq.shortest_walk (Rpq.ctx g) seg ~src:0 ~dst:(n - 1))
         with
-        | Some (nodes, _) -> assert (List.length nodes = n)
-        | None -> assert false)
+        | Some (nodes, _) ->
+          check (List.length nodes = n) "witness walk has %d nodes, expected %d"
+            (List.length nodes) n
+        | None -> check false "no witness walk across the chain")
   in
   row "shortest %d-hop witness walk: %.2f ms\n" (n - 1) (ms t_witness);
   emit_json "paths.reachability"
@@ -1943,19 +1897,14 @@ let serve_bench () =
   let r_single = one_query (sock "single") in
   let r_routed = one_query (sock "router") in
   let sorted r = List.sort compare r.Protocol.qr_graphs in
-  if r_single.Protocol.qr_status <> "ok" || r_routed.Protocol.qr_status <> "ok"
-  then begin
-    Printf.eprintf "FAIL: serve correctness queries did not both succeed\n";
-    exit 1
-  end;
-  if sorted r_single <> sorted r_routed then begin
-    Printf.eprintf
-      "FAIL: scatter-gather returned %d graph(s), single-process %d — result \
-       sets differ\n"
-      (List.length r_routed.Protocol.qr_graphs)
-      (List.length r_single.Protocol.qr_graphs);
-    exit 1
-  end;
+  check
+    (r_single.Protocol.qr_status = "ok" && r_routed.Protocol.qr_status = "ok")
+    "serve correctness queries did not both succeed";
+  check (sorted r_single = sorted r_routed)
+    "scatter-gather returned %d graph(s), single-process %d — result sets \
+     differ"
+    (List.length r_routed.Protocol.qr_graphs)
+    (List.length r_single.Protocol.qr_graphs);
   (* the closed-loop load phase *)
   let n_clients = 4 in
   let total = scale 80 240 in
@@ -1987,11 +1936,9 @@ let serve_bench () =
     let threads = List.init n_clients (fun _ -> Thread.create client ()) in
     List.iter Thread.join threads;
     let wall = Unix.gettimeofday () -. t0 in
-    if Atomic.get failures > 0 then begin
-      Printf.eprintf "FAIL: %d load request(s) failed against %s\n"
-        (Atomic.get failures) addr;
-      exit 1
-    end;
+    check (Atomic.get failures = 0)
+      "%d load request(s) failed against %s"
+      (Atomic.get failures) addr;
     let lats = !lats in
     ( float_of_int (List.length lats) /. wall,
       percentile 50.0 lats,
@@ -2046,31 +1993,21 @@ let serve_bench () =
   let degraded =
     List.filter (fun (st, _, _) -> st = "shard-failure") statuses
   in
-  if List.length statuses <> kill_total then begin
-    Printf.eprintf "FAIL: %d/%d requests completed after the shard kill\n"
-      (List.length statuses) kill_total;
-    exit 1
-  end;
-  if degraded = [] then begin
-    Printf.eprintf
-      "FAIL: no request observed the killed shard as a typed shard-failure\n";
-    exit 1
-  end;
+  check (List.length statuses = kill_total)
+    "%d/%d requests completed after the shard kill"
+    (List.length statuses) kill_total;
+  check (degraded <> [])
+    "no request observed the killed shard as a typed shard-failure";
   List.iter
     (fun (st, ok_shards, n_graphs) ->
       match st with
       | "ok" -> ()
       | "shard-failure" ->
-        if ok_shards <> 1 || n_graphs = 0 then begin
-          Printf.eprintf
-            "FAIL: degraded response carried %d shard(s), %d graph(s) — \
-             expected partial results from the survivor\n"
-            ok_shards n_graphs;
-          exit 1
-        end
-      | st ->
-        Printf.eprintf "FAIL: unexpected status %S after shard kill\n" st;
-        exit 1)
+        check (ok_shards = 1 && n_graphs > 0)
+          "degraded response carried %d shard(s), %d graph(s) — expected \
+           partial results from the survivor"
+          ok_shards n_graphs
+      | st -> check false "unexpected status %S after shard kill" st)
     statuses;
   row "shard kill: %d/%d requests degraded to typed partial results\n"
     (List.length degraded) kill_total;
@@ -2121,11 +2058,9 @@ let serve_bench () =
                 the 1.5x gate needs >= 2 cores and is asserted in CI" );
          ]
        else []));
-  if cores >= 2 && speedup < 1.5 then begin
-    Printf.eprintf "FAIL: 2-shard scatter-gather %.2fx < 1.5x single-shard\n"
-      speedup;
-    exit 1
-  end;
+  check (cores < 2 || speedup >= 1.5)
+    "2-shard scatter-gather %.2fx < 1.5x single-shard"
+    speedup;
   if single_core_note then
     row "note: single core — the >= 1.5x gate is asserted on multi-core CI\n"
 
@@ -2181,10 +2116,8 @@ let views_bench () =
           last_scratch := scratch [ g0 ]
         done)
   in
-  if multiset (View.graphs v) <> multiset !last_scratch then begin
-    Printf.eprintf "FAIL: materialized read is not the re-evaluated result\n";
-    exit 1
-  end;
+  check (multiset (View.graphs v) = multiset !last_scratch)
+    "materialized read is not the re-evaluated result";
   let read_speedup = t_reeval /. Float.max t_read 1e-9 in
   row "%d-node source, %d answers per read, %d reads each side\n" n !answers
     n_reads;
@@ -2194,10 +2127,9 @@ let views_bench () =
   row "%-22s %14.2f\n" "one-time seeding" (ms t_seed);
   row "read speedup (re-evaluation / lookup): %.0fx (result sets multiset-equal)\n"
     read_speedup;
-  if read_speedup < 10.0 then begin
-    Printf.eprintf "FAIL: materialized read speedup %.1fx < 10x\n" read_speedup;
-    exit 1
-  end;
+  check (read_speedup >= 10.0)
+    "materialized read speedup %.1fx < 10x"
+    read_speedup;
   header "Materialized views: O(delta) maintenance vs full re-materialization";
   let n_txns = scale 25 100 in
   (* precompute the DML trajectory so both sides replay identical
@@ -2243,14 +2175,10 @@ let views_bench () =
   let (), t_full = refresh_side vf ~max_dirty_frac:0.0 () in
   let final = match List.rev trajectory with (g, _) :: _ -> g | [] -> g0 in
   let want = multiset (scratch [ final ]) in
-  if multiset (View.graphs vi) <> want then begin
-    Printf.eprintf "FAIL: incrementally maintained view diverged from scratch\n";
-    exit 1
-  end;
-  if multiset (View.graphs vf) <> want then begin
-    Printf.eprintf "FAIL: re-materialized view diverged from scratch\n";
-    exit 1
-  end;
+  check (multiset (View.graphs vi) = want)
+    "incrementally maintained view diverged from scratch";
+  check (multiset (View.graphs vf) = want)
+    "re-materialized view diverged from scratch";
   let incr_n, full_n = View.refreshes vi in
   let maint_speedup = t_full /. Float.max t_incr 1e-9 in
   row "%d single-op txns: %d O(delta) refreshes, %d fallbacks\n" n_txns incr_n
@@ -2264,11 +2192,9 @@ let views_bench () =
     "maintenance speedup (re-materialize / incremental): %.1fx (final \
      materializations multiset-equal)\n"
     maint_speedup;
-  if maint_speedup < 3.0 then begin
-    Printf.eprintf "FAIL: incremental maintenance speedup %.1fx < 3x\n"
-      maint_speedup;
-    exit 1
-  end;
+  check (maint_speedup >= 3.0)
+    "incremental maintenance speedup %.1fx < 3x"
+    maint_speedup;
   emit_json "views"
     (Json.Obj
        [
@@ -2317,9 +2243,7 @@ let load_bench () =
     (* the loaded graph must print back as the text it came from *)
     (match Gql.collection_of_string src with
     | [ g' ] when Graph.to_string g' = text -> ()
-    | _ ->
-      Printf.eprintf "FAIL: loaded graph does not print as its source text\n";
-      exit 1);
+    | _ -> check false "loaded graph does not print as its source text");
     let t_parse = median_s (fun () -> Gql.parse_program src) in
     let t_load = median_s (fun () -> Gql.collection_of_string src) in
     row "%-12s %8d %8d %10d %12.2f %12.2f\n"
@@ -2349,11 +2273,8 @@ let load_bench () =
   let _, cells_ppi = measure (Ppi.generate ()) in
   let scaling = t_4n /. Float.max t_n 1e-9 in
   row "scaling t(4n)/t(n): %.2f (linear ~4, quadratic ~16; gate <= 8)\n" scaling;
-  if scaling > 8.0 then begin
-    Printf.eprintf "FAIL: load scaling %.2f > 8: loading is superlinear\n"
-      scaling;
-    exit 1
-  end;
+  check (scaling <= 8.0) "load scaling %.2f > 8: loading is superlinear"
+    scaling;
   emit_json "load"
     (Json.Obj
        [
@@ -2446,17 +2367,13 @@ let wire_bench () =
            head ~render:Graph.add_to_buffer ~same:Graph.prints_as graphs)
     in
     let frame = reference () in
-    if writer () <> frame then begin
-      Printf.eprintf
-        "FAIL: %s: the writer's frame differs from the reference route's\n" name;
-      exit 1
-    end;
+    check (writer () = frame)
+      "%s: the writer's frame differs from the reference route's"
+      name;
     let texts = Server.render_graphs result in
     (match decode frame with
     | Ok r when r.Protocol.qr_graphs = texts -> ()
-    | _ ->
-      Printf.eprintf "FAIL: %s: the decoded frame lost graphs\n" name;
-      exit 1);
+    | _ -> check false "%s: the decoded frame lost graphs" name);
     let t_ref, t_writer = best_phases_ms repeats reference writer in
     let t_decode = median_ms repeats (fun () -> decode frame) in
     let distinct = List.length (List.sort_uniq String.compare texts) in
@@ -2494,13 +2411,10 @@ let wire_bench () =
   row
     "fastest of 3 alternating phase medians; the chem scan's writer must be \
      >= 3x faster (gate)\n";
-  if speedup < 3.0 then begin
-    Printf.eprintf
-      "FAIL: writer only %.2fx faster than the reference route on the chem \
-       scan (gate >= 3)\n"
-      speedup;
-    exit 1
-  end;
+  check (speedup >= 3.0)
+    "writer only %.2fx faster than the reference route on the chem scan \
+     (gate >= 3)"
+    speedup;
   emit_json "wire"
     (Json.Obj [ ("chem_scan", chem_cells); ("ppi_edges", ppi_cells) ])
 
@@ -2569,13 +2483,21 @@ let () =
   Printf.printf
     "GraphQL reproduction benchmarks (%s mode; pass --full for paper-scale counts)\n"
     (if !full_mode then "full" else "quick");
-  List.iter
-    (fun (name, f) ->
-      let (), elapsed = time f in
-      Printf.printf "[%s completed in %.1f s]\n%!" name elapsed)
-    selected;
-  match !json_file with
-  | None -> ()
-  | Some file ->
-    Util.write_json ~mode:(if !full_mode then "full" else "quick") file;
-    Printf.printf "[wrote %s]\n%!" file
+  let verdicts =
+    List.map
+      (fun (name, f) ->
+        match time f with
+        | (), elapsed ->
+          Printf.printf "[%s completed in %.1f s]\n%!" name elapsed;
+          (name, None)
+        | exception Check_failed msg ->
+          Printf.eprintf "FAIL: %s: %s\n%!" name msg;
+          (name, Some msg))
+      selected
+  in
+  Option.iter
+    (fun file ->
+      write_json ~mode:(if !full_mode then "full" else "quick") ~verdicts file;
+      Printf.printf "[wrote %s]\n%!" file)
+    !json_file;
+  if List.exists (fun (_, v) -> v <> None) verdicts then exit 1

@@ -36,90 +36,39 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* --- JSON benchmark trajectory (--json FILE) --------------------------- *)
+(* --- verdicts and the JSON trajectory (--json FILE) --------------------- *)
 
-(* A minimal JSON value and printer: the harness has no JSON dependency
-   and the BENCH_*.json files only need objects, arrays and numbers. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
+exception Check_failed of string
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+(* [check ok fmt ...]: an experiment's gate. A failed check ends that
+   experiment only; [main] records the verdict, runs the remaining
+   experiments and exits 1 at the end. *)
+let check ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then raise (Check_failed msg)) fmt
 
-  let rec write buf indent v =
-    let pad n = String.make n ' ' in
-    match v with
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      (* NaN/inf (e.g. a skipped step) have no JSON literal *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-    | Str s -> Buffer.add_string buf ("\"" ^ escape s ^ "\"")
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_string buf "[";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf ("\n" ^ pad (indent + 2));
-          write buf (indent + 2) item)
-        items;
-      Buffer.add_string buf ("\n" ^ pad indent ^ "]")
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_string buf "{";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf ("\n" ^ pad (indent + 2) ^ "\"" ^ escape k ^ "\": ");
-          write buf (indent + 2) item)
-        fields;
-      Buffer.add_string buf ("\n" ^ pad indent ^ "}")
-
-  let to_string v =
-    let buf = Buffer.create 4096 in
-    write buf 0 v;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-end
+module Json = Gql_exec.Protocol.Json
 
 (* experiments append (name, summary) pairs as they run; [write_json]
-   dumps them at exit when --json was given *)
+   dumps them, with each experiment's verdict, when --json was given *)
 let json_entries : (string * Json.t) list ref = ref []
 let emit_json name v = json_entries := (name, v) :: !json_entries
 
-let write_json ~mode file =
+let write_json ~mode ~verdicts file =
+  let verdict = function
+    | None -> Json.Obj [ ("pass", Json.Bool true) ]
+    | Some msg ->
+      Json.Obj [ ("pass", Json.Bool false); ("failure", Json.Str msg) ]
+  in
   let doc =
     Json.Obj
       [
         ("schema", Json.Str "gql-bench/v1");
         ("mode", Json.Str mode);
         ("experiments", Json.Obj (List.rev !json_entries));
+        ( "verdicts",
+          Json.Obj (List.map (fun (name, v) -> (name, verdict v)) verdicts) );
       ]
   in
-  let oc = open_out file in
-  output_string oc (Json.to_string doc);
-  close_out oc
-
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n')

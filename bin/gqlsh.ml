@@ -33,57 +33,23 @@ let read_file path =
 
 let load_collection path = Gql.collection_of_string (read_file path)
 
-(* A doc source is either a .gql text file or a .store disk store; the
-   metrics wiring makes store traffic (page reads, pool hits) visible to
-   explain --analyze. *)
-let load_doc ?(metrics = Gql_obs.Metrics.disabled) path =
-  if Filename.check_suffix path ".store" then begin
-    let store = Gql_storage.Store.open_existing path in
-    Gql_storage.Store.set_metrics store metrics;
-    Fun.protect
-      ~finally:(fun () -> Gql_storage.Store.close store)
-      (fun () ->
-        ( Gql_storage.Store.to_list store,
-          List.map
-            (fun (name, blob) -> View.decode ~name blob)
-            (Gql_storage.Store.views store) ))
-  end
-  else (load_collection path, [])
+(* --- doc mounts ----------------------------------------------------------- *)
 
-(* Returns the doc collections and the views persisted alongside them
-   in .store-backed docs. *)
-let parse_docs ?metrics specs =
-  let entries =
-    List.map
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | Some i ->
-          let name = String.sub spec 0 i in
-          let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-          (name, load_doc ?metrics path)
-        | None ->
-          Error.raise_
-            (Error.Usage
-               (Printf.sprintf "bad --doc %S, expected NAME=FILE" spec)))
-      specs
-  in
-  ( List.map (fun (n, (gs, _)) -> (n, gs)) entries,
-    List.concat_map (fun (_, (_, vs)) -> vs) entries )
-
-(* --- writable doc mounts -------------------------------------------------- *)
-
-(* [run] and [batch] mount their docs instead of merely loading them: a
-   .store-backed doc keeps its store open read-write, with the
-   doc-position -> gid mapping that lets evaluator writes flow back into
-   the transaction log. A .gql text doc has no durability — its writes
-   live only for the process (the write count still reports them). *)
+(* A doc source is either a .gql text file or a .store disk store.
+   [run] and [batch] mount their docs: a .store-backed doc keeps its
+   store open read-write, with the doc-position -> gid mapping that lets
+   evaluator writes flow back into the transaction log. A .gql text doc
+   has no durability — its writes live only for the process (the write
+   count still reports them). [metrics] makes store traffic (page reads,
+   pool hits) visible to explain --analyze. *)
 type mount = {
   m_name : string;
   m_store : Gql_storage.Store.t option;
-  mutable m_gids : int list;  (* doc position -> gid; store-backed only *)
+  mutable m_gids : int array;  (* doc position -> gid; store-backed only *)
+  mutable m_len : int;  (* live prefix of [m_gids] *)
 }
 
-let mount_docs specs =
+let mount_docs ?metrics specs =
   List.split
     (List.map
        (fun spec ->
@@ -97,45 +63,76 @@ let mount_docs specs =
            let path = String.sub spec (i + 1) (String.length spec - i - 1) in
            if Filename.check_suffix path ".store" then begin
              let store = Gql_storage.Store.open_existing path in
+             Option.iter (Gql_storage.Store.set_metrics store) metrics;
              let gids = ref [] and graphs = ref [] in
              Gql_storage.Store.iter store ~f:(fun gid g ->
                  gids := gid :: !gids;
                  graphs := g :: !graphs);
-             ( { m_name = name; m_store = Some store; m_gids = List.rev !gids },
+             let gids = Array.of_list (List.rev !gids) in
+             ( {
+                 m_name = name;
+                 m_store = Some store;
+                 m_gids = gids;
+                 m_len = Array.length gids;
+               },
                (name, List.rev !graphs) )
            end
            else
-             ( { m_name = name; m_store = None; m_gids = [] },
+             ( { m_name = name; m_store = None; m_gids = [||]; m_len = 0 },
                (name, load_collection path) ))
        specs)
+
+let push_gid m gid =
+  if m.m_len = Array.length m.m_gids then begin
+    let bigger = Array.make (max 16 (2 * m.m_len)) 0 in
+    Array.blit m.m_gids 0 bigger 0 m.m_len;
+    m.m_gids <- bigger
+  end;
+  m.m_gids.(m.m_len) <- gid;
+  m.m_len <- m.m_len + 1
+
+let gid_at m index =
+  if index < 0 || index >= m.m_len then
+    invalid_arg (Printf.sprintf "doc %s has no position %d" m.m_name index);
+  m.m_gids.(index)
+
+(* a removal shifts the later doc positions down by one *)
+let remove_gid m index =
+  let gid = gid_at m index in
+  Array.blit m.m_gids (index + 1) m.m_gids index (m.m_len - index - 1);
+  m.m_len <- m.m_len - 1;
+  gid
 
 (* The durability sink: one evaluator write -> one transaction-log
    record (or base-record append / tombstone) in the backing store.
    Store graph state tracks the evaluator's exactly — both sides apply
    the same op sequence to the same starting graph — so node/edge ids
    in later ops stay aligned. Callers serialize writes (gqlsh run is
-   sequential; the batch service gates DML jobs on the watermark). *)
-let persist mounts w =
-  let mount source =
-    List.find_opt (fun m -> String.equal m.m_name source) mounts
-  in
-  match w with
+   sequential; the batch service gates DML jobs on the watermark).
+   Applied to its mounts once, it indexes them by name (the first mount
+   of a name wins, as in doc lookup). *)
+let persist mounts =
+  let by_name = Hashtbl.create 8 in
+  List.iter
+    (fun m ->
+      if not (Hashtbl.mem by_name m.m_name) then Hashtbl.add by_name m.m_name m)
+    mounts;
+  let mount source = Hashtbl.find_opt by_name source in
+  function
   | Eval.W_update { source; index; ops; _ } -> (
     match mount source with
-    | Some { m_store = Some store; m_gids; _ } ->
-      ignore (Gql_storage.Store.append_txn store ~gid:(List.nth m_gids index) ops)
+    | Some ({ m_store = Some store; _ } as m) ->
+      ignore (Gql_storage.Store.append_txn store ~gid:(gid_at m index) ops)
     | _ -> ())
   | Eval.W_insert { source; new_graph } -> (
     match mount source with
     | Some ({ m_store = Some store; _ } as m) ->
-      let gid = Gql_storage.Store.add_graph store new_graph in
-      m.m_gids <- m.m_gids @ [ gid ]
+      push_gid m (Gql_storage.Store.add_graph store new_graph)
     | _ -> ())
   | Eval.W_remove { source; index; _ } -> (
     match mount source with
     | Some ({ m_store = Some store; _ } as m) ->
-      Gql_storage.Store.remove_graph store (List.nth m.m_gids index);
-      m.m_gids <- List.filteri (fun i _ -> i <> index) m.m_gids
+      Gql_storage.Store.remove_graph store (remove_gid m index)
     | _ -> ())
   | Eval.W_create_view { name; materialized; def; graphs; epoch } -> (
     (* the view record travels with the store of its source doc; a
@@ -305,21 +302,9 @@ let split_batch src =
   in
   List.rev (finish acc cur)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Gql_exec.Protocol.Json
+
+let print_json v = print_endline (Json.to_string v)
 
 let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
     verbose =
@@ -376,27 +361,34 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
           | Service.Rejected _ -> prefer 124
           | Service.Failed t -> prefer (Error.exit_code t));
           if json then
-            let common =
-              Printf.sprintf "\"id\":%d,\"yields\":%d,\"ms\":%.3f"
-                o.Service.o_id o.Service.o_yields o.Service.o_wall_ms
-            in
-            match o.Service.o_status with
-            | Service.Done r ->
-              Printf.printf
-                "{%s,\"status\":\"ok\",\"stopped\":%S,\"returned\":%d,\"vars\":%d,\"writes\":%d}\n"
-                common
-                (Budget.stop_reason_to_string r.Eval.stopped)
-                (List.length (Eval.returned r))
-                (List.length r.Eval.vars)
-                r.Eval.writes
-            | Service.Rejected reason ->
-              Printf.printf "{%s,\"status\":\"rejected\",\"reason\":%S}\n"
-                common
-                (Budget.stop_reason_to_string reason)
-            | Service.Failed t ->
-              Printf.printf "{%s,\"status\":\"error\",\"error\":\"%s\"}\n"
-                common
-                (json_escape (Error.to_string t))
+            print_json
+              (Json.Obj
+                 ([
+                    ("id", Json.Int o.Service.o_id);
+                    ("yields", Json.Int o.Service.o_yields);
+                    ("ms", Json.Float o.Service.o_wall_ms);
+                  ]
+                 @
+                 match o.Service.o_status with
+                 | Service.Done r ->
+                   [
+                     ("status", Json.Str "ok");
+                     ( "stopped",
+                       Json.Str (Budget.stop_reason_to_string r.Eval.stopped) );
+                     ("returned", Json.Int (List.length (Eval.returned r)));
+                     ("vars", Json.Int (List.length r.Eval.vars));
+                     ("writes", Json.Int r.Eval.writes);
+                   ]
+                 | Service.Rejected reason ->
+                   [
+                     ("status", Json.Str "rejected");
+                     ("reason", Json.Str (Budget.stop_reason_to_string reason));
+                   ]
+                 | Service.Failed t ->
+                   [
+                     ("status", Json.Str "error");
+                     ("error", Json.Str (Error.to_string t));
+                   ]))
           else
             match o.Service.o_status with
             | Service.Done r ->
@@ -425,16 +417,39 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
         outcomes;
       let agg = Service.metrics svc in
       let c k = M.get agg k in
-      if json then
-        Printf.printf
-          "{\"batch\":{\"queries\":%d,\"wall_ms\":%.3f,\"cache\":{\"hit\":%d,\"miss\":%d,\"evictions\":%d,\"invalidations\":%d,\"index_updates\":%d},\"queue\":{\"submitted\":%d,\"completed\":%d,\"yields\":%d,\"deadline_stops\":%d,\"watermark_waits\":%d},\"writes\":%d}}\n"
-          (List.length outcomes) wall_ms
-          (c M.Exec_cache_hit) (c M.Exec_cache_miss)
-          (c M.Exec_cache_evictions) (c M.Exec_cache_invalidations)
-          (c M.Index_incremental)
-          (c M.Exec_queue_submitted) (c M.Exec_queue_completed)
-          (c M.Exec_queue_yields) (c M.Exec_queue_deadline_stops)
-          (c M.Exec_watermark_waits) (c M.Exec_writes)
+      if json then begin
+        let counts keys =
+          Json.Obj (List.map (fun (k, m) -> (k, Json.Int (c m))) keys)
+        in
+        print_json
+          (Json.Obj
+             [
+               ( "batch",
+                 Json.Obj
+                   [
+                     ("queries", Json.Int (List.length outcomes));
+                     ("wall_ms", Json.Float wall_ms);
+                     ( "cache",
+                       counts
+                         [
+                           ("hit", M.Exec_cache_hit);
+                           ("miss", M.Exec_cache_miss);
+                           ("evictions", M.Exec_cache_evictions);
+                           ("index_updates", M.Index_incremental);
+                         ] );
+                     ( "queue",
+                       counts
+                         [
+                           ("submitted", M.Exec_queue_submitted);
+                           ("completed", M.Exec_queue_completed);
+                           ("yields", M.Exec_queue_yields);
+                           ("deadline_stops", M.Exec_queue_deadline_stops);
+                           ("watermark_waits", M.Exec_watermark_waits);
+                         ] );
+                     ("writes", Json.Int (c M.Exec_writes));
+                   ] );
+             ])
+      end
       else
         Format.printf
           "batch: %d quer(ies) in %.2f ms — cache %d hit / %d miss, queue %d \
@@ -495,7 +510,11 @@ let explain_cmd query_file analyze json docs domains adaptive timeout
         let module M = Gql_obs.Metrics in
         let metrics = M.create () in
         let docs, views =
-          M.with_span metrics "load" (fun () -> parse_docs ~metrics docs)
+          M.with_span metrics "load" (fun () ->
+              let mounts, docs = mount_docs ~metrics docs in
+              let views = mounted_views mounts in
+              close_mounts mounts;
+              (docs, views))
         in
         let docs = docs_with_views views docs in
         let view_reads =
@@ -773,12 +792,10 @@ let client_cmd addr query_file expr show_queries kill_qid ping shutdown
   guarded (fun () ->
       let module Client = Gql_exec.Client in
       let module Protocol = Gql_exec.Protocol in
-      let module Json = Protocol.Json in
       let conn = Client.connect ?timeout addr in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
         (fun () ->
-          let print_json json = print_endline (Json.to_string json) in
           (* a non-query response's exit path: the wire status decides *)
           let finish_status json =
             match Option.bind (Json.member "status" json) Json.str with

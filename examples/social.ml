@@ -1,12 +1,11 @@
-(* Social-network analytics: selection + aggregation (the §7 extension
-   operators) and parallel matching over a single large graph.
+(* Social-network analytics: selection with a cross-variable predicate
+   and parallel matching over a single large graph.
 
    Run with:  dune exec examples/social.exe
 *)
 
 open Gql_core
 open Gql_graph
-module Aggregate = Gql_core.Aggregate
 
 (* a small synthetic social network: people with cities and ages,
    "follows" edges (directed) *)
@@ -57,27 +56,6 @@ let () =
       g
   in
   Format.printf "Cross-city mutual follows (ordered pairs): %d@." (List.length mutual);
-
-  (* aggregate the matches: group by the follower's city, average age *)
-  let entries = List.map (fun m -> Algebra.M m) mutual in
-  Format.printf "@.By follower city:@.";
-  List.iter
-    (fun (city, group) ->
-      Format.printf "  %-8s %3d pairs, mean follower age %s@."
-        (Value.to_string city) (List.length group)
-        (Value.to_string (Aggregate.avg ~key:(Pred.path [ "a"; "age" ]) group)))
-    (Aggregate.group_by ~key:(Pred.path [ "a"; "city" ]) entries);
-
-  (* ranking: the oldest follower in a mutual pair *)
-  (match
-     Aggregate.top_k ~descending:true ~key:(Pred.path [ "a"; "age" ]) 1 entries
-   with
-  | [ Algebra.M m ] ->
-    let t = Option.get (Matched.node_tuple m "a") in
-    Format.printf "@.Oldest mutual follower: age %s from %s@."
-      (Value.to_string (Tuple.get t "age"))
-      (Value.to_string (Tuple.get t "city"))
-  | _ -> ());
 
   (* parallel matching of a directed triangle (a follows b follows c
      follows a) across domains *)

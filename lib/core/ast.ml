@@ -303,6 +303,3 @@ let pp_statement ppf = function
       (if v.v_materialized then "materialized " else "")
       v.v_name pp_flwr v.v_query
   | Sdrop_view name -> Format.fprintf ppf "drop view %s;" name
-
-let pp_program ppf p =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_statement ppf p

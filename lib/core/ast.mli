@@ -199,4 +199,3 @@ val pp_flwr : Format.formatter -> flwr -> unit
 val pp_dml : Format.formatter -> dml -> unit
 val pp_path_query : Format.formatter -> path_query -> unit
 val pp_statement : Format.formatter -> statement -> unit
-val pp_program : Format.formatter -> program -> unit

@@ -21,7 +21,6 @@ type rule = {
 }
 
 let atom name args = { name; args }
-let fact_atom name vals = { name; args = List.map (fun v -> Const v) vals }
 
 exception Unsafe_rule of string
 

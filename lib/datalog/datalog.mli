@@ -31,7 +31,6 @@ type rule = {
 }
 
 val atom : string -> term list -> atom
-val fact_atom : string -> Value.t list -> atom
 
 type db
 

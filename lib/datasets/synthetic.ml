@@ -26,52 +26,6 @@ let erdos_renyi ?(n_labels = 100) ?(zipf_exponent = 1.0) rng ~n ~m =
   done;
   build_labeled labels !edges
 
-let barabasi_albert ?(n_labels = 100) ?(zipf_exponent = 1.0) rng ~n ~m_per_node =
-  if n < m_per_node + 1 then invalid_arg "Synthetic.barabasi_albert: n too small";
-  let labels = assign_labels rng ~n_labels ~zipf_exponent n in
-  (* endpoint pool: each edge contributes both endpoints, so sampling
-     from the pool is degree-proportional *)
-  let pool = ref [] in
-  let pool_arr = ref [||] in
-  let pool_dirty = ref true in
-  let edges = ref [] in
-  let seen = Hashtbl.create (2 * n * m_per_node) in
-  let add_edge u v =
-    let key = if u < v then (u, v) else (v, u) in
-    if u <> v && not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      edges := key :: !edges;
-      pool := u :: v :: !pool;
-      pool_dirty := true;
-      true
-    end
-    else false
-  in
-  (* seed clique over the first m_per_node + 1 nodes *)
-  for u = 0 to m_per_node do
-    for v = u + 1 to m_per_node do
-      ignore (add_edge u v)
-    done
-  done;
-  for u = m_per_node + 1 to n - 1 do
-    let attached = ref 0 in
-    let attempts = ref 0 in
-    while !attached < m_per_node && !attempts < 50 * m_per_node do
-      incr attempts;
-      if !pool_dirty then begin
-        pool_arr := Array.of_list !pool;
-        pool_dirty := false
-      end;
-      let target = Rng.choose rng !pool_arr in
-      if add_edge u target then incr attached
-    done;
-    (* fall back to uniform targets if preferential attachment stalls *)
-    while !attached < m_per_node do
-      if add_edge u (Rng.int rng u) then incr attached
-    done
-  done;
-  build_labeled labels !edges
-
 let hub ?(hub_label = "H") ?(leaf_label = "L") ?(mesh_label = "M") rng ~n_hubs
     ~n_leaves ~n_mesh =
   if n_hubs <= 0 then invalid_arg "Synthetic.hub: need at least one hub";
@@ -98,5 +52,3 @@ let hub ?(hub_label = "H") ?(leaf_label = "L") ?(mesh_label = "M") rng ~n_hubs
     done
   done;
   build_labeled labels !edges
-
-let label_array g = Array.init (Graph.n_nodes g) (Graph.label g)

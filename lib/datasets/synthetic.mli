@@ -15,12 +15,6 @@ val erdos_renyi :
     redrawn). Labels ["L0" .. "L<k-1>"] (default 100) assigned
     Zipf-distributed, most frequent first. *)
 
-val barabasi_albert :
-  ?n_labels:int -> ?zipf_exponent:float -> Rng.t -> n:int -> m_per_node:int -> Graph.t
-(** Preferential attachment: each new node attaches to [m_per_node]
-    existing nodes chosen proportionally to degree. Power-law degree
-    distribution; used as the protein-network surrogate. *)
-
 val hub :
   ?hub_label:string ->
   ?leaf_label:string ->
@@ -38,5 +32,3 @@ val hub :
     (γ = 1) while hub–leaf joins reduce by orders of magnitude — the
     shape that makes a static frequency-estimated order wrong and
     mid-query re-planning profitable. *)
-
-val label_array : Graph.t -> string array

@@ -55,7 +55,6 @@ type t = {
   learned : Gql_matcher.Stats.t;
   (* the copy planners read, and the learned epoch it was taken at *)
   mutable snapshot : (int * Gql_matcher.Stats.t) option;
-  mutable invalidations : int;
 }
 
 type stats = {
@@ -63,7 +62,6 @@ type stats = {
   indexes : int;
   plans : int;
   retrieval : Lru.stats;
-  invalidations : int;
   observations : int;
 }
 
@@ -84,7 +82,6 @@ let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
     epochs = Hashtbl.create 64;
     learned = Gql_matcher.Stats.create ();
     snapshot = None;
-    invalidations = 0;
   }
 
 let locked t f =
@@ -169,40 +166,6 @@ let drop t g =
       | Some gid ->
         drop_gid t g gid;
         Hashtbl.remove t.epochs gid)
-
-let retain t ~metrics ~keep =
-  locked t (fun () ->
-      let survivors = List.filter (fun g -> GraphTbl.mem t.gids g) keep in
-      if survivors = [] && GraphTbl.length t.gids > 0 then begin
-        (* nothing carries over: wholesale replacement *)
-        t.invalidations <- t.invalidations + 1;
-        GraphTbl.reset t.gids;
-        Hashtbl.reset t.indexes;
-        reset_plans t;
-        Hashtbl.reset t.epochs;
-        Lru.clear t.rows;
-        M.incr metrics M.Exec_cache_invalidations
-      end
-      else begin
-        let keep_set = Hashtbl.create 16 in
-        List.iter
-          (fun g -> Option.iter (fun gid -> Hashtbl.replace keep_set gid ()) (gid_opt t g))
-          survivors;
-        let doomed =
-          GraphTbl.fold
-            (fun g gid acc ->
-              if Hashtbl.mem keep_set gid then acc else (g, gid) :: acc)
-            t.gids []
-        in
-        List.iter
-          (fun (g, gid) ->
-            drop_gid t g gid;
-            Hashtbl.remove t.epochs gid)
-          doomed
-      end;
-      List.iter
-        (fun g -> if not (GraphTbl.mem t.gids g) then ignore (add_gid t g))
-        keep)
 
 let indexes t ~metrics g =
   locked t (fun () ->
@@ -338,6 +301,5 @@ let stats t =
         indexes = Hashtbl.length t.indexes;
         plans = t.n_plans;
         retrieval = Lru.stats t.rows;
-        invalidations = t.invalidations;
         observations = Gql_matcher.Stats.observations t.learned;
       })

@@ -74,15 +74,6 @@ val drop : t -> Graph.t -> unit
 (** Retire one graph (document deletion): forget its registration,
     indexes, plans and epoch. Other graphs are untouched. *)
 
-val retain : t -> metrics:Gql_obs.Metrics.t -> keep:Graph.t list -> unit
-(** Reconcile the registrations with a new document set: graphs in
-    [keep] that are already registered stay warm (indexes, plans,
-    epochs intact); every other registered graph is retired; new
-    graphs in [keep] are registered. When {e nothing} survives the
-    reconciliation this is a wholesale replacement: every cached
-    index, plan and row is dropped, and [exec.cache.invalidations]
-    counts it. The learned statistics survive either way. *)
-
 val graph_epoch : t -> Graph.t -> int option
 (** How many times this document slot has been replaced by writes
     ([0] for a freshly registered graph, [None] if unregistered). A
@@ -170,7 +161,6 @@ type stats = {
   indexes : int;  (** index pairs actually built *)
   plans : int;  (** cached plans, over every graph *)
   retrieval : Lru.stats;
-  invalidations : int;
   observations : int;  (** searches folded into the learned statistics *)
 }
 

@@ -56,7 +56,6 @@ let connect ?(timeout = 30.0) ?(pool = 2) addrs =
   }
 
 let shards t = Array.to_list (Array.map (fun l -> l.l_addr) t.links)
-let pool_size t = Array.length t.links.(0).slots
 
 let close t =
   Array.iter

@@ -67,7 +67,4 @@ val broadcast :
 
 val shards : t -> string list
 
-val pool_size : t -> int
-(** The configured connections-per-shard cap. *)
-
 val close : t -> unit

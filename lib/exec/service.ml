@@ -680,17 +680,6 @@ let drain t =
   in
   List.sort (fun a b -> compare a.o_id b.o_id) out
 
-let update_docs t docs =
-  let m = M.create () in
-  (* Per-graph reconciliation: graphs carried over from the previous
-     doc set keep their indexes, plans and epochs; only the graphs
-     that actually changed are retired. A wholesale replacement (no
-     graph survives) degenerates to the old full invalidation. *)
-  Cache.retain t.cache ~metrics:m ~keep:(List.concat_map snd docs);
-  locked t.r_mutex (fun () ->
-      t.docs <- docs;
-      M.merge_counts ~into:t.agg m)
-
 (* Mount a view decoded from a store (or built by the caller) into the
    running service: materialized views adopt their persisted result
    graphs; plain views re-derive from the current source collection. *)

@@ -130,14 +130,6 @@ val drain : t -> outcome list
     outcomes in submission order. The service stays usable — submit
     more or {!shutdown}. *)
 
-val update_docs : t -> Gql_core.Eval.docs -> unit
-(** Replace the document set, {e reconciling} per graph: physically
-    identical graphs carried over from the previous set keep their
-    cached indexes, plans and epochs; only the changed graphs are
-    retired (wholesale replacement degenerates to a full
-    invalidation). Call between {!drain} and the next {!submit} —
-    queries already running keep the documents they started with. *)
-
 val watermark : t -> int
 (** The staged watermark: total DML statements reserved by every
     {!submit} so far. [submit ~after:(watermark t)] gives

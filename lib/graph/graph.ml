@@ -111,17 +111,6 @@ let iter_edges_between g u v ~f =
     incr i
   done
 
-let exists_edge_between g u v ~f =
-  let row = g.adj_nbr.(u) in
-  let eids = g.adj_eid.(u) in
-  let n = Array.length row in
-  let i = ref (row_lower_bound row v) in
-  let found = ref false in
-  while (not !found) && !i < n && Array.unsafe_get row !i = v do
-    if f (Array.unsafe_get eids !i) then found := true else incr i
-  done;
-  !found
-
 let find_all_edges g u v =
   let acc = ref [] in
   iter_edges_between g u v ~f:(fun e -> acc := e :: !acc);
@@ -151,7 +140,6 @@ let fold_edges g ~init ~f =
 
 let iter_edges g ~f = Array.iteri f g.edges
 
-let with_tuple g gtuple = { g with gtuple }
 let with_name g name = { g with name }
 
 let map_node_tuples g ~f =

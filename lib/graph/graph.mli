@@ -88,11 +88,6 @@ val iter_edges_between : t -> int -> int -> f:(int -> unit) -> unit
 (** Allocation-free version of {!find_all_edges}: applies [f] to each
     connecting edge id in ascending order. *)
 
-val exists_edge_between : t -> int -> int -> f:(int -> bool) -> bool
-(** [exists_edge_between g u v ~f]: does some edge connecting [u] to
-    [v] satisfy [f]? Binary search plus a scan of the parallel-edge
-    run; no allocation. *)
-
 (** {1 Iteration} *)
 
 val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
@@ -102,7 +97,6 @@ val iter_edges : t -> f:(int -> edge -> unit) -> unit
 
 (** {1 Derived graphs} *)
 
-val with_tuple : t -> Tuple.t -> t
 val with_name : t -> string option -> t
 
 val map_node_tuples : t -> f:(int -> Tuple.t -> Tuple.t) -> t

@@ -174,17 +174,3 @@ let apply_all ?(r = 1) g ops =
       edge_map = !edge_map;
       dirty = sorted_dedup dirty;
     } )
-
-let pp_op ppf = function
-  | Add_node { name; tuple } ->
-    Format.fprintf ppf "add node %s%a"
-      (Option.value name ~default:"_")
-      Tuple.pp tuple
-  | Add_edge { name; src; dst; tuple } ->
-    Format.fprintf ppf "add edge %s(%d, %d)%a"
-      (Option.value name ~default:"_")
-      src dst Tuple.pp tuple
-  | Set_node { v; tuple } -> Format.fprintf ppf "set node %d%a" v Tuple.pp tuple
-  | Set_edge { e; tuple } -> Format.fprintf ppf "set edge %d%a" e Tuple.pp tuple
-  | Del_node v -> Format.fprintf ppf "del node %d" v
-  | Del_edge e -> Format.fprintf ppf "del edge %d" e

@@ -37,5 +37,3 @@ val apply : ?r:int -> Graph.t -> op -> Graph.t * delta
 val apply_all : ?r:int -> Graph.t -> op list -> Graph.t * delta
 (** Apply a batch left to right; maps and dirty set are composed across
     the ops (maps relate the original graph to the final one). *)
-
-val pp_op : Format.formatter -> op -> unit

@@ -2,10 +2,6 @@ type t = string array  (* sorted ascending *)
 
 let of_labels ls = Array.of_list (List.sort String.compare ls)
 
-let of_neighborhood (n : Neighborhood.t) =
-  Graph.fold_nodes n.graph ~init:[] ~f:(fun acc v -> Graph.label n.graph v :: acc)
-  |> of_labels
-
 let of_node g ~r v =
   Neighborhood.nodes_within g v ~r |> List.map (Graph.label g) |> of_labels
 

@@ -15,9 +15,6 @@ type t
 
 val of_labels : string list -> t
 
-val of_neighborhood : Neighborhood.t -> t
-(** Labels of every node of the neighborhood subgraph (center included). *)
-
 val of_node : Graph.t -> r:int -> int -> t
 (** Profile of a single node's radius-[r] neighborhood — one BFS, used
     by incremental index maintenance to recompute only dirty nodes. *)

@@ -32,7 +32,6 @@ let set t name v =
   else { t with attrs = t.attrs @ [ (name, v) ] }
 
 let remove t name = { t with attrs = List.remove_assoc name t.attrs }
-let with_tag t tag = { t with tag }
 let bindings t = t.attrs
 let names t = List.map fst t.attrs
 let cardinal t = List.length t.attrs

@@ -30,8 +30,6 @@ val set : t -> string -> Value.t -> t
 
 val remove : t -> string -> t
 
-val with_tag : t -> string option -> t
-
 val bindings : t -> (string * Value.t) list
 (** Bindings in insertion order (with shadowed entries removed). *)
 

@@ -33,17 +33,11 @@ val semi_perfect : graph -> bool
     matching has size [nl]. Short-circuits on an obvious degree
     deficiency ([nr < nl] or an isolated left vertex). *)
 
-val semi_perfect_packed :
-  nl:int -> nr:int -> stride:int -> int array -> bool
-(** [semi_perfect_packed ~nl ~nr ~stride rows]: {!semi_perfect} over a
-    packed adjacency — row [l] occupies words
+val kuhn_packed : nl:int -> nr:int -> stride:int -> int array -> int
+(** [kuhn_packed ~nl ~nr ~stride rows]: maximum-matching size by
+    augmenting paths over a packed adjacency — row [l] occupies words
     [rows.(l*stride) .. rows.(l*stride + stride - 1)], bit [j]
     ({!Bitset.bits_per_word} bits per word) meaning edge [(l, j)].
     [rows] may be a larger scratch buffer; words beyond bit [nr-1] in a
-    row must be clear. The augmenting-path search intersects each row
-    with the unvisited mask one word at a time — no per-edge list
-    cells. *)
-
-val kuhn_packed : nl:int -> nr:int -> stride:int -> int array -> int
-(** Maximum-matching size on the packed representation (augmenting
-    paths); primitive under {!semi_perfect_packed}. *)
+    row must be clear. The search intersects each row with the
+    unvisited mask one word at a time — no per-edge list cells. *)

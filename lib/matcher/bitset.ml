@@ -82,11 +82,6 @@ let is_empty t = t.card = 0
 
 let get_word t wi = Array.unsafe_get t.words wi
 
-let iter_words t f =
-  for wi = 0 to Array.length t.words - 1 do
-    f wi (Array.unsafe_get t.words wi)
-  done
-
 (* Number of trailing zeros of a power of two. *)
 let ntz_pow2 b = popcount (b - 1)
 

@@ -12,8 +12,6 @@ let stop_reason_to_string = function
   | Step_budget -> "step budget"
   | Cancelled -> "cancelled"
 
-let pp_stop_reason ppf r = Format.pp_print_string ppf (stop_reason_to_string r)
-
 let severity = function
   | Exhausted -> 0
   | Hit_limit -> 1

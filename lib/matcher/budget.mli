@@ -26,7 +26,6 @@ type stop_reason =
   | Cancelled
 
 val stop_reason_to_string : stop_reason -> string
-val pp_stop_reason : Format.formatter -> stop_reason -> unit
 
 val worst : stop_reason -> stop_reason -> stop_reason
 (** Merge two reasons (e.g. across parallel domains or collection

@@ -97,9 +97,6 @@ let fold_order model p ~sizes order ~f ~init =
 let order_cost model p ~sizes order =
   fst (fold_order model p ~sizes order ~init:0.0 ~f:(fun acc ~cost -> acc +. cost))
 
-let order_size model p ~sizes order =
-  snd (fold_order model p ~sizes order ~init:0.0 ~f:(fun acc ~cost:_ -> acc))
-
 (* est.(i) = estimated number of partial mappings alive after order
    position i — the "estimated" column the adaptive search and
    [explain --analyze] compare the observed descent counts against. *)

@@ -54,12 +54,6 @@ let total t = t.t_retrieve +. t.t_refine +. t.t_order +. t.t_search
 
 type phase = Retrieve | Refine | Order | Search
 
-let phase_to_string = function
-  | Retrieve -> "retrieve"
-  | Refine -> "refine"
-  | Order -> "order"
-  | Search -> "search"
-
 type result = {
   outcome : Search.outcome;
   space_initial : Feasible.space;

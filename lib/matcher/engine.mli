@@ -46,8 +46,6 @@ val total : timings -> float
 type phase = Retrieve | Refine | Order | Search
 (** Pipeline phase, for attributing where a budget stop happened. *)
 
-val phase_to_string : phase -> string
-
 type result = {
   outcome : Search.outcome;
   space_initial : Feasible.space;  (** after retrieval/local pruning *)

@@ -5,8 +5,8 @@ open Gql_graph
      |Φ(u)| / |V(g)| observed after retrieval + refinement, and
    - per-(label, label) edge reduction factors γ observed from the
      search's per-position fan-out,
-   keyed textually so the table survives serialization unchanged. An
-   unconstrained pattern node is keyed "*"; a labeled one "L<label>". *)
+   keyed textually: an unconstrained pattern node is keyed "*", a
+   labeled one "L<label>". *)
 
 type ewma = { mutable value : float; mutable weight : float }
 
@@ -154,127 +154,3 @@ let observe_run t ~p ~n_nodes ~sizes ~order ~fanouts =
     order;
   t.observations <- t.observations + 1;
   if t.observations mod t.epoch_every = 0 then t.epoch <- t.epoch + 1
-
-(* --- serialization ------------------------------------------------------- *)
-
-let magic = "GSTATS1\n"
-
-let write_uvarint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let byte = !n land 0x7F in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
-let corrupt what = invalid_arg ("Stats.of_string: " ^ what)
-
-let read_uvarint s off =
-  let n = ref 0 and shift = ref 0 and off = ref off and continue = ref true in
-  while !continue do
-    if !off >= String.length s then corrupt "truncated varint";
-    let byte = Char.code s.[!off] in
-    incr off;
-    n := !n lor ((byte land 0x7F) lsl !shift);
-    shift := !shift + 7;
-    if byte land 0x80 = 0 then continue := false
-  done;
-  (!n, !off)
-
-let write_string buf s =
-  write_uvarint buf (String.length s);
-  Buffer.add_string buf s
-
-let read_string s off =
-  let len, off = read_uvarint s off in
-  if off + len > String.length s then corrupt "truncated string";
-  (String.sub s off len, off + len)
-
-let write_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let read_float s off =
-  if off + 8 > String.length s then corrupt "truncated float";
-  (Int64.float_of_bits (String.get_int64_le s off), off + 8)
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  write_float buf t.decay;
-  write_uvarint buf t.epoch_every;
-  write_uvarint buf t.observations;
-  write_uvarint buf t.epoch;
-  let sorted tbl =
-    List.sort compare (Hashtbl.fold (fun k e acc -> (k, e) :: acc) tbl [])
-  in
-  write_uvarint buf (Hashtbl.length t.sel);
-  List.iter
-    (fun ((label, bucket), e) ->
-      write_string buf label;
-      write_uvarint buf bucket;
-      write_float buf e.value;
-      write_float buf e.weight)
-    (sorted t.sel);
-  write_uvarint buf (Hashtbl.length t.gam);
-  List.iter
-    (fun ((a, b), e) ->
-      write_string buf a;
-      write_string buf b;
-      write_float buf e.value;
-      write_float buf e.weight)
-    (sorted t.gam);
-  Buffer.contents buf
-
-let of_string s =
-  let ml = String.length magic in
-  if String.length s < ml || String.sub s 0 ml <> magic then
-    corrupt "bad magic";
-  let decay, off = read_float s ml in
-  if not (decay > 0.0 && decay <= 1.0) then corrupt "decay out of range";
-  let epoch_every, off = read_uvarint s off in
-  if epoch_every <= 0 then corrupt "epoch_every out of range";
-  let observations, off = read_uvarint s off in
-  let epoch, off = read_uvarint s off in
-  let t = { (create ~decay ~epoch_every ()) with observations; epoch } in
-  let n_sel, off = read_uvarint s off in
-  let off = ref off in
-  for _ = 1 to n_sel do
-    let label, o = read_string s !off in
-    let bucket, o = read_uvarint s o in
-    let value, o = read_float s o in
-    let weight, o = read_float s o in
-    if bucket > 63 then corrupt "bucket out of range";
-    if not (Float.is_finite value && Float.is_finite weight) then
-      corrupt "non-finite entry";
-    Hashtbl.replace t.sel (label, bucket) { value; weight };
-    off := o
-  done;
-  let n_gam, o = read_uvarint s !off in
-  off := o;
-  for _ = 1 to n_gam do
-    let a, o = read_string s !off in
-    let b, o = read_string s o in
-    let value, o = read_float s o in
-    let weight, o = read_float s o in
-    if not (Float.is_finite value && Float.is_finite weight) then
-      corrupt "non-finite entry";
-    Hashtbl.replace t.gam (a, b) { value; weight };
-    off := o
-  done;
-  if !off <> String.length s then corrupt "trailing bytes";
-  t
-
-let equal a b =
-  let entries tbl =
-    List.sort compare
-      (Hashtbl.fold (fun k e acc -> (k, e.value, e.weight) :: acc) tbl [])
-  in
-  a.decay = b.decay && a.epoch_every = b.epoch_every
-  && a.observations = b.observations
-  && a.epoch = b.epoch
-  && entries a.sel = entries b.sel
-  && entries a.gam = entries b.gam

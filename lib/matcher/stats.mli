@@ -14,9 +14,8 @@
 
     Instances are not domain-safe: the exec service folds observations
     in under its cache mutex and hands {!snapshot}s to concurrent
-    planners. Serialization ({!to_string} / {!of_string}) is
-    self-contained so the storage layer can persist the blob without
-    depending on this library. *)
+    planners. The statistics live in memory only: they are learned
+    afresh by each process and never written to a store. *)
 
 type t
 
@@ -71,14 +70,3 @@ val estimate_sizes : t -> Flat_pattern.t -> n_nodes:int -> int array
     it, from the learned selectivities; unseen (label, degree) buckets
     estimate [n_nodes]. Used to cost whole patterns against each other
     in multi-pattern programs. *)
-
-val equal : t -> t -> bool
-(** Structural equality of the full state (for round-trip tests). *)
-
-val to_string : t -> string
-(** Self-describing binary serialization (magic ["GSTATS1\n"]),
-    deterministic: equal states serialize identically. *)
-
-val of_string : string -> t
-(** Raises [Invalid_argument] on anything {!to_string} did not
-    produce. *)

@@ -20,7 +20,6 @@ type counter =
   | Exec_cache_hit
   | Exec_cache_miss
   | Exec_cache_evictions
-  | Exec_cache_invalidations
   | Exec_queue_submitted
   | Exec_queue_completed
   | Exec_queue_yields
@@ -60,25 +59,24 @@ let counter_index = function
   | Exec_cache_hit -> 18
   | Exec_cache_miss -> 19
   | Exec_cache_evictions -> 20
-  | Exec_cache_invalidations -> 21
-  | Exec_queue_submitted -> 22
-  | Exec_queue_completed -> 23
-  | Exec_queue_yields -> 24
-  | Exec_queue_deadline_stops -> 25
-  | Planner_replans -> 26
-  | Exec_plan_stale -> 27
-  | Exec_writes -> 28
-  | Exec_watermark_waits -> 29
-  | Storage_txn_appended -> 30
-  | Index_incremental -> 31
-  | Rpq_segments_checked -> 32
-  | Rpq_fast_path -> 33
-  | Rpq_product_visited -> 34
-  | Views_incremental -> 35
-  | Views_full -> 36
-  | Views_reads -> 37
+  | Exec_queue_submitted -> 21
+  | Exec_queue_completed -> 22
+  | Exec_queue_yields -> 23
+  | Exec_queue_deadline_stops -> 24
+  | Planner_replans -> 25
+  | Exec_plan_stale -> 26
+  | Exec_writes -> 27
+  | Exec_watermark_waits -> 28
+  | Storage_txn_appended -> 29
+  | Index_incremental -> 30
+  | Rpq_segments_checked -> 31
+  | Rpq_fast_path -> 32
+  | Rpq_product_visited -> 33
+  | Views_incremental -> 34
+  | Views_full -> 35
+  | Views_reads -> 36
 
-let n_counters = 38
+let n_counters = 37
 
 let counter_name = function
   | Retrieval_scanned -> "retrieval.scanned"
@@ -102,7 +100,6 @@ let counter_name = function
   | Exec_cache_hit -> "exec.cache.hit"
   | Exec_cache_miss -> "exec.cache.miss"
   | Exec_cache_evictions -> "exec.cache.evictions"
-  | Exec_cache_invalidations -> "exec.cache.invalidations"
   | Exec_queue_submitted -> "exec.queue.submitted"
   | Exec_queue_completed -> "exec.queue.completed"
   | Exec_queue_yields -> "exec.queue.yields"
@@ -143,7 +140,6 @@ let all_counters =
     Exec_cache_hit;
     Exec_cache_miss;
     Exec_cache_evictions;
-    Exec_cache_invalidations;
     Exec_queue_submitted;
     Exec_queue_completed;
     Exec_queue_yields;

@@ -40,9 +40,6 @@ type counter =
   | Exec_cache_hit  (** exec-service cache lookups served (all caches) *)
   | Exec_cache_miss  (** exec-service cache lookups that computed fresh *)
   | Exec_cache_evictions  (** retrieval-LRU entries evicted by byte budget *)
-  | Exec_cache_invalidations
-      (** wholesale cache clears: a [Cache.retain] in which no
-          registered graph survived *)
   | Exec_queue_submitted  (** queries admitted to the batch scheduler *)
   | Exec_queue_completed  (** queries that finished (any stop reason) *)
   | Exec_queue_yields  (** quantum expirations that re-enqueued a query *)

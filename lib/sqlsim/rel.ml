@@ -33,7 +33,6 @@ let table db name =
   | Some t -> t
   | None -> invalid_arg ("Rel.table: no such table " ^ name)
 
-let table_name t = t.name
 let columns t = Array.to_list t.cols
 
 let column_index t col =

@@ -24,7 +24,6 @@ val create_table : db -> string -> columns:string list -> unit
 val insert : db -> string -> row -> unit
 
 val table : db -> string -> table
-val table_name : table -> string
 val columns : table -> string list
 val column_index : table -> string -> int
 val cardinality : table -> int

@@ -56,7 +56,6 @@ let set_fault t ~after_bytes =
   if after_bytes < 0 then invalid_arg "Pager.set_fault: negative budget";
   t.fault <- Some after_bytes
 
-let clear_fault t = t.fault <- None
 let bytes_written t = t.bytes_written
 
 let write_all t buf off len =

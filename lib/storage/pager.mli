@@ -51,8 +51,6 @@ val set_fault : t -> after_bytes:int -> unit
 (** Arm the crash: the next writes spend the budget byte by byte; the
     write that exceeds it is torn at the boundary and raises {!Crash}. *)
 
-val clear_fault : t -> unit
-
 val bytes_written : t -> int
 (** Total bytes successfully written through this handle — the crash
     matrix iterates a fault over [0 .. bytes_written] of a clean run. *)

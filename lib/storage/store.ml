@@ -19,20 +19,20 @@
    first record that fails its bounds or CRC, truncates the directory
    there and commits the repaired header.
 
-   Four record types share the log, classified by the payload's first
+   Three record kinds share the log, classified by the payload's first
    byte: graph records begin with {!Codec.format_version} (a small
-   integer), auxiliary records — the planner's learned statistics —
-   with [aux_kind] (0xFA), transaction records with [txn_kind] (0xFB),
+   integer), transaction records with [txn_kind] (0xFB),
    view-definition records with [view_kind] (0xFC), all far outside
-   any codec version. Aux, txn and view records ride the same
+   any codec version. Txn and view records ride the same
    CRC/commit/recovery machinery; only graph records count toward [n]
-   and the id directory.
+   and the id directory. Kind 0xFA marked the auxiliary learned-stats
+   records that older stores carry: opening skips them, and nothing
+   writes them any more.
 
    View records are keyed by name: ['c' name blob] creates or replaces
-   a view (newest committed record wins, like the aux stats blob) and
-   ['d' name] drops it. The blob is opaque to the store — the exec
-   layer encodes the definition text, flags, epoch and materialized
-   result graphs in it.
+   a view (newest committed record wins) and ['d' name] drops it. The
+   blob is opaque to the store — the exec layer encodes the definition
+   text, flags, epoch and materialized result graphs in it.
 
    Transaction records are the write path's log: instead of rewriting a
    mutated graph's (possibly large) base record, a write appends the
@@ -47,7 +47,7 @@
 open Gql_graph
 
 let magic = "GQLSTOR2"
-let aux_kind = '\250'
+let retired_aux_kind = '\250'
 let txn_kind = '\251'
 let view_kind = '\252'
 
@@ -65,7 +65,6 @@ type recovery = {
 type snapshot = {
   c_n : int;
   c_tail : int;
-  c_aux : string option;
   c_txns : int;
   c_pending : (int * Mutate.op list) list;
   c_dead : int list;
@@ -79,7 +78,6 @@ type t = {
   mutable n : int;
   mutable tail : int;  (* byte offset of the end of the log *)
   mutable seq : int;  (* last committed superblock sequence number *)
-  mutable aux : string option;  (* newest committed aux payload, sans kind byte *)
   mutable txns : int;  (* txn records replayed + appended (tombstones included) *)
   pending : (int, Mutate.op list) Hashtbl.t;  (* gid -> logged ops, log order *)
   dead : (int, unit) Hashtbl.t;  (* tombstoned gids *)
@@ -132,7 +130,6 @@ let snapshot t =
   {
     c_n = t.n;
     c_tail = t.tail;
-    c_aux = t.aux;
     c_txns = t.txns;
     c_pending = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending [];
     c_dead = Hashtbl.fold (fun k () acc -> k :: acc) t.dead [];
@@ -224,7 +221,6 @@ let empty_snapshot =
   {
     c_n = 0;
     c_tail = header_size;
-    c_aux = None;
     c_txns = 0;
     c_pending = [];
     c_dead = [];
@@ -245,7 +241,6 @@ let create ?pool_capacity path =
       n = 0;
       tail = header_size;
       seq = 0;
-      aux = None;
       txns = 0;
       pending = Hashtbl.create 16;
       dead = Hashtbl.create 16;
@@ -304,7 +299,7 @@ let replay_txn t payload =
 (* Replay one CRC-valid view record: ['c' name blob] (re)defines the
    view, ['d' name] drops it. Later records shadow earlier ones, so
    replay in log order leaves the newest committed definition per name
-   — the same newest-wins discipline as the aux stats blob, but keyed.
+   per name.
    Malformed structure is treated like a CRC failure by the caller. *)
 let replay_view t payload =
   let len = String.length payload in
@@ -356,7 +351,6 @@ let open_existing ?pool_capacity path =
       n = 0;
       tail;
       seq;
-      aux = None;
       txns = 0;
       pending = Hashtbl.create 16;
       dead = Hashtbl.create 16;
@@ -375,10 +369,11 @@ let open_existing ?pool_capacity path =
      failure would. *)
   let off = ref header_size in
   let valid = ref 0 in
-  let note_aux payload =
-    t.aux <- Some (String.sub payload 1 (String.length payload - 1))
+  (* without this skip an old store's aux record would count toward [n]:
+     the scan would stop one graph early and truncate the committed tail *)
+  let is_aux payload =
+    String.length payload > 0 && payload.[0] = retired_aux_kind
   in
-  let is_aux payload = String.length payload > 0 && payload.[0] = aux_kind in
   let is_txn payload = String.length payload > 0 && payload.[0] = txn_kind in
   let is_view payload = String.length payload > 0 && payload.[0] = view_kind in
   (try
@@ -386,29 +381,26 @@ let open_existing ?pool_capacity path =
        match read_record_opt t ~limit:tail !off with
        | None -> raise Exit
        | Some (payload, next) ->
-         (if is_aux payload then note_aux payload
-          else if is_txn payload then begin
+         (if is_txn payload then begin
             if not (replay_txn t payload) then raise Exit
           end
           else if is_view payload then begin
             if not (replay_view t payload) then raise Exit
           end
-          else begin
+          else if not (is_aux payload) then begin
             push_offset t (!off, String.length payload);
             t.n <- t.n + 1;
             incr valid
           end);
          off := next
      done;
-     (* aux/txn/view records appended after the last committed graph: walk
+     (* aux/txn/view records after the last committed graph: walk
         them up to tail; anything unreadable there is a torn tail and
         falls to the truncation below, keeping the previous state *)
      let walking = ref true in
      while !walking && !off < tail do
        match read_record_opt t ~limit:tail !off with
-       | Some (payload, next) when is_aux payload ->
-         note_aux payload;
-         off := next
+       | Some (payload, next) when is_aux payload -> off := next
        | Some (payload, next) when is_txn payload ->
          if replay_txn t payload then off := next else walking := false
        | Some (payload, next) when is_view payload ->
@@ -444,7 +436,7 @@ let close t =
     t.closed <- true
   end
 
-(* Discard everything staged since the last commit: graph/aux/txn/view
+(* Discard everything staged since the last commit: graph/txn/view
    records (the log tail), tombstones and pending overlays. Pages
    beyond the restored tail may hold the discarded bytes, but they are
    unreachable — record validity is bounded by the superblock tail, and
@@ -453,7 +445,6 @@ let discard_staged t =
   let s = t.committed in
   t.n <- s.c_n;
   t.tail <- s.c_tail;
-  t.aux <- s.c_aux;
   t.txns <- s.c_txns;
   Hashtbl.reset t.pending;
   List.iter (fun (k, v) -> Hashtbl.replace t.pending k v) s.c_pending;
@@ -583,15 +574,6 @@ let remove_graph t gid =
 let txn_count t = t.txns
 let durable_txn_count t = t.committed.c_txns
 let pending_ops t gid = Option.value ~default:[] (Hashtbl.find_opt t.pending gid)
-
-let set_stats t blob =
-  check t;
-  t.tail <- write_record t t.tail (String.make 1 aux_kind ^ blob);
-  t.aux <- Some blob
-
-let stats_blob t =
-  check t;
-  t.aux
 
 let set_view t ~name blob =
   check t;

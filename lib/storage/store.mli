@@ -8,6 +8,13 @@
     so a write torn {e anywhere} — mid-record, mid-page, or inside the
     superblock itself — leaves the previous commit fully readable.
 
+    Three record kinds share the log: graphs, transaction records
+    (mutation ops and deletion tombstones, see {!append_txn}) and
+    view-definition records ({!set_view}). Stores written before the
+    learned-statistics records were retired may also hold kind-0xFA
+    auxiliary records; opening skips them, so they neither consume a
+    graph id nor truncate the log.
+
     {!open_existing} recovers from a torn tail: it scans at most the
     committed record count, drops everything from the first record that
     fails its bounds or CRC, and commits the repaired header; the
@@ -44,7 +51,7 @@ val close : t -> unit
     afterwards. *)
 
 val rollback : t -> unit
-(** Discard everything staged since the last commit — graphs, aux
+(** Discard everything staged since the last commit — graphs, view
     records and the transaction-log tail (pending ops, tombstones) —
     restoring the last committed state. The store stays open. *)
 
@@ -107,22 +114,10 @@ val iter : t -> f:(int -> Graph.t -> unit) -> unit
 val to_list : t -> Graph.t list
 (** Live graphs only. *)
 
-val set_stats : t -> string -> unit
-(** Append an auxiliary statistics record (the serialized learned
-    planner statistics, {!Gql_matcher.Stats.to_string}) to the log.
-    Aux records share the graph records' CRC, commit and recovery
-    machinery but do not consume graph ids; the newest one wins.
-    Durable after the next {!flush}/{!close}; a reopen after a torn
-    final aux record recovers the previous one. *)
-
-val stats_blob : t -> string option
-(** The newest committed-or-pending aux record's payload, if any. *)
-
 val set_view : t -> name:string -> string -> unit
 (** Append a view-definition record. View records are keyed by name —
-    the newest committed record for a name wins, like {!set_stats} but
-    per-key — and ride the same CRC/commit/recovery machinery without
-    consuming graph ids. The blob is opaque to the store (the exec
+    the newest committed record for a name wins — and ride the same
+    CRC/commit/recovery machinery without consuming graph ids. The blob is opaque to the store (the exec
     layer's {!Gql_exec.View} encodes definition text, flags, epoch and
     materialized result graphs in it). Durable after the next
     {!flush}/{!close}; a torn final view record recovers the previous
@@ -140,7 +135,8 @@ val views : t -> (string * string) list
 (** All live view records, sorted by name. *)
 
 val verify : t -> int
-(** Re-read every committed record — graph, aux, transaction and view —
+(** Re-read every committed record — graph, transaction, view, and any
+    retired aux record —
     and recheck its CRC against the stored header; returns the record
     count. Raises [Codec.Corrupt] at the first unreadable record. The
     integrity pass behind [gqlsh store --verify]. *)

@@ -66,43 +66,6 @@ let returned_count = function
   | Service.Done r -> List.length (Eval.returned r)
   | Service.Rejected _ | Service.Failed _ -> -1
 
-let test_invalidation () =
-  (* v1 has one A-B edge, v2 has two: a stale cache would keep
-     answering 1 *)
-  let v1 = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
-  let v2 = Graph.of_labeled ~labels:[| "A"; "B"; "B" |] [ (0, 1); (0, 2) ] in
-  let t = Service.create ~jobs:1 ~docs:[ ("D", [ v1 ]) ] () in
-  ignore (Service.submit t edge_query);
-  ignore (Service.submit t edge_query);
-  let outs = Service.drain t in
-  List.iter
-    (fun o ->
-      Alcotest.(check int)
-        "one match against v1" 1
-        (returned_count o.Service.o_status))
-    outs;
-  let s = Service.cache_stats t in
-  Alcotest.(check bool) "indexes cached" true (s.Gql_exec.Cache.indexes >= 1);
-  Alcotest.(check bool) "plans cached" true (s.Gql_exec.Cache.plans >= 1);
-  Alcotest.(check bool)
-    "repeat run hit the caches" true
-    (M.get (Service.metrics t) M.Exec_cache_hit > 0);
-  Service.update_docs t [ ("D", [ v2 ]) ];
-  let s' = Service.cache_stats t in
-  Alcotest.(check int) "indexes dropped" 0 s'.Gql_exec.Cache.indexes;
-  Alcotest.(check int) "plans dropped" 0 s'.Gql_exec.Cache.plans;
-  Alcotest.(check int)
-    "rows dropped" 0 s'.Gql_exec.Cache.retrieval.Lru.entries;
-  Alcotest.(check int) "invalidation counted" 1 s'.Gql_exec.Cache.invalidations;
-  ignore (Service.submit t edge_query);
-  (match Service.drain t with
-  | [ o ] ->
-    Alcotest.(check int)
-      "two matches against v2 (no stale reuse)" 2
-      (returned_count o.Service.o_status)
-  | outs -> Alcotest.failf "expected one outcome, got %d" (List.length outs));
-  Service.shutdown t
-
 (* ---- uncached fallbacks and error containment ---- *)
 
 let test_variable_doc_fallback () =
@@ -391,28 +354,6 @@ let test_plan_epoch () =
   Alcotest.(check bool) "engine settings are part of the key" true
     (Cache.plan_find c ~metrics ~retrieval:`Profiles ~refine:true g p = None)
 
-let test_learned_survives_invalidate () =
-  let module Cache = Gql_exec.Cache in
-  let module Stats = Gql_matcher.Stats in
-  let c = Cache.create () in
-  let g = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
-  Cache.register c [ g ];
-  Cache.observe_learned c ~f:(fun s ->
-      Stats.observe_gamma s (Some "A") (Some "B") 0.25);
-  (* documents changing voids plans and rows, not what the planner has
-     learned about the workload: keeping no registered graph is the
-     wholesale path *)
-  let metrics = M.create () in
-  Cache.retain c ~metrics ~keep:[];
-  Alcotest.(check int) "the wholesale path was taken" 1
-    (Cache.stats c).Cache.invalidations;
-  Alcotest.(check int) "and counted" 1
-    (M.get metrics M.Exec_cache_invalidations);
-  Alcotest.(check bool) "the graph is retired" false (Cache.registered c g);
-  Alcotest.(check (option (float 1e-9)))
-    "learned gamma survives invalidate" (Some 0.25)
-    (Stats.gamma (Cache.learned_snapshot c) (Some "A") (Some "B"))
-
 (* ---- the write path: per-graph epochs and the watermark ---- *)
 
 let named_graph name nodes edges =
@@ -455,8 +396,6 @@ let test_epoch_isolation () =
   let s1 = Service.cache_stats t in
   Alcotest.(check bool) "GB's warm plans survive" true
     (s1.Gql_exec.Cache.plans >= 1);
-  Alcotest.(check int) "no blanket invalidation" 0
-    s1.Gql_exec.Cache.invalidations;
   Alcotest.(check bool) "indexes maintained incrementally" true
     (M.get (Service.metrics t) M.Index_incremental >= 1);
   Alcotest.(check int) "write counted" 1
@@ -481,9 +420,6 @@ let test_epoch_isolation () =
   ignore (Service.drain t);
   Alcotest.(check (option int)) "GB epoch survives view maintenance" (Some 0)
     (Service.graph_epoch t gb);
-  let s2 = Service.cache_stats t in
-  Alcotest.(check int) "views never blanket-invalidate" 0
-    s2.Gql_exec.Cache.invalidations;
   Alcotest.(check bool) "view refresh counted" true
     (M.get (Service.metrics t) M.Views_incremental
      + M.get (Service.metrics t) M.Views_full
@@ -685,8 +621,6 @@ let suite =
   [
     Alcotest.test_case "lru eviction under byte budget" `Quick test_lru_eviction;
     Alcotest.test_case "lru recency and counters" `Quick test_lru_counters;
-    Alcotest.test_case "update_docs invalidates every cache" `Quick
-      test_invalidation;
     Alcotest.test_case "variable doc bypasses the caches" `Quick
       test_variable_doc_fallback;
     Alcotest.test_case "a failing query does not kill the pool" `Quick
@@ -697,8 +631,6 @@ let suite =
       test_quantum_yields;
     QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
     Alcotest.test_case "plan epochs gate cached orders" `Quick test_plan_epoch;
-    Alcotest.test_case "learned stats survive invalidate" `Quick
-      test_learned_survives_invalidate;
     Alcotest.test_case "a write to one graph spares the others' plans" `Quick
       test_epoch_isolation;
     Alcotest.test_case "watermark gate gives read-your-writes" `Quick

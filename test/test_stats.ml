@@ -1,13 +1,8 @@
 (* Learned planner statistics: EWMA semantics, log2 degree bucketing,
-   serialization round-trips, and persistence through the store's aux
-   records — including that recovery from a torn later append replays
-   the last committed stats blob. *)
+   size estimates and snapshot independence. *)
 
 open Gql_graph
 open Gql_matcher
-open Gql_storage
-
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 let pattern labels edges =
   let b = Graph.Builder.create () in
@@ -91,45 +86,6 @@ let test_estimate_sizes () =
     "seen bucket scales by the learned selectivity" [| 10; 100 |]
     (Stats.estimate_sizes s p ~n_nodes:100)
 
-(* --- serialization ------------------------------------------------------- *)
-
-let labels_pool = [| None; Some "A"; Some "B"; Some "C" |]
-
-let stats_of_ops ops =
-  let s = Stats.create ~decay:0.5 ~epoch_every:3 () in
-  List.iter
-    (fun (a, b, d, x) ->
-      if d land 1 = 0 then
-        Stats.observe_selectivity s ~label:labels_pool.(a) ~degree:d x
-      else Stats.observe_gamma s labels_pool.(a) labels_pool.(b) x)
-    ops;
-  s
-
-let prop_roundtrip =
-  QCheck.Test.make ~name:"to_string/of_string round-trip is identity"
-    ~count:200
-    QCheck.(
-      list
-        (quad (int_bound 3) (int_bound 3) (int_bound 12)
-           (float_range 0.0 1.0)))
-    (fun ops ->
-      let s = stats_of_ops ops in
-      let s' = Stats.of_string (Stats.to_string s) in
-      Stats.equal s s' && Stats.to_string s = Stats.to_string s')
-
-let expect_invalid what s =
-  match Stats.of_string s with
-  | _ -> Alcotest.failf "of_string accepted %s" what
-  | exception Invalid_argument _ -> ()
-
-let test_of_string_rejects () =
-  expect_invalid "empty input" "";
-  expect_invalid "bad magic" "NOTSTATS";
-  expect_invalid "truncated header" "GSTATS1\n";
-  let good = Stats.to_string (Stats.create ()) in
-  expect_invalid "trailing bytes" (good ^ "x");
-  expect_invalid "truncated tail" (String.sub good 0 (String.length good - 1))
-
 let test_snapshot_is_independent () =
   let s = Stats.create () in
   Stats.observe_gamma s (Some "A") (Some "B") 0.25;
@@ -141,96 +97,6 @@ let test_snapshot_is_independent () =
   Alcotest.(check bool) "original moved on" true
     (Stats.gamma s (Some "A") (Some "B") <> Some 0.25)
 
-(* --- persistence through the store --------------------------------------- *)
-
-let graph_i i =
-  Graph.of_labeled
-    ~labels:(Array.init (3 + (i mod 4)) (fun j -> Printf.sprintf "G%d_%d" i j))
-    (List.init (2 + (i mod 3)) (fun k -> (k, k + 1)))
-
-let fresh path =
-  if Sys.file_exists path then Sys.remove path;
-  path
-
-let test_store_roundtrip () =
-  let path = fresh (tmp "gql_stats_roundtrip.db") in
-  let st = Store.create path in
-  ignore (Store.add_graph st (graph_i 0));
-  let s = stats_of_ops [ (1, 2, 3, 0.25); (0, 1, 2, 0.5) ] in
-  Store.set_stats st (Stats.to_string s);
-  ignore (Store.add_graph st (graph_i 1));
-  Store.close st;
-  let st = Store.open_existing path in
-  Alcotest.(check int) "graphs unaffected by the aux record" 2
-    (Store.n_graphs st);
-  Alcotest.(check bool) "clean open" true (Store.recovery st = None);
-  (match Store.stats_blob st with
-  | None -> Alcotest.fail "stats blob lost across close/open"
-  | Some blob ->
-    Alcotest.(check bool) "blob round-trips to an equal state" true
-      (Stats.equal s (Stats.of_string blob)));
-  Store.close st;
-  Sys.remove path
-
-let test_store_newest_wins () =
-  let path = fresh (tmp "gql_stats_newest.db") in
-  let s1 = stats_of_ops [ (1, 2, 3, 0.25) ] in
-  let s2 = stats_of_ops [ (2, 3, 5, 0.75); (0, 0, 0, 0.1) ] in
-  let st = Store.create path in
-  ignore (Store.add_graph st (graph_i 0));
-  Store.set_stats st (Stats.to_string s1);
-  Store.set_stats st (Stats.to_string s2);
-  Store.close st;
-  let st = Store.open_existing path in
-  (match Store.stats_blob st with
-  | None -> Alcotest.fail "stats blob lost"
-  | Some blob ->
-    Alcotest.(check bool) "the later record wins" true
-      (Stats.equal s2 (Stats.of_string blob)));
-  Store.close st;
-  Sys.remove path
-
-let test_store_corrupt_tail_keeps_stats () =
-  let path = fresh (tmp "gql_stats_torn.db") in
-  let s1 = stats_of_ops [ (1, 2, 3, 0.25) ] in
-  let s2 = stats_of_ops [ (2, 3, 5, 0.75) ] in
-  let st = Store.create path in
-  ignore (Store.add_graph st (graph_i 0));
-  Store.set_stats st (Stats.to_string s1);
-  Store.set_stats st (Stats.to_string s2);
-  Store.close st;
-  (* flip a byte inside the newest stats record (located by the last
-     occurrence of the serialization magic): its CRC fails, recovery
-     truncates the log there and replays the previous committed blob *)
-  let raw = In_channel.with_open_bin path In_channel.input_all in
-  let magic = "GSTATS1" in
-  let rec last_index from acc =
-    match String.index_from_opt raw from magic.[0] with
-    | None -> acc
-    | Some i ->
-      let hit =
-        i + String.length magic <= String.length raw
-        && String.sub raw i (String.length magic) = magic
-      in
-      last_index (i + 1) (if hit then i else acc)
-  in
-  let i = last_index 0 (-1) in
-  Alcotest.(check bool) "found the newest stats record" true (i >= 0);
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  ignore (Unix.lseek fd (i + String.length magic + 2) Unix.SEEK_SET);
-  ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
-  Unix.close fd;
-  let st = Store.open_existing path in
-  Alcotest.(check bool) "corrupt tail detected" true (Store.recovery st <> None);
-  Alcotest.(check int) "graph intact" 1 (Store.n_graphs st);
-  (match Store.stats_blob st with
-  | None -> Alcotest.fail "committed stats lost to the corrupt record"
-  | Some blob ->
-    Alcotest.(check bool) "previous committed blob replayed" true
-      (Stats.equal s1 (Stats.of_string blob)));
-  Store.close st;
-  Sys.remove path
-
 let suite =
   [
     Alcotest.test_case "EWMA decay" `Quick test_ewma_decay;
@@ -240,13 +106,6 @@ let suite =
       test_observe_run_and_epoch;
     Alcotest.test_case "estimate_sizes falls back to n_nodes" `Quick
       test_estimate_sizes;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
-    Alcotest.test_case "of_string rejects corrupt input" `Quick
-      test_of_string_rejects;
     Alcotest.test_case "snapshot is a deep copy" `Quick
       test_snapshot_is_independent;
-    Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
-    Alcotest.test_case "newest stats record wins" `Quick test_store_newest_wins;
-    Alcotest.test_case "recovery replays committed stats" `Quick
-      test_store_corrupt_tail_keeps_stats;
   ]

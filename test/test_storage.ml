@@ -197,6 +197,34 @@ let test_store_bad_magic () =
     | _ -> false);
   Sys.remove path
 
+(* [fixtures/gqlstor2_aux.store] was written by the last release that
+   still persisted learned planner statistics: a graph, a kind-0xFA aux
+   record, a second graph, then a transaction record adding node 3 to
+   graph 0. Opening must skip the aux record — counting it as a graph
+   would end the directory scan early and truncate the committed tail. *)
+let test_store_skips_retired_aux () =
+  let path = tmp "gql_store_aux_fixture.db" in
+  let fixture =
+    In_channel.with_open_bin "fixtures/gqlstor2_aux.store"
+      In_channel.input_all
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc fixture);
+  let check_open st =
+    Alcotest.(check bool) "clean open, nothing truncated" true
+      (Store.recovery st = None);
+    Alcotest.(check int) "both graphs" 2 (Store.n_graphs st);
+    Alcotest.(check int) "the txn replays" 1 (Store.txn_count st);
+    Alcotest.(check int) "graph 0 carries the inserted node" 4
+      (Graph.n_nodes (Store.get_graph st 0));
+    Alcotest.(check int) "graph 1 intact" 2 (Graph.n_nodes (Store.get_graph st 1));
+    Alcotest.(check int) "verify reads all four records" 4 (Store.verify st)
+  in
+  let st = Store.open_existing path in
+  check_open st;
+  Store.close st;
+  check_open (Store.open_existing path);
+  Sys.remove path
+
 let test_crc32_vectors () =
   (* the IEEE 802.3 check value, plus incremental equivalence *)
   Alcotest.(check int) "check vector" 0xCBF43926 (Codec.crc32 "123456789");
@@ -219,5 +247,7 @@ let suite =
     Alcotest.test_case "selection over a stored collection" `Quick
       test_store_query_integration;
     Alcotest.test_case "bad magic rejected" `Quick test_store_bad_magic;
+    Alcotest.test_case "retired aux records are skipped" `Quick
+      test_store_skips_retired_aux;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
   ]
