@@ -80,6 +80,9 @@ let select_governed ?strategy ?(exhaustive = true) ?limit
     (fun pi ->
       if not (Budget.final !stopped) then begin
         let p = pats.(pi) in
+        (* the source's per-pattern work (a plan key, say) happens once
+           per scan, not once per graph *)
+        let source = source p.Rpq.core in
         let rev_out = ref [] in
         Array.iteri
           (fun i entry ->
@@ -93,7 +96,7 @@ let select_governed ?strategy ?(exhaustive = true) ?limit
                    match × 1000 line *)
                 M_.with_span metrics "match" (fun () ->
                     Rpq.run ?strategy ~exhaustive ?limit ~budget ~metrics ?ctx
-                      ?source:(source p.Rpq.core g) p g)
+                      ?source:(source g) p g)
               in
               if M_.enabled metrics then
                 M_.observe metrics M_.Matches_per_graph

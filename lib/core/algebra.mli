@@ -74,11 +74,13 @@ val select_governed :
     short-circuits the remaining runs.
 
     [source] (default: none for every pair) supplies a (core, graph)
-    run's cached plan ({!Gql_matcher.Engine.source}); [after] runs
-    after each pair with its outcome — the exec service counts its
-    quantum and yields there. With [metrics] enabled, each run
-    executes inside a ["match"] span and the per-graph match counts
-    feed the [matches_per_graph] histogram. *)
+    run's cached plan ({!Gql_matcher.Engine.source}). It is applied to
+    each core once per scan, before the loop over the graphs, so work
+    that depends only on the pattern is not repeated per graph.
+    [after] runs after each pair with its outcome — the exec service
+    counts its quantum and yields there. With [metrics] enabled, the
+    per-graph match counts feed the [matches_per_graph] histogram, and
+    on a tracing instance each run executes inside a ["match"] span. *)
 
 val pattern_order :
   ?strategy:Gql_matcher.Engine.strategy ->

@@ -3,20 +3,21 @@ module M = Gql_obs.Metrics
 
 (* Documents are identified physically: the service owns the graphs it
    registered, and a rebuilt document is a new allocation, so [==] is
-   exactly "same version of the same document". [Hashtbl.hash] only
-   inspects a bounded prefix of the structure — cheap even on the PPI
-   graph — and physical equality disambiguates collisions. *)
+   exactly "same version of the same document". The hash is the
+   graph's construction stamp, one load; structural [Hashtbl.hash]
+   walked a bounded prefix of the record, ~190 ns per lookup. *)
 module GraphTbl = Hashtbl.Make (struct
   type t = Graph.t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash = Graph.stamp
 end)
 
 (* Rendering a pattern with [Flat_pattern.pp] is the expensive part of
-   key construction, and the same pattern object keys one lookup per
-   collection graph — memoize the rendered text per pattern, weakly, so
-   ephemeral per-query derivations don't accumulate. *)
+   key construction. The service renders once per scan ({!plan_key});
+   the per-graph wrappers {!plan_find} / {!plan_add} memoize the text
+   per pattern object, weakly, so ephemeral per-query derivations don't
+   accumulate. *)
 module PatTbl = Ephemeron.K1.Make (struct
   type t = Gql_matcher.Flat_pattern.t
 
@@ -32,7 +33,7 @@ type plan = {
 
 (* a plan's key within its graph's table: retrieval mode, refine flag,
    pattern text *)
-type pkey = char * bool * string
+type key = char * bool * string
 
 type t = {
   mutex : Mutex.t;
@@ -41,7 +42,7 @@ type t = {
   gids : int GraphTbl.t;
   indexes : (int, Gql_index.Label_index.t * Gql_index.Profile_index.t) Hashtbl.t;
   (* gid -> that graph's plans, so retiring a graph is one removal *)
-  plans : (int, (pkey, plan) Hashtbl.t) Hashtbl.t;
+  plans : (int, (key, plan) Hashtbl.t) Hashtbl.t;
   mutable n_plans : int;  (* total over the per-graph tables *)
   rows : int array Lru.t;
   pkeys : string PatTbl.t;
@@ -187,58 +188,73 @@ let indexes t ~metrics g =
           Some pair))
 
 let mode_char = function `Node_attrs -> 'a' | `Profiles -> 'p'
+let render p = Format.asprintf "%a" Gql_matcher.Flat_pattern.pp p
+
+let plan_key ~retrieval ~refine p : key =
+  (mode_char retrieval, refine, render p)
 
 (* call under the mutex *)
-let pattern_text t p =
-  match PatTbl.find_opt t.pkeys p with
-  | Some s -> s
-  | None ->
-    let s = Format.asprintf "%a" Gql_matcher.Flat_pattern.pp p in
-    PatTbl.add t.pkeys p s;
-    s
+let memo_key t ~retrieval ~refine p : key =
+  let text =
+    match PatTbl.find_opt t.pkeys p with
+    | Some s -> s
+    | None ->
+      let s = render p in
+      PatTbl.add t.pkeys p s;
+      s
+  in
+  (mode_char retrieval, refine, text)
 
-let plan_key t ~retrieval ~refine p : pkey =
-  (mode_char retrieval, refine, pattern_text t p)
+(* call under the mutex *)
+let lookup t ~metrics ~epoch g key =
+  match gid_opt t g with
+  | None -> None
+  | Some gid -> (
+    match
+      Option.bind (Hashtbl.find_opt t.plans gid) (fun tbl ->
+          Hashtbl.find_opt tbl key)
+    with
+    | Some plan when plan.p_epoch = epoch ->
+      M.incr metrics M.Exec_cache_hit;
+      Some (`Fresh plan)
+    | Some plan ->
+      (* the learned stats moved on since this plan was ordered: the
+         candidate space is still exact (it only depends on the graph),
+         but the order deserves a re-plan *)
+      M.incr metrics M.Exec_plan_stale;
+      Some (`Stale plan)
+    | None ->
+      M.incr metrics M.Exec_cache_miss;
+      None)
+
+(* call under the mutex *)
+let store t g key plan =
+  match gid_opt t g with
+  | None -> ()
+  | Some gid ->
+    if t.n_plans >= t.plan_capacity then reset_plans t;
+    let tbl =
+      match Hashtbl.find_opt t.plans gid with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Hashtbl.create 8 in
+        Hashtbl.add t.plans gid tbl;
+        tbl
+    in
+    if not (Hashtbl.mem tbl key) then t.n_plans <- t.n_plans + 1;
+    Hashtbl.replace tbl key plan
+
+let plan_lookup t ~metrics ~epoch g key =
+  locked t (fun () -> lookup t ~metrics ~epoch g key)
+
+let plan_store t g key plan = locked t (fun () -> store t g key plan)
 
 let plan_find t ~metrics ~retrieval ~refine ?(epoch = 0) g p =
   locked t (fun () ->
-      match gid_opt t g with
-      | None -> None
-      | Some gid -> (
-        match
-          Option.bind (Hashtbl.find_opt t.plans gid) (fun tbl ->
-              Hashtbl.find_opt tbl (plan_key t ~retrieval ~refine p))
-        with
-        | Some plan when plan.p_epoch = epoch ->
-          M.incr metrics M.Exec_cache_hit;
-          Some (`Fresh plan)
-        | Some plan ->
-          (* the learned stats moved on since this plan was ordered:
-             the candidate space is still exact (it only depends on the
-             graph), but the order deserves a re-plan *)
-          M.incr metrics M.Exec_plan_stale;
-          Some (`Stale plan)
-        | None ->
-          M.incr metrics M.Exec_cache_miss;
-          None))
+      lookup t ~metrics ~epoch g (memo_key t ~retrieval ~refine p))
 
 let plan_add t ~retrieval ~refine g p plan =
-  locked t (fun () ->
-      match gid_opt t g with
-      | None -> ()
-      | Some gid ->
-        if t.n_plans >= t.plan_capacity then reset_plans t;
-        let tbl =
-          match Hashtbl.find_opt t.plans gid with
-          | Some tbl -> tbl
-          | None ->
-            let tbl = Hashtbl.create 8 in
-            Hashtbl.add t.plans gid tbl;
-            tbl
-        in
-        let key = plan_key t ~retrieval ~refine p in
-        if not (Hashtbl.mem tbl key) then t.n_plans <- t.n_plans + 1;
-        Hashtbl.replace tbl key plan)
+  locked t (fun () -> store t g (memo_key t ~retrieval ~refine p) plan)
 
 (* Everything the row depends on, textually: the retrieval mode, the
    node's tuple constraints, its local predicate, and its radius-1

@@ -13,12 +13,15 @@
       retrieval, refinement and ordering and goes straight to search.
       It is two-level — graph, then (retrieval mode, refine flag,
       pattern text) — so retiring a graph drops its plans in one
-      removal; the pattern text is memoized per pattern object, weakly;
+      removal. A collection scan renders its key once ({!plan_key});
+      the per-call wrappers memoize the text per pattern object,
+      weakly;
     - a bounded {b retrieval cache}: (graph, retrieval mode, pattern-node
       signature) → the feasible-mate row Φ(u), an {!Lru} under a byte
       budget.
 
-    Graphs are identified {e physically} ([==]): the service registers
+    Graphs are identified {e physically} ([==], hashed by
+    [Graph.stamp], O(1)): the service registers
     the document graphs it owns, and only registered graphs hit the
     caches — a graph bound to a query variable mid-run falls back to
     the uncached engine. A write retires exactly the written graph
@@ -100,6 +103,29 @@ type plan = {
           the planner does not consult the learned stats) *)
 }
 
+type key
+(** A plan's key within its graph's table: the retrieval mode, the
+    refine flag and the pattern's [Flat_pattern.pp] text. *)
+
+val plan_key :
+  retrieval:[ `Node_attrs | `Profiles ] ->
+  refine:bool ->
+  Gql_matcher.Flat_pattern.t ->
+  key
+(** Render the key once per collection scan; pure, takes no lock. *)
+
+val plan_lookup :
+  t ->
+  metrics:Gql_obs.Metrics.t ->
+  epoch:int ->
+  Graph.t ->
+  key ->
+  [ `Fresh of plan | `Stale of plan ] option
+(** {!plan_find} with a key made by {!plan_key}: one locked probe. *)
+
+val plan_store : t -> Graph.t -> key -> plan -> unit
+(** {!plan_add} with a key made by {!plan_key}. *)
+
 val plan_find :
   t ->
   metrics:Gql_obs.Metrics.t ->
@@ -115,7 +141,9 @@ val plan_find :
     was ordered under an older learned-stats epoch than [epoch]
     (default 0): its candidate space is still exact and reusable, but
     the order should be recomputed (counts [exec.cache.stale_plans]).
-    [None] for unregistered graphs or cold patterns. *)
+    [None] for unregistered graphs or cold patterns. The pattern text
+    is memoized per pattern object, so a per-graph loop renders it
+    once. *)
 
 val plan_add :
   t ->

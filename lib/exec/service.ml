@@ -141,7 +141,9 @@ let next_task t =
    cache, when the graph is registered. [None] — a graph bound to a
    query variable, or [`Subgraphs] retrieval — sends the run through
    the uncached engine with the strategy's own model and fan-out. The
-   callbacks that do not depend on the pair are built once per job. *)
+   callbacks that do not depend on the pair are built once per job,
+   and what depends only on the pattern once per scan: the selection
+   loop applies [source t job p] before its per-graph loop. *)
 let source t job =
   let s = t.strategy in
   let metrics = job.j_metrics in
@@ -198,42 +200,46 @@ let source t job =
   match s.Engine.retrieval with
   | `Subgraphs -> fun _ _ -> None
   | (`Node_attrs | `Profiles) as retrieval -> (
-    fun p g ->
+    fun p ->
+      (* once per (pattern, collection) scan: the learned epoch and the
+         rendered plan key; the per-graph part is one locked lookup *)
       let epoch = if uses_learned then Cache.learned_epoch t.cache else 0 in
-      let with_plan plan =
-        let save ~order space =
-          Cache.plan_add t.cache ~retrieval ~refine g p
-            {
-              Cache.p_space = space.Feasible.candidates;
-              p_order = order;
-              p_epoch = epoch;
-            }
+      let key = Cache.plan_key ~retrieval ~refine p in
+      fun g ->
+        let with_plan plan =
+          let save ~order space =
+            Cache.plan_store t.cache g key
+              {
+                Cache.p_space = space.Feasible.candidates;
+                p_order = order;
+                p_epoch = epoch;
+              }
+          in
+          Some { Engine.plan; save; model; observe = observe p g; domains }
         in
-        Some { Engine.plan; save; model; observe = observe p g; domains }
-      in
-      match Cache.plan_find t.cache ~metrics ~retrieval ~refine ~epoch g p with
-      | Some (`Fresh { Cache.p_space; p_order; _ }) ->
-        with_plan (Engine.Fresh ({ Feasible.candidates = p_space }, p_order))
-      | Some (`Stale { Cache.p_space; _ }) ->
-        (* the learned stats crossed an epoch since this plan was
-           ordered: the refined space is still exact, only the order is
-           redone *)
-        with_plan (Engine.Stale { Feasible.candidates = p_space })
-      | None -> (
-        match Cache.indexes t.cache ~metrics g with
-        | None -> None
-        | Some (lidx, pidx) ->
-          with_plan
-            (Engine.Miss
-               (fun () ->
-                 {
-                   Feasible.candidates =
-                     Array.init (Flat_pattern.size p) (fun u ->
-                         Cache.row t.cache ~metrics ~retrieval g p u
-                           ~compute:(fun () ->
-                             Feasible.compute_row ~retrieval ~metrics
-                               ~label_index:lidx ~profile_index:pidx p g u));
-                 }))))
+        match Cache.plan_lookup t.cache ~metrics ~epoch g key with
+        | Some (`Fresh { Cache.p_space; p_order; _ }) ->
+          with_plan (Engine.Fresh ({ Feasible.candidates = p_space }, p_order))
+        | Some (`Stale { Cache.p_space; _ }) ->
+          (* the learned stats crossed an epoch since this plan was
+             ordered: the refined space is still exact, only the order
+             is redone *)
+          with_plan (Engine.Stale { Feasible.candidates = p_space })
+        | None -> (
+          match Cache.indexes t.cache ~metrics g with
+          | None -> None
+          | Some (lidx, pidx) ->
+            with_plan
+              (Engine.Miss
+                 (fun () ->
+                   {
+                     Feasible.candidates =
+                       Array.init (Flat_pattern.size p) (fun u ->
+                           Cache.row t.cache ~metrics ~retrieval g p u
+                             ~compute:(fun () ->
+                               Feasible.compute_row ~retrieval ~metrics
+                                 ~label_index:lidx ~profile_index:pidx p g u));
+                   }))))
 
 let maybe_yield t job =
   if job.j_slice >= t.quantum && queue_nonempty t then begin
@@ -640,7 +646,7 @@ let submit t ?deadline ?cancel ?after src =
           j_id = id;
           j_src = src;
           j_budget = budget;
-          j_metrics = M.create ();
+          j_metrics = M.counting ();
           j_submitted = now;
           j_after = gate;
           j_reserved = reserved;
@@ -685,7 +691,7 @@ let drain t =
    graphs; plain views re-derive from the current source collection. *)
 let install_view t v =
   locked t.r_mutex (fun () ->
-      let m = M.create () in
+      let m = M.counting () in
       (if View.materialized v then
          View.attach ~strategy:t.strategy ~metrics:m ~graphs:(View.graphs v) v
            ~docs:(source_docs_locked t (View.source v))

@@ -25,7 +25,13 @@ type t = {
   adj_eid : int array array;
   by_node_name : (string, int) Hashtbl.t;
   by_edge_name : (string, int) Hashtbl.t;
+  stamp : int;  (* unique per construction; identity only *)
 }
+
+(* domain-safe: graphs are built on every worker domain *)
+let next_stamp = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add next_stamp 1
+let stamp g = g.stamp
 
 let directed g = g.directed
 let name g = g.name
@@ -140,10 +146,10 @@ let fold_edges g ~init ~f =
 
 let iter_edges g ~f = Array.iteri f g.edges
 
-let with_name g name = { g with name }
+let with_name g name = { g with name; stamp = fresh_stamp () }
 
 let map_node_tuples g ~f =
-  { g with node_tuples = Array.mapi f g.node_tuples }
+  { g with node_tuples = Array.mapi f g.node_tuples; stamp = fresh_stamp () }
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -292,6 +298,7 @@ module Builder = struct
       adj_eid;
       by_node_name = b.b_by_node_name;
       by_edge_name = b.b_by_edge_name;
+      stamp = fresh_stamp ();
     }
 end
 

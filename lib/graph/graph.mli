@@ -28,6 +28,13 @@ val name : t -> string option
 val tuple : t -> Tuple.t
 (** The graph-level attribute tuple. *)
 
+val stamp : t -> int
+(** A number unique to this value's construction: {!Builder.build},
+    {!with_name} and {!map_node_tuples} each draw a fresh one, so two
+    structurally equal graphs have different stamps. Identity only — an
+    O(1) hash for tables keyed by physical identity ([==]); it is never
+    persisted, printed or compared for equality. *)
+
 val n_nodes : t -> int
 val n_edges : t -> int
 

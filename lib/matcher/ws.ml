@@ -162,7 +162,7 @@ let search ?domains ?order ?limit ?limit_per_domain
     let max_visited = Budget.max_visited domain_budget in
     let poll_mask = Budget.check_interval - 1 in
     let worker wid () =
-      let dm = if M.enabled metrics then M.create () else M.disabled in
+      let dm = M.like metrics in
       let phi = Array.make k (-1) in
       let used = Bitset.create (max 1 (Graph.n_nodes g)) in
       let my_deque = deques.(wid) in

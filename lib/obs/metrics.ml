@@ -186,7 +186,8 @@ let n_buckets = 64
 let n_drift = 64
 
 type t = {
-  e : bool;
+  e : bool;  (* counters, histograms and drift are kept *)
+  tr : bool;  (* spans are recorded too *)
   counters : int array;
   (* per histogram: log2 buckets plus exact count/sum/min/max *)
   h_buckets : int array array;
@@ -206,9 +207,12 @@ type t = {
   mutable current : int;
 }
 
-let make e =
+let make ~e ~tr =
+  (* a counting instance never pushes a span: its span arrays stay empty *)
+  let spans = if tr then 16 else 0 in
   {
     e;
+    tr;
     counters = Array.make n_counters 0;
     h_buckets = Array.init n_histograms (fun _ -> Array.make n_buckets 0);
     h_count = Array.make n_histograms 0;
@@ -218,18 +222,20 @@ let make e =
     d_runs = Array.make n_drift 0;
     d_est = Array.make n_drift 0.0;
     d_act = Array.make n_drift 0.0;
-    s_name = Array.make 16 "";
-    s_start = Array.make 16 0.0;
-    s_stop = Array.make 16 0.0;
-    s_parent = Array.make 16 (-1);
+    s_name = Array.make spans "";
+    s_start = Array.make spans 0.0;
+    s_stop = Array.make spans 0.0;
+    s_parent = Array.make spans (-1);
     n_spans = 0;
     current = -1;
   }
 
 (* the shared no-op instance; enabled instances never alias it, so the
    [e] gate keeps it immutable *)
-let disabled = make false
-let create () = make true
+let disabled = make ~e:false ~tr:false
+let create () = make ~e:true ~tr:true
+let counting () = make ~e:true ~tr:false
+let like m = if not m.e then disabled else make ~e:true ~tr:m.tr
 let enabled m = m.e
 
 let add m c n = if m.e then begin
@@ -343,7 +349,7 @@ let push_span m name ~parent ~start ~stop =
   id
 
 let with_span m name f =
-  if not m.e then f ()
+  if not m.tr then f ()
   else begin
     let t0 = Unix.gettimeofday () in
     let id = push_span m name ~parent:m.current ~start:t0 ~stop:t0 in
@@ -378,7 +384,7 @@ let merge_counts ~into m =
 
 let merge ~into m =
   merge_counts ~into m;
-  if into.e && m.e then begin
+  if into.tr && m.tr then begin
     let off = into.n_spans in
     for id = 0 to m.n_spans - 1 do
       let parent =

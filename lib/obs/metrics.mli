@@ -7,6 +7,10 @@
     [gqlsh explain --analyze] (or its [--json] form), or folded into the
     benchmark trajectory.
 
+    There are three kinds of instance: {!disabled} records nothing,
+    {!counting} records counters, histograms and drift, and {!create}
+    records spans as well.
+
     The design rule is that observability must cost nothing when it is
     off: every operation on {!disabled} is a single load-and-branch, no
     allocation, and the instrumented modules keep their hot loops free
@@ -92,12 +96,24 @@ val disabled : t
     This is the default everywhere a [?metrics] parameter is offered. *)
 
 val create : unit -> t
-(** A fresh enabled instance. Not domain-safe: share one per domain and
-    {!merge} after joining. *)
+(** A fresh tracing instance: counters, histograms, drift and spans.
+    Not domain-safe: share one per domain and {!merge} after joining. *)
+
+val counting : unit -> t
+(** A fresh counting instance: counters, histograms and drift rows like
+    {!create}, but no spans — {!with_span} is exactly [f ()] and
+    {!span_count} stays 0. What a service job runs with: the service
+    aggregate merges counts only, so a span per (pattern, graph) run
+    would be clock reads and a growing array that nothing reads. *)
+
+val like : t -> t
+(** A fresh instance of the same kind — {!disabled} itself, counting or
+    tracing. For per-domain instances that are {!merge}d back. *)
 
 val enabled : t -> bool
-(** Lets instrumented code skip preparation work (e.g. building a
-    counting closure) that only feeds the metrics. *)
+(** [true] for counting and tracing instances. Lets instrumented code
+    skip preparation work (e.g. building a counting closure) that only
+    feeds the metrics. *)
 
 val add : t -> counter -> int -> unit
 val incr : t -> counter -> unit
@@ -134,8 +150,9 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span nested under the currently open
     one. Timestamps come from the wall clock and are recorded start and
     stop, so a span's elapsed time is monotone in its children's. On
-    {!disabled} this is exactly [f ()]. Exception-safe: the span is
-    closed (and the parent restored) even when [f] raises. *)
+    {!disabled} and counting instances this is exactly [f ()].
+    Exception-safe: the span is closed (and the parent restored) even
+    when [f] raises. *)
 
 val span_count : t -> int
 
@@ -143,7 +160,8 @@ val merge : into:t -> t -> unit
 (** Add [m]'s counters and histograms into [into] and graft its span
     forest under [into]'s currently open span. Used to fold per-domain
     metrics back into the caller's after a parallel join. No-op when
-    either side is disabled. *)
+    either side is disabled; a counting [into] takes the counts and no
+    spans. *)
 
 val merge_counts : into:t -> t -> unit
 (** {!merge} without the spans: counters, histograms and drift only.

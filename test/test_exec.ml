@@ -498,6 +498,93 @@ let test_warm_scan_stays_fresh () =
     "no drift recorded on the warm pass" true (drift = drift0);
   Service.shutdown t
 
+(* A cold scan long enough to move the learned epoch while it runs
+   (one epoch per 64 observed searches): the plans it made early were
+   ordered under an older epoch than its end. Later passes must still
+   return the uncached oracle's answers, and once the stale plans have
+   been re-ordered a pass finds every plan fresh. *)
+let test_cold_scan_across_epochs () =
+  let n = 240 in
+  let labels = [| "A"; "B"; "C" |] in
+  let graphs =
+    List.init n (fun i ->
+        let k = 3 + (i mod 4) in
+        Graph.of_labeled
+          ~labels:(Array.init k (fun v -> labels.((i + (v * (i mod 5))) mod 3)))
+          (List.init (k - 1) (fun v -> (v, v + 1)) @ [ (0, k - 1) ]))
+  in
+  let docs = [ ("D", graphs) ] in
+  let src =
+    {|for graph P { node a where label="A"; node b; edge e (a, b); }
+      exhaustive in doc("D")
+      return graph { node P.a, P.b; edge f (P.a, P.b); };|}
+  in
+  let rendered r = List.sort compare (List.map graph_print (Eval.returned r)) in
+  let oracle = rendered (Gql.run_query ~docs src) in
+  Alcotest.(check bool) "the oracle finds matches" true (oracle <> []);
+  let t = Service.create ~jobs:1 ~docs () in
+  let pass () =
+    ignore (Service.submit t src);
+    match Service.drain t with
+    | [ { Service.o_status = Service.Done r; _ } ] -> rendered r
+    | _ -> Alcotest.fail "expected one finished outcome"
+  in
+  let stale () = M.get (Service.metrics t) M.Exec_plan_stale in
+  ignore (pass ());
+  let observed = (Service.cache_stats t).Gql_exec.Cache.observations in
+  Alcotest.(check int) "the cold pass observed every search" n observed;
+  Alcotest.(check bool) "the epoch moved during the cold pass" true
+    (observed >= 64);
+  Alcotest.(check (list string)) "second pass = oracle" oracle (pass ());
+  Alcotest.(check bool) "plans from the older epoch were stale" true
+    (stale () > 0);
+  Alcotest.(check (list string)) "third pass = oracle" oracle (pass ());
+  let stale1 = stale () in
+  ignore (pass ());
+  Alcotest.(check int) "no stale plan once re-ordered" stale1 (stale ());
+  Service.shutdown t
+
+(* Structurally equal graphs are different documents: the cache keys
+   them by identity, so a plan for one is not a plan for the other, and
+   replacing one retires only its plans. *)
+let test_equal_graphs_stay_apart () =
+  let module Cache = Gql_exec.Cache in
+  let ga = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
+  let gb = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
+  Alcotest.(check bool) "structurally equal" true (Graph.equal_structure ga gb);
+  let c = Cache.create () in
+  Cache.register c [ ga; gb ];
+  Alcotest.(check int) "two registrations" 2 (Cache.stats c).Cache.graphs;
+  let key =
+    Cache.plan_key ~retrieval:`Profiles ~refine:true
+      (flat_pattern [ "A"; "B" ] [ (0, 1) ])
+  in
+  let plan =
+    {
+      Cache.p_space = [| [| 0 |]; [| 1 |] |];
+      p_order = [| 0; 1 |];
+      p_epoch = 0;
+    }
+  in
+  Cache.plan_store c ga key plan;
+  let find g = Cache.plan_lookup c ~metrics:M.disabled ~epoch:0 g key in
+  (match find ga with
+  | Some (`Fresh _) -> ()
+  | _ -> Alcotest.fail "ga's plan should be a fresh hit");
+  Alcotest.(check bool) "gb has no plan" true (find gb = None);
+  Cache.plan_store c gb key plan;
+  let ga' = Graph.with_name ga (Some "renamed") in
+  Cache.replace c ~metrics:M.disabled ~old_graph:ga ~new_graph:ga' ~delta:None;
+  Alcotest.(check bool) "ga retired" false (Cache.registered c ga);
+  Alcotest.(check bool) "ga's plan is gone" true (find ga = None);
+  Alcotest.(check bool) "the new version starts cold" true (find ga' = None);
+  (match find gb with
+  | Some (`Fresh _) -> ()
+  | _ -> Alcotest.fail "gb's plan should survive ga's replacement");
+  Alcotest.(check (option int)) "only the written slot moved" (Some 1)
+    (Cache.graph_epoch c ga');
+  Alcotest.(check (option int)) "gb's epoch" (Some 0) (Cache.graph_epoch c gb)
+
 let test_aggregate_keeps_no_spans () =
   let g = Graph.of_labeled ~labels:[| "A"; "B" |] [ (0, 1) ] in
   let outs, t =
@@ -637,6 +724,10 @@ let suite =
       test_watermark_read_your_writes;
     Alcotest.test_case "a warm collection scan finds no stale plan" `Quick
       test_warm_scan_stays_fresh;
+    Alcotest.test_case "a cold scan across epochs, then warm passes" `Quick
+      test_cold_scan_across_epochs;
+    Alcotest.test_case "structurally equal graphs stay apart in the cache"
+      `Quick test_equal_graphs_stay_apart;
     Alcotest.test_case "the service aggregate keeps no spans" `Quick
       test_aggregate_keeps_no_spans;
     Alcotest.test_case "each new text is parsed once" `Quick

@@ -216,6 +216,20 @@ let test_long_declaration_one_line () =
     ("graph {\n  node " ^ name ^ " <atom label=\"C\">;\n}")
     s
 
+(* Every construction draws a fresh stamp, so the exec cache's
+   identity table can hash it in O(1) without confusing two
+   structurally equal graphs. *)
+let test_stamps_are_fresh () =
+  let g1 = sample_g () and g2 = sample_g () in
+  Alcotest.(check bool) "structurally equal" true (Graph.equal_structure g1 g2);
+  let renamed = Graph.with_name g1 (Graph.name g1) in
+  let mapped = Graph.map_node_tuples g1 ~f:(fun _ t -> t) in
+  let stamps = List.map Graph.stamp [ g1; g2; renamed; mapped ] in
+  Alcotest.(check int) "build, build, with_name, map_node_tuples: 4 stamps" 4
+    (List.length (List.sort_uniq Int.compare stamps));
+  Alcotest.(check bool) "a derived graph still equals its source" true
+    (Graph.equal_structure g1 renamed && Graph.equal_structure g1 mapped)
+
 let suite =
   [
     Alcotest.test_case "node/edge counts" `Quick test_counts;
@@ -235,4 +249,6 @@ let suite =
     Alcotest.test_case "text layout" `Quick test_text_layout;
     Alcotest.test_case "a long declaration stays on one line" `Quick
       test_long_declaration_one_line;
+    Alcotest.test_case "every construction draws a fresh stamp" `Quick
+      test_stamps_are_fresh;
   ]

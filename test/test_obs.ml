@@ -75,6 +75,54 @@ let test_span_exception_safe () =
   let roots = List.map (fun t -> t.M.s_name) (M.span_forest m) in
   Alcotest.(check (list string)) "after is a root" [ "outer"; "after" ] roots
 
+(* --- the counting instance (service jobs) ------------------------------- *)
+
+let test_counting () =
+  let m = M.counting () in
+  Alcotest.(check bool) "enabled" true (M.enabled m);
+  M.incr m M.Search_visited;
+  M.add m M.Search_visited 2;
+  M.observe m M.Matches_per_graph 5;
+  M.record_drift m ~position:0 ~estimated:2.0 ~actual:3.0;
+  Alcotest.(check int) "counts" 3 (M.get m M.Search_visited);
+  Alcotest.(check bool) "histogram kept" true
+    (match M.histo_summary m M.Matches_per_graph with
+    | Some s -> s.M.count = 1 && s.M.max = 5
+    | None -> false);
+  Alcotest.(check bool) "drift kept" true (M.drift m = [ (0, 1, 2.0, 3.0) ]);
+  let r =
+    M.with_span m "outer" (fun () -> M.with_span m "inner" (fun () -> 17))
+  in
+  Alcotest.(check int) "with_span runs the thunk" 17 r;
+  (try M.with_span m "dies" (fun () -> raise Boom) with Boom -> ());
+  Alcotest.(check int) "no spans recorded" 0 (M.span_count m);
+  Alcotest.(check int) "empty forest" 0 (List.length (M.span_forest m));
+  (* from a counting instance: counters sum, nothing is grafted *)
+  let into = M.create () in
+  M.add into M.Search_visited 10;
+  M.with_span into "host" (fun () -> M.merge ~into m);
+  Alcotest.(check int) "merge sums counters" 13 (M.get into M.Search_visited);
+  Alcotest.(check int) "only the host span" 1 (M.span_count into);
+  M.merge_counts ~into m;
+  Alcotest.(check int) "merge_counts sums counters" 16
+    (M.get into M.Search_visited);
+  (* into a counting instance: counts, no spans *)
+  let c = M.counting () in
+  M.merge ~into:c into;
+  Alcotest.(check int) "counts merged in" 16 (M.get c M.Search_visited);
+  Alcotest.(check int) "no span grafted" 0 (M.span_count c);
+  (* [like] keeps the kind: per-domain instances of a counting parent
+     record no spans either *)
+  Alcotest.(check bool) "like disabled is disabled" true
+    (M.like M.disabled == M.disabled);
+  let kid_spans parent =
+    let k = M.like parent in
+    M.with_span k "w" (fun () -> ());
+    (M.enabled k, M.span_count k)
+  in
+  Alcotest.(check (pair bool int)) "like counting" (true, 0) (kid_spans m);
+  Alcotest.(check (pair bool int)) "like tracing" (true, 1) (kid_spans into)
+
 (* --- histograms ---------------------------------------------------------- *)
 
 let test_histogram () =
@@ -311,6 +359,8 @@ let suite =
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "span nesting and aggregation" `Quick test_span_nesting;
     Alcotest.test_case "spans are exception-safe" `Quick test_span_exception_safe;
+    Alcotest.test_case "counting instance counts without spans" `Quick
+      test_counting;
     Alcotest.test_case "histogram summaries" `Quick test_histogram;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantile;
     Alcotest.test_case "cardinality drift rows" `Quick test_drift_rows;
