@@ -527,7 +527,6 @@ let collection () =
    fan-out itself; the pool's helper count must not grow across them. *)
 let parallel () =
   header "Parallel search: work-stealing engine, balanced and skewed";
-  let module Par = Gql_matcher.Parallel in
   let module Ws = Gql_matcher.Ws in
   let module Pool = Gql_matcher.Pool in
   let module M = Gql_obs.Metrics in
@@ -556,7 +555,7 @@ let parallel () =
         let _, t =
           time (fun () ->
               List.iter
-                (fun (q, space) -> ignore (Par.search ~domains q g space))
+                (fun (q, space) -> ignore (Ws.search ~domains q g space))
                 spaces)
         in
         ms t /. float_of_int n_queries
@@ -593,14 +592,14 @@ let parallel () =
   let reps = scale 10 30 in
   let expected = (Search.run hub_p hub_g hub_space).Search.n_found in
   let ws_cell domains =
-    let out = Par.search ~domains hub_p hub_g hub_space in
+    let out = Ws.search ~domains hub_p hub_g hub_space in
     check (out.Search.n_found = expected)
       "skewed run found %d matches, expected %d"
       out.Search.n_found expected;
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
-            ignore (Par.search ~domains hub_p hub_g hub_space)
+            ignore (Ws.search ~domains hub_p hub_g hub_space)
           done)
     in
     ms t /. float_of_int reps
@@ -653,13 +652,13 @@ let parallel () =
   let tiny_expected = (Search.run tiny_p tiny_g tiny_space).Search.n_found in
   let domains = 4 and searches = 2000 in
   let before = Pool.helpers () in
-  ignore (Par.search ~domains tiny_p tiny_g tiny_space);
+  ignore (Ws.search ~domains tiny_p tiny_g tiny_space);
   let warm = Pool.helpers () in
   let wrong = ref 0 in
   let _, t =
     time (fun () ->
         for _ = 1 to searches do
-          let out = Par.search ~domains tiny_p tiny_g tiny_space in
+          let out = Ws.search ~domains tiny_p tiny_g tiny_space in
           if out.Search.n_found <> tiny_expected then incr wrong
         done)
   in

@@ -70,7 +70,11 @@ let () =
   let seq = Gql_matcher.Engine.count_matches triangle g in
   let t_seq = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
-  let par = Gql_matcher.Parallel.count_matches ~domains:4 triangle g in
+  let par =
+    Gql_matcher.Engine.count_matches
+      ~strategy:{ Gql_matcher.Engine.optimized with search_domains = 4 }
+      triangle g
+  in
   let t_par = Unix.gettimeofday () -. t0 in
   Format.printf
     "@.Follow-triangles: %d (sequential %.1f ms, 4 domains %.1f ms on %d core(s))@."

@@ -115,12 +115,6 @@ let add t key value =
     evict_to_fit t
   end
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.bytes <- 0
-
 let stats t =
   {
     entries = Hashtbl.length t.tbl;

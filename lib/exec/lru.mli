@@ -39,9 +39,6 @@ type stats = {
 
 val stats : 'a t -> stats
 
-val clear : 'a t -> unit
-(** Drop every entry (does not reset the counters). *)
-
 val entry_bytes : string -> int array -> int
 (** The weight of a candidate row: key bytes + 8 bytes per candidate +
     constant overhead — what {!Cache} charges, exposed so tests can

@@ -67,14 +67,33 @@ let observed_overrides cfg p ~sizes order (pd : int array) =
   done;
   overrides
 
+(* The re-plan step both drivers take at a slice or task boundary. *)
+let replan cfg ~model p ~sizes ~order ~estimates (pd : int array) =
+  if not (diverged cfg estimates pd) then None
+  else begin
+    let overrides = observed_overrides cfg p ~sizes order pd in
+    let model' = Cost.Edge_gamma { base = model; overrides } in
+    let candidate =
+      Order.exhaustive_from ~model:model' p ~sizes ~prefix:[| order.(0) |]
+    in
+    let order' =
+      if
+        Cost.order_cost model' p ~sizes candidate
+        < Cost.order_cost model' p ~sizes order
+      then candidate
+      else order
+    in
+    Some (order', Cost.position_estimates model' p ~sizes order')
+  end
+
 let run ?(exhaustive = true) ?limit ?budget ?(metrics = Gql_obs.Metrics.disabled)
     ?(config = default) ~model ~order p g space =
   let module M = Gql_obs.Metrics in
   let k = Flat_pattern.size p in
   let sizes = Feasible.sizes space in
-  let order = Array.copy order in
+  let order = ref order in
   let profile = Search.profile_create k in
-  let estimates = ref (Cost.position_estimates model p ~sizes order) in
+  let estimates = ref (Cost.position_estimates model p ~sizes !order) in
   let replans = ref 0 in
   let results = ref [] in
   let n_found = ref 0 in
@@ -87,16 +106,18 @@ let run ?(exhaustive = true) ?limit ?budget ?(metrics = Gql_obs.Metrics.disabled
     if hit_limit || not exhaustive then `Stop else `Continue
   in
   let n_roots =
-    if k = 0 then 0 else Array.length space.Feasible.candidates.(order.(0))
+    if k = 0 then 0 else Array.length space.Feasible.candidates.(!order.(0))
   in
   if k = 0 || n_roots = 0 then begin
     (* nothing to slice — delegate so degenerate cases keep Search.run's
        exact semantics (up-front budget poll included) *)
-    let o = Search.run ~exhaustive ?limit ?budget ~metrics ~order p g space in
+    let o =
+      Search.run ~exhaustive ?limit ?budget ~metrics ~order:!order p g space
+    in
     {
       outcome = o;
       replans = 0;
-      final_order = order;
+      final_order = !order;
       profile;
       estimates = !estimates;
     }
@@ -111,8 +132,8 @@ let run ?(exhaustive = true) ?limit ?budget ?(metrics = Gql_obs.Metrics.disabled
   while !running && !lo < n_roots do
     let hi = min n_roots (!lo + !slice) in
     let v, r =
-      Search.run_raw ?budget ~metrics ~order ~profile ~root_range:(!lo, hi)
-        ~on_match p g space
+      Search.run_raw ?budget ~metrics ~order:!order ~profile
+        ~root_range:(!lo, hi) ~on_match p g space
     in
     visited := !visited + v;
     (match r with
@@ -122,31 +143,20 @@ let run ?(exhaustive = true) ?limit ?budget ?(metrics = Gql_obs.Metrics.disabled
       running := false);
     lo := hi;
     slice := !slice * 2;
-    if !running && !lo < n_roots && !replans < config.max_replans then begin
-      let pd = profile.Search.pr_descents in
-      if diverged config !estimates pd then begin
-        let overrides = observed_overrides config p ~sizes order pd in
-        let model' = Cost.Edge_gamma { base = model; overrides } in
-        let candidate =
-          Order.exhaustive_from ~model:model' p ~sizes ~prefix:[| order.(0) |]
-        in
-        if
-          Cost.order_cost model' p ~sizes candidate
-          < Cost.order_cost model' p ~sizes order
-        then begin
-          Array.blit candidate 0 order 0 k;
-          estimates := Cost.position_estimates model' p ~sizes order;
+    if !running && !lo < n_roots && !replans < config.max_replans then
+      match
+        replan config ~model p ~sizes ~order:!order ~estimates:!estimates
+          profile.Search.pr_descents
+      with
+      | None -> ()
+      | Some (order', estimates') ->
+        estimates := estimates';
+        if order' != !order then begin
+          order := order';
           Search.profile_reset profile;
           incr replans;
           if M.enabled metrics then M.incr metrics M.Planner_replans
         end
-        else
-          (* the observations do not change the plan; refresh the
-             baseline so the same drift does not re-trigger every
-             slice *)
-          estimates := Cost.position_estimates model' p ~sizes order
-      end
-    end
   done;
     let outcome =
       {
@@ -159,7 +169,7 @@ let run ?(exhaustive = true) ?limit ?budget ?(metrics = Gql_obs.Metrics.disabled
     {
       outcome;
       replans = !replans;
-      final_order = order;
+      final_order = !order;
       profile;
       estimates = !estimates;
     }

@@ -9,14 +9,15 @@
     order position ({!Search.profile}) against
     {!Cost.position_estimates} at every slice boundary, and when the
     ratio diverges past [threshold] re-plans the order suffix with
-    {!Order.greedy_from} under an {!Cost.Edge_gamma} model carrying the
-    observed reduction factors. The root node is pinned, so every root
+    {!Order.exhaustive_from} under an {!Cost.Edge_gamma} model carrying
+    the observed reduction factors. The root node is pinned, so every root
     is enumerated exactly once and the union of per-root subtree match
     sets — which do not depend on the suffix order — equals the static
     search's match set.
 
-    Sequential engine only; the work-stealing engine ({!Ws}) has its own
-    shared-plan variant of the same trigger. *)
+    {!run} is the sequential driver; the work-stealing engine ({!Ws})
+    shares its plan between workers. Both take the same {!replan}
+    step. *)
 
 type config = {
   threshold : float;
@@ -27,8 +28,9 @@ type config = {
         fan-out at [i] is trusted. Default 16 (also the initial root
         slice size). *)
   max_replans : int;
-  (** cap on re-plans per query — each one is an {!Order.greedy_from}
-        run plus a back-edge rebuild. Default 2. *)
+  (** cap on re-plans per query — each one is an
+        {!Order.exhaustive_from} run plus a back-edge rebuild. Default
+        2. *)
 }
 
 val default : config
@@ -50,19 +52,28 @@ val diverged : config -> float array -> int array -> bool
 (** [diverged cfg estimates descents]: does some order position with
     enough samples show a fan-out (descents.(i)/descents.(i-1)) off the
     estimated ratio (estimates.(i)/estimates.(i-1)) by [threshold] in
-    either direction? Shared with the work-stealing engine. *)
+    either direction? *)
 
-val observed_overrides :
+val replan :
   config ->
+  model:Cost.model ->
   Flat_pattern.t ->
   sizes:int array ->
+  order:int array ->
+  estimates:float array ->
   int array ->
-  int array ->
-  float array
-(** [observed_overrides cfg p ~sizes order descents]: per-pattern-edge
-    γ overrides (-1 = no observation) for {!Cost.Edge_gamma},
-    attributing each position's observed fan-out geometrically to the
-    edges closed there. *)
+  (int array * float array) option
+(** [replan cfg ~model p ~sizes ~order ~estimates descents]: the step
+    both drivers take at a slice or task boundary. [None] unless
+    [descents] (per position of [order]) {!diverged} from [estimates].
+    Otherwise each position's observed fan-out is attributed
+    geometrically to the pattern edges closed there, as γ overrides of
+    [model] in a {!Cost.Edge_gamma} model, and the result is
+    [Some (order', estimates')]: [order'] is the cheapest order with
+    [order]'s root pinned when it costs less than [order] under that
+    model, else [order] itself (physically), and [estimates'] are its
+    {!Cost.position_estimates} — so an order that stands gets a fresh
+    baseline and the same drift does not re-trigger. *)
 
 val run :
   ?exhaustive:bool ->

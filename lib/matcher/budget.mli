@@ -66,7 +66,7 @@ val make :
 
 val with_token : t -> token -> t
 (** Add one more token to poll (the budget then stops when {e any} of
-    its tokens is cancelled). Used by [Parallel.search] to combine the
+    its tokens is cancelled). Used by {!Ws.search} to combine the
     caller's token with the internal stop-siblings token. *)
 
 val is_unlimited : t -> bool

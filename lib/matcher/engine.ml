@@ -2,7 +2,6 @@
 type strategy = {
   retrieval : Feasible.retrieval;
   refine : bool;
-  refine_level : int option;
   optimize_order : bool;
   cost_model : Cost.model option;
   search_domains : int;
@@ -13,7 +12,6 @@ let optimized =
   {
     retrieval = `Profiles;
     refine = true;
-    refine_level = None;
     optimize_order = true;
     cost_model = None;
     search_domains = 1;
@@ -24,7 +22,6 @@ let baseline =
   {
     retrieval = `Node_attrs;
     refine = false;
-    refine_level = None;
     optimize_order = false;
     cost_model = None;
     search_domains = 1;
@@ -146,35 +143,7 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
     let observed = ref None in
     let outcome, t_search =
       phase_timed "search" (fun () ->
-          if domains > 1 then begin
-            (* the work-stealing engine has no [exhaustive] switch;
-               first-match mode is a global limit of 1 *)
-            let limit =
-              if exhaustive then limit
-              else Some (match limit with Some l -> min l 1 | None -> 1)
-            in
-            if strategy.adaptive then
-              Ws.search ~domains ?limit ~budget ~metrics ~adapt:Adapt.default
-                ~model:(Lazy.force model)
-                ~report:(fun r ->
-                  replans := r.Ws.r_replans;
-                  observed :=
-                    Some (r.Ws.r_profile, lazy r.Ws.r_estimates, r.Ws.r_order))
-                ~order p g space
-            else Ws.search ~domains ?limit ~budget ~metrics ~order p g space
-          end
-          else if strategy.adaptive then begin
-            let r =
-              Adapt.run ~exhaustive ?limit ~budget ~metrics
-                ~model:(Lazy.force model) ~order p g space
-            in
-            replans := r.Adapt.replans;
-            observed :=
-              Some
-                (r.Adapt.profile, lazy r.Adapt.estimates, r.Adapt.final_order);
-            r.Adapt.outcome
-          end
-          else begin
+          if domains <= 1 && not strategy.adaptive then begin
             (* static sequential run: profile when metrics are on, so
                [explain --analyze] can show estimate/actual drift, or
                when a source will observe the run *)
@@ -197,6 +166,27 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
                 observed := Some (pr, est, order))
               profile;
             o
+          end
+          else begin
+            (* [Ws.search] has no [exhaustive] switch; first-match mode
+               is a global limit of 1. A static search leaves the model
+               alone: a source's model may be a snapshot taken under a
+               lock. *)
+            let limit =
+              if exhaustive then limit
+              else Some (match limit with Some l -> min l 1 | None -> 1)
+            in
+            let adapt, model =
+              if strategy.adaptive then
+                (Some Adapt.default, Some (Lazy.force model))
+              else (None, None)
+            in
+            Ws.search ~domains ?limit ~budget ~metrics ?adapt ?model
+              ~report:(fun r ->
+                replans := r.Ws.r_replans;
+                observed :=
+                  Some (r.Ws.r_profile, lazy r.Ws.r_estimates, r.Ws.r_order))
+              ~order p g space
           end)
     in
     (match !observed with
@@ -247,7 +237,7 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
           if strategy.refine then
             let (space_refined, st), t_refine =
               phase_timed "refine" (fun () ->
-                  Refine.refine ?level:strategy.refine_level ~metrics p g space)
+                  Refine.refine ~metrics p g space)
             in
             {
               r with

@@ -16,7 +16,6 @@ open Gql_graph
 type strategy = {
   retrieval : Feasible.retrieval;
   refine : bool;
-  refine_level : int option;  (** default: pattern size *)
   optimize_order : bool;
   cost_model : Cost.model option;  (** default: constant γ = 0.5 *)
   search_domains : int;
@@ -27,7 +26,9 @@ type strategy = {
   (** Mid-query re-planning ({!Adapt}): profile per-position fan-out
       against the cost model's estimates and re-order the suffix when
       they diverge. Same match set; default false in both named
-      strategies; [gqlsh --adaptive] enables it. *)
+      strategies; [gqlsh --adaptive] enables it. An adaptive search
+      always runs through {!Ws.search}, which drives {!Adapt.run} at
+      one domain. *)
 }
 
 val optimized : strategy

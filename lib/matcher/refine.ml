@@ -131,10 +131,9 @@ let record_stats metrics (st : stats) =
     M.add metrics M.Refine_removed st.removed
   end
 
-let refine_with check ?level ?(metrics = Gql_obs.Metrics.disabled) p g space =
+let refine_with check ?(metrics = Gql_obs.Metrics.disabled) p g space =
   let k = Flat_pattern.size p in
   let n = Graph.n_nodes g in
-  let level = Option.value level ~default:k in
   let phi =
     Array.map (fun c -> Bitset.of_array n c) space.Feasible.candidates
   in
@@ -146,7 +145,7 @@ let refine_with check ?level ?(metrics = Gql_obs.Metrics.disabled) p g space =
   let removed = ref 0 in
   let levels_run = ref 0 in
   (try
-     for _ = 1 to level do
+     for _ = 1 to k do
        if Hashtbl.length marked = 0 then raise Exit;
        incr levels_run;
        let batch = Hashtbl.fold (fun pair () acc -> pair :: acc) marked [] in
@@ -179,19 +178,18 @@ let refine_with check ?level ?(metrics = Gql_obs.Metrics.disabled) p g space =
   record_stats metrics st;
   (to_space k phi, st)
 
-let refine ?level ?metrics p g space =
-  refine_with has_semi_perfect_auto ?level ?metrics p g space
+let refine ?metrics p g space =
+  refine_with has_semi_perfect_auto ?metrics p g space
 
-let refine_packed ?level ?metrics p g space =
-  refine_with has_semi_perfect ?level ?metrics p g space
+let refine_packed ?metrics p g space =
+  refine_with has_semi_perfect ?metrics p g space
 
-let refine_lists ?level ?metrics p g space =
-  refine_with has_semi_perfect_lists ?level ?metrics p g space
+let refine_lists ?metrics p g space =
+  refine_with has_semi_perfect_lists ?metrics p g space
 
-let refine_naive ?level ?(metrics = Gql_obs.Metrics.disabled) p g space =
+let refine_naive ?(metrics = Gql_obs.Metrics.disabled) p g space =
   let k = Flat_pattern.size p in
   let n = Graph.n_nodes g in
-  let level = Option.value level ~default:k in
   let phi =
     Array.map (fun c -> Bitset.of_array n c) space.Feasible.candidates
   in
@@ -200,7 +198,7 @@ let refine_naive ?level ?(metrics = Gql_obs.Metrics.disabled) p g space =
   let removed = ref 0 in
   let levels_run = ref 0 in
   (try
-     for _ = 1 to level do
+     for _ = 1 to k do
        incr levels_run;
        let changed = ref false in
        for u = 0 to k - 1 do

@@ -19,15 +19,14 @@ type stats = {
 }
 
 val refine :
-  ?level:int ->
   ?metrics:Gql_obs.Metrics.t ->
   Flat_pattern.t ->
   Graph.t ->
   Feasible.space ->
   Feasible.space * stats
-(** [refine p g space]: the reduced space. [level] defaults to the
-    pattern size, the setting used in the experiments (§5.1). The input
-    space is not mutated. [metrics] (default disabled) receives the
+(** [refine p g space]: the reduced space, after at most as many
+    levels as the pattern has nodes (the setting of the experiments,
+    §5.1). The input space is not mutated. [metrics] (default disabled) receives the
     returned {!stats} as counters.
 
     Each semi-perfect check picks its kernel from the data node's
@@ -38,7 +37,6 @@ val refine :
     so the fixpoint is identical whichever is picked. *)
 
 val refine_packed :
-  ?level:int ->
   ?metrics:Gql_obs.Metrics.t ->
   Flat_pattern.t ->
   Graph.t ->
@@ -51,7 +49,6 @@ val refine_packed :
     the kernel-crossover benchmark. *)
 
 val refine_lists :
-  ?level:int ->
   ?metrics:Gql_obs.Metrics.t ->
   Flat_pattern.t ->
   Graph.t ->
@@ -63,7 +60,6 @@ val refine_lists :
     implementation for equivalence tests. *)
 
 val refine_naive :
-  ?level:int ->
   ?metrics:Gql_obs.Metrics.t ->
   Flat_pattern.t ->
   Graph.t ->

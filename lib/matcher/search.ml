@@ -227,14 +227,3 @@ let run ?(exhaustive = true) ?limit ?budget ?metrics ?order ?profile p g space
     generic_run ?budget ?metrics ?order ?profile p g space ~on_match
   in
   { mappings = List.rev !results; n_found = !n; visited; stopped }
-
-let iter ?budget ?metrics ?order ~f p g space =
-  let n = ref 0 in
-  let on_match phi =
-    incr n;
-    f phi
-  in
-  let _visited, _stopped =
-    generic_run ?budget ?metrics ?order p g space ~on_match
-  in
-  !n

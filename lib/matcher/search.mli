@@ -84,18 +84,6 @@ val run :
     match counters after the search — one flush, nothing on the hot
     path. *)
 
-val iter :
-  ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  ?order:int array ->
-  f:(int array -> [ `Continue | `Stop ]) ->
-  Flat_pattern.t ->
-  Graph.t ->
-  Feasible.space ->
-  int
-(** Streaming variant: [f] receives each mapping (the array is reused —
-    copy it to retain); returns the number of mappings delivered. *)
-
 val run_raw :
   ?budget:Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
@@ -107,10 +95,9 @@ val run_raw :
   Graph.t ->
   Feasible.space ->
   int * Budget.stop_reason
-(** The primitive under {!run} and {!iter}: streams each mapping (array
-    reused) and returns [(visited, stopped)] — [Hit_limit] when
-    [on_match] returned [`Stop], [Exhausted] on a full exploration, a
-    budget reason otherwise. Used by [Parallel.search] to share a
-    global hit count across domains. [root_range] restricts position 0
-    to the candidate indices [lo, hi) — the slice primitive the
-    adaptive engine re-plans between. *)
+(** The primitive under {!run}: streams each mapping (array reused) and
+    returns [(visited, stopped)] — [Hit_limit] when [on_match] returned
+    [`Stop], [Exhausted] on a full exploration, a budget reason
+    otherwise. [root_range] restricts position 0 to the candidate
+    indices [lo, hi) — the slice primitive {!Adapt.run} re-plans
+    between. *)

@@ -24,7 +24,7 @@
    helpers of {!Pool}, which outlive the search: no domain is spawned
    or joined per search once the pool is warm. Global ~limit, sibling
    cancellation, exception re-raise (after every worker has finished)
-   and per-worker metrics are described in Parallel's interface.
+   and per-worker metrics are described in the interface.
 
    Adaptive mode ([~adapt]) shares one plan — (order, back edges,
    per-position estimates, epoch) — through an Atomic. A task is bound
@@ -34,9 +34,9 @@
    which is how a re-plan takes effect on all outstanding root ranges.
    Workers profile descents per position for the current epoch only; a
    worker whose local observations diverge from the plan's estimates
-   computes a suffix re-order (root pinned, so root ranges stay valid)
-   and installs it with compare-and-set — losers simply continue under
-   the winner's plan. The match set is unchanged: every root is
+   takes {!Adapt.replan}'s suffix re-order (root pinned, so root ranges
+   stay valid) and installs it with compare-and-set — losers simply
+   continue under the winner's plan. The match set is unchanged: every root is
    enumerated exactly once and a root's subtree match set does not
    depend on the suffix order. *)
 
@@ -66,11 +66,6 @@ type task = {
    owner is popping its own backlog, without flooding the deque. *)
 let expose_target = 2
 
-let min_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (min a b)
-
 type report = {
   r_replans : int;
   r_order : int array;  (* the final plan's order *)
@@ -78,8 +73,8 @@ type report = {
   r_estimates : float array;  (* its position estimates *)
 }
 
-let search ?domains ?order ?limit ?limit_per_domain
-    ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled) ?adapt
+let search ?domains ?order ?limit ?(budget = Budget.unlimited)
+    ?(metrics = Gql_obs.Metrics.disabled) ?adapt
     ?(model = Cost.Constant Cost.default_constant) ?report p g space =
   let module M = Gql_obs.Metrics in
   let k = Flat_pattern.size p in
@@ -93,10 +88,10 @@ let search ?domains ?order ?limit ?limit_per_domain
   in
   let adaptive = adapt <> None && k > 1 in
   if k = 0 || n_domains = 1 then
-    if adaptive then begin
+    match adapt with
+    | Some config ->
       let r =
-        Adapt.run ?limit:(min_opt limit limit_per_domain) ~budget ~metrics
-          ?config:adapt ~model ~order p g space
+        Adapt.run ?limit ~budget ~metrics ~config ~model ~order p g space
       in
       Option.iter
         (fun f ->
@@ -109,10 +104,7 @@ let search ?domains ?order ?limit ?limit_per_domain
             })
         report;
       r.Adapt.outcome
-    end
-    else
-      Search.run ?limit:(min_opt limit limit_per_domain) ~budget ~metrics
-        ~order p g space
+    | None -> Search.run ?limit ~budget ~metrics ~order p g space
   else if
     Array.exists (fun c -> Array.length c = 0) space.Feasible.candidates
   then begin
@@ -222,11 +214,8 @@ let search ?domains ?order ?limit ?limit_per_domain
         if accepted then begin
           incr n;
           results := Array.copy phi :: !results
-        end;
-        let local_full =
-          match limit_per_domain with Some l -> !n >= l | None -> false
-        in
-        if (not accepted) || local_full then stop Budget.Hit_limit
+        end
+        else stop Budget.Hit_limit
       in
       (* explore candidates [lo, hi) of order.(depth) under the prefix
          currently installed in phi/used *)
@@ -313,46 +302,31 @@ let search ?domains ?order ?limit ?limit_per_domain
       let maybe_replan () =
         if adaptive && Atomic.get replans < cfg.Adapt.max_replans then begin
           let pl = Atomic.get current_plan in
-          if
-            pl.pl_epoch = !prof_epoch
-            && Adapt.diverged cfg pl.pl_est prof.Search.pr_descents
-          then begin
-            let overrides =
-              Adapt.observed_overrides cfg p ~sizes pl.pl_order
-                prof.Search.pr_descents
-            in
-            let model' = Cost.Edge_gamma { base = model; overrides } in
-            let candidate =
-              Order.exhaustive_from ~model:model' p ~sizes
-                ~prefix:[| pl.pl_order.(0) |]
-            in
-            let pl' =
-              if
-                Cost.order_cost model' p ~sizes candidate
-                < Cost.order_cost model' p ~sizes pl.pl_order
-              then
+          if pl.pl_epoch = !prof_epoch then
+            match
+              Adapt.replan cfg ~model p ~sizes ~order:pl.pl_order
+                ~estimates:pl.pl_est prof.Search.pr_descents
+            with
+            | None -> ()
+            | Some (order, pl_est) ->
+              (* an unchanged order still gets a new epoch, so its
+                 refreshed estimates start a fresh profile *)
+              let reordered = order != pl.pl_order in
+              let pl' =
                 {
-                  pl_order = candidate;
-                  pl_back = Search.back_edges p candidate;
-                  pl_est = Cost.position_estimates model' p ~sizes candidate;
+                  pl_order = order;
+                  pl_back =
+                    (if reordered then Search.back_edges p order
+                     else pl.pl_back);
+                  pl_est;
                   pl_epoch = pl.pl_epoch + 1;
                 }
-              else
-                (* observations do not change the plan: refresh the
-                   baseline (same order, bumped epoch) so the drift does
-                   not re-trigger at every task boundary *)
-                {
-                  pl with
-                  pl_est = Cost.position_estimates model' p ~sizes pl.pl_order;
-                  pl_epoch = pl.pl_epoch + 1;
-                }
-            in
-            if Atomic.compare_and_set current_plan pl pl' then
-              if pl'.pl_order != pl.pl_order then begin
+              in
+              if Atomic.compare_and_set current_plan pl pl' && reordered
+              then begin
                 Atomic.incr replans;
                 if M.enabled dm then M.incr dm M.Planner_replans
               end
-          end
         end
       in
       let try_steal () =

@@ -1,27 +1,19 @@
 (** Work-stealing parallel search engine.
 
-    Sits below {!Engine} so both the single-query pipeline and
-    {!Parallel.search} (which delegates here) can fan a search out
-    across OCaml 5 domains. [~domains:n] runs worker 0 on the calling
-    domain and workers 1..n-1 on parked helpers of the process-wide
-    {!Pool}: once the pool has grown to the widest fan-out seen, a
-    search spawns no domain. Each worker owns a {!Deque} of subtree
-    tasks (prefix assignment + candidate range), expands depth-first
-    with the shared {!Search.node_check}, lazily exposes the shallowest
-    untouched siblings for thieves, and steals the shallowest pending
-    subtree when idle. See DESIGN.md §13 for the protocol.
+    The one way {!Engine.run} fans a search out across OCaml 5 domains,
+    and the driver of every adaptive search. [~domains:n] runs worker 0
+    on the calling domain and workers 1..n-1 on parked helpers of the
+    process-wide {!Pool}: once the pool has grown to the widest fan-out
+    seen, a search spawns no domain. Each worker owns a {!Deque} of
+    subtree tasks (prefix assignment + candidate range), expands
+    depth-first with the shared {!Search.node_check}, lazily exposes
+    the shallowest untouched siblings for thieves, and steals the
+    shallowest pending subtree when idle. See DESIGN.md §13 for the
+    protocol.
 
-    Semantics match {!Search.run} up to mapping order: the returned
-    mapping {e set}, [n_found], and the [stopped] classification are
-    identical; [visited] sums per-worker Check calls. [limit] is a
-    global cap enforced exactly via atomic tickets; when any worker
-    raises, siblings are cancelled, the call waits until every worker
-    has finished, and the first exception is re-raised with its
-    backtrace.
-
-    Per-worker metrics (merged once all have finished) additionally
-    record [parallel.steals], [parallel.tasks_spawned] and
-    [parallel.idle_polls]. *)
+    Retrieval, refinement and ordering stay sequential (they are a
+    small fraction of the time on selective queries); only the search
+    fans out. *)
 
 open Gql_graph
 
@@ -42,7 +34,6 @@ val search :
   ?domains:int ->
   ?order:int array ->
   ?limit:int ->
-  ?limit_per_domain:int ->
   ?budget:Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
   ?adapt:Adapt.config ->
@@ -52,16 +43,46 @@ val search :
   Graph.t ->
   Feasible.space ->
   Search.outcome
-(** Falls back to the sequential {!Search.run} when [domains <= 1] or
-    the pattern is empty ({!Adapt.run} instead when [adapt] is given).
+(** [domains] defaults to {!default_domains}, and an explicit value
+    above it is honored. With [domains <= 1] or an empty pattern the
+    search runs on the calling domain: {!Adapt.run} when [adapt] is
+    given, else {!Search.run}.
 
-    With [adapt], the current (order, back-edges, estimates) plan lives
-    in an [Atomic]: workers profile their own descents per order
-    position, and one whose observations diverge from the estimates
-    (see {!Adapt}) installs a re-planned suffix by compare-and-set.
-    Depth-0 tasks — root ranges, whose empty prefix is order-agnostic —
-    always adopt the freshest plan; deeper tasks stay glued to the plan
-    their prefix was captured under, so the match set is exactly that
-    of the static search. [model] is the γ source for re-planning
-    estimates (default [Constant]); [report] receives the final plan,
-    merged profile and re-plan count once every worker has finished. *)
+    Semantics match {!Search.run} up to mapping order: subtrees complete
+    independently, but the mapping {e set}, [n_found] and the [stopped]
+    classification are identical; [visited] sums the per-worker Check
+    calls.
+
+    - [limit] is a {e global} cap: the merged outcome holds exactly
+      [min limit total] mappings, enforced with an atomic ticket counter
+      shared by every worker (a mapping is kept iff its ticket is below
+      the limit). The siblings are cancelled once the limit is reached,
+      and [stopped] is then [Hit_limit].
+    - The caller's [budget] is shared by every worker, extended with an
+      internal sibling token. When the budget stops the search,
+      [stopped] is the worst reason across workers ([Cancelled] >
+      [Deadline] > [Step_budget]) and [mappings] holds whatever each
+      worker had found.
+    - If a worker raises, the siblings are cancelled, the call waits
+      for {e every} worker to finish, and the first exception is
+      re-raised with its original backtrace: no helper is left running
+      the search.
+    - [metrics]: each worker records into a private instance (no shared
+      mutable state on the hot path), and the per-worker counters —
+      including [parallel.steals], [parallel.tasks_spawned] and
+      [parallel.idle_polls] — are merged into [metrics] after every
+      worker has finished.
+
+    With [adapt] (and a pattern of two nodes or more), the current
+    (order, back-edges, estimates) plan lives in an [Atomic]: workers
+    profile their own descents per order position, and one whose
+    observations diverge from the estimates installs
+    {!Adapt.replan}'s plan by compare-and-set. Depth-0 tasks — root
+    ranges, whose empty prefix is order-agnostic — always adopt the
+    freshest plan; deeper tasks stay glued to the plan their prefix was
+    captured under, so the match set is exactly that of the static
+    search. [model] is the γ source for re-planning estimates (default
+    [Constant]). [report] receives the final plan, merged profile and
+    re-plan count once every worker has finished; it is called only
+    when a re-planning driver ran ([adapt] given, and one domain or a
+    pattern of two nodes or more). *)

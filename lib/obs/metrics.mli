@@ -18,7 +18,7 @@
     maintain and flushing once per phase. Instances are single-domain;
     parallel workers each get their own (int refs, no atomics on the
     hot path) and the per-domain results are {!merge}d after the join —
-    the pattern [Parallel.search] uses. *)
+    the pattern [Gql_matcher.Ws.search] uses. *)
 
 (** {1 Counters} *)
 

@@ -90,6 +90,40 @@ let test_hub_ws_matches () =
         true (!report <> None))
     [ 1; 2; 4 ]
 
+(* --- the engine's adaptive route -------------------------------------- *)
+
+(* [Engine.run] with [adaptive = true] sends the search to [Ws.search]
+   at every width; at the default config the bench's hub graph drifts
+   far enough to re-plan. *)
+let test_engine_adaptive_route () =
+  let g =
+    Gql_datasets.Synthetic.hub
+      (Gql_datasets.Rng.create 2008)
+      ~n_hubs:40 ~n_leaves:400 ~n_mesh:400
+  in
+  let p = pattern [ "M"; "H"; "L" ] [ (0, 1); (1, 2) ] in
+  let static = Engine.run p g in
+  let static_set = sorted_set static.Engine.outcome.Search.mappings in
+  List.iter
+    (fun domains ->
+      let strategy =
+        { Engine.optimized with adaptive = true; search_domains = domains }
+      in
+      let metrics = Gql_obs.Metrics.create () in
+      let r = Engine.run ~strategy ~metrics p g in
+      let at fmt = Printf.sprintf (fmt ^^ " at %d domain(s)") domains in
+      Alcotest.(check bool) (at "static match set") true
+        (sorted_set r.Engine.outcome.Search.mappings = static_set);
+      Alcotest.(check bool) (at "re-planned") true (r.Engine.replans > 0);
+      Alcotest.(check bool) (at "result.order is the re-planned order") true
+        (r.Engine.order <> static.Engine.order
+        && r.Engine.order.(0) = static.Engine.order.(0));
+      Alcotest.(check int) (at "planner.replans counter") r.Engine.replans
+        (Gql_obs.Metrics.get metrics Gql_obs.Metrics.Planner_replans);
+      Alcotest.(check bool) (at "drift recorded") true
+        (Gql_obs.Metrics.drift metrics <> []))
+    [ 1; 3 ]
+
 (* --- properties: random graphs, random patterns -------------------------- *)
 
 let labels_pool = [| "A"; "B"; "C" |]
@@ -206,6 +240,8 @@ let suite =
     Alcotest.test_case "hub workload on the work-stealing engine" `Quick
       test_hub_ws_matches;
     Alcotest.test_case "divergence trigger" `Quick test_diverged;
+    Alcotest.test_case "engine adaptive route re-plans at 1 and 3 domains"
+      `Quick test_engine_adaptive_route;
     QCheck_alcotest.to_alcotest prop_exhaustive_same_set;
     QCheck_alcotest.to_alcotest prop_limit_within_static_set;
     QCheck_alcotest.to_alcotest prop_cancellation_respected;

@@ -2,7 +2,7 @@
 
    The acceptance bar: a deadline-stopped search returns a prefix of
    the sequential mapping stream, within 2x the deadline, with the
-   structured reason — in both [Search.run] and [Parallel.search]. *)
+   structured reason — in both [Search.run] and [Ws.search]. *)
 
 open Gql_graph
 open Gql_matcher
@@ -148,7 +148,7 @@ let test_deadline_parallel () =
   let deadline = 0.1 in
   let t0 = Unix.gettimeofday () in
   let out =
-    Parallel.search ~domains:4 ~budget:(Budget.make ~deadline ()) p g space
+    Ws.search ~domains:4 ~budget:(Budget.make ~deadline ()) p g space
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "stopped by the deadline" true
@@ -176,7 +176,7 @@ let test_cancellation_parallel () =
   in
   let t0 = Unix.gettimeofday () in
   let out =
-    Parallel.search ~domains:4 ~budget:(Budget.make ~cancel:tok ()) p g space
+    Ws.search ~domains:4 ~budget:(Budget.make ~cancel:tok ()) p g space
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   Domain.join canceller;
@@ -194,7 +194,7 @@ let test_parallel_global_limit_exact () =
   Alcotest.(check bool) "workload has plenty of matches" true (total > 100);
   List.iter
     (fun limit ->
-      let out = Parallel.search ~domains:4 ~limit p g space in
+      let out = Ws.search ~domains:4 ~limit p g space in
       Alcotest.(check int)
         (Printf.sprintf "exactly %d mappings" limit)
         (min limit total) out.Search.n_found;
@@ -214,7 +214,7 @@ let test_parallel_unbounded_matches_reference () =
     (fun pg ->
       let space = Feasible.compute ~retrieval:`Node_attrs pg g in
       let oracle = (Reference.run pg g space).Search.n_found in
-      let par = (Parallel.search ~domains:3 pg g space).Search.n_found in
+      let par = (Ws.search ~domains:3 pg g space).Search.n_found in
       Alcotest.(check int) "parallel = oracle" oracle par)
     [
       Flat_pattern.path [ "A"; "B" ];
@@ -239,11 +239,11 @@ let test_parallel_exception_propagates () =
     }
   in
   Alcotest.(check bool) "worker exception reaches the caller" true
-    (match Parallel.search ~domains:3 p g poisoned with
+    (match Ws.search ~domains:3 p g poisoned with
     | exception _ -> true
     | _ -> false);
   (* the domain pool is still usable afterwards *)
-  let out = Parallel.search ~domains:3 p g space in
+  let out = Ws.search ~domains:3 p g space in
   Alcotest.(check bool) "subsequent searches still work" true
     (out.Search.stopped = Budget.Exhausted)
 

@@ -356,21 +356,6 @@ let test_frequency_cost_model () =
   Alcotest.(check (float 1e-9)) "unknown label falls back" Cost.default_constant
     (Cost.edge_probability stats None (Some "B"))
 
-let test_search_iter_streaming () =
-  let g = sample_g () in
-  let p = Flat_pattern.path [ "A"; "B" ] in
-  let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let seen = ref [] in
-  let n =
-    Search.iter p g space ~f:(fun phi ->
-        seen := Array.copy phi :: !seen;
-        `Continue)
-  in
-  Alcotest.(check int) "streams both matches" 2 n;
-  Alcotest.(check int) "callback saw each" 2 (List.length !seen);
-  let n_stop = Search.iter p g space ~f:(fun _ -> `Stop) in
-  Alcotest.(check int) "stop after first" 1 n_stop
-
 let test_engine_timings_consistent () =
   let g = sample_g () in
   let r = Engine.run (triangle_p ()) g in
@@ -489,7 +474,6 @@ let suite =
     Alcotest.test_case "greedy vs exhaustive order" `Quick test_greedy_vs_exhaustive_cost;
     Alcotest.test_case "frequency cost model" `Quick test_frequency_cost_model;
     Alcotest.test_case "bitset" `Quick test_bitset;
-    Alcotest.test_case "streaming search" `Quick test_search_iter_streaming;
     Alcotest.test_case "engine result invariants" `Quick test_engine_timings_consistent;
     QCheck_alcotest.to_alcotest prop_optimized;
     QCheck_alcotest.to_alcotest prop_baseline;

@@ -188,7 +188,7 @@ let test_drift_rows () =
   Alcotest.(check bool) "rows accumulate per position, in order" true
     (M.drift m = [ (1, 2, 20.0, 60.0); (3, 1, 5.0, 5.0) ])
 
-(* --- merge (the Parallel.search fan-in) ---------------------------------- *)
+(* --- merge (the Ws.search fan-in) ---------------------------------------- *)
 
 let test_merge () =
   let into = M.create () in
@@ -267,7 +267,7 @@ let test_parallel_merge_consistent () =
   let p = triangle () in
   let space = Feasible.compute p g in
   let m = M.create () in
-  let outcome = Parallel.search ~domains:4 ~metrics:m p g space in
+  let outcome = Ws.search ~domains:4 ~metrics:m p g space in
   Alcotest.(check int) "merged visited = outcome.visited"
     outcome.Search.visited
     (M.get m M.Search_visited);

@@ -27,7 +27,9 @@ let test_parallel_equals_sequential () =
         Alcotest.(check int)
           (Printf.sprintf "size %d, %d domains" size domains)
           seq
-          (Parallel.count_matches ~domains p g))
+          (Engine.count_matches
+             ~strategy:{ Engine.optimized with search_domains = domains }
+             p g))
       [ 1; 2; 4 ]
   done
 
@@ -35,7 +37,7 @@ let test_parallel_search_partition () =
   let g = Test_graph.sample_g () in
   let p = Flat_pattern.clique [ "A"; "B"; "C" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let out = Parallel.search ~domains:3 p g space in
+  let out = Ws.search ~domains:3 p g space in
   Alcotest.(check int) "one triangle found in parallel" 1 out.Search.n_found;
   Alcotest.(check bool)
     "exhausted" true
@@ -45,7 +47,7 @@ let test_empty_space () =
   let g = Test_graph.sample_g () in
   let p = Flat_pattern.clique [ "Z"; "Z" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let out = Parallel.search ~domains:4 p g space in
+  let out = Ws.search ~domains:4 p g space in
   Alcotest.(check int) "no matches" 0 out.Search.n_found
 
 (* --- work-stealing engine ----------------------------------------------- *)
@@ -57,7 +59,7 @@ let test_ws_pre_cancelled () =
   let tok = Budget.token () in
   Budget.cancel tok;
   let budget = Budget.make ~cancel:tok () in
-  let out = Parallel.search ~domains:env_domains ~budget p g space in
+  let out = Ws.search ~domains:env_domains ~budget p g space in
   Alcotest.(check int) "nothing found" 0 out.Search.n_found;
   Alcotest.(check bool)
     "stopped by cancellation" true
@@ -68,7 +70,7 @@ let test_ws_expired_deadline () =
   let p = Flat_pattern.clique [ "A"; "B"; "C" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
   let budget = Budget.make ~deadline_at:(Unix.gettimeofday () -. 5.0) () in
-  let out = Parallel.search ~domains:env_domains ~budget p g space in
+  let out = Ws.search ~domains:env_domains ~budget p g space in
   Alcotest.(check int) "nothing found" 0 out.Search.n_found;
   Alcotest.(check bool)
     "stopped by deadline" true
@@ -195,7 +197,7 @@ let prop_ws_mapping_set =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = Search.run p g space in
-      let par = Parallel.search ~domains:env_domains p g space in
+      let par = Ws.search ~domains:env_domains p g space in
       mapping_set seq = mapping_set par)
 
 let prop_ws_limit_exact =
@@ -212,7 +214,7 @@ let prop_ws_limit_exact =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = Search.run p g space in
-      let par = Parallel.search ~domains:env_domains ~limit:l p g space in
+      let par = Ws.search ~domains:env_domains ~limit:l p g space in
       let seq_set = mapping_set seq in
       par.Search.n_found = min l seq.Search.n_found
       && List.for_all (fun m -> List.mem m seq_set) (mapping_set par)
@@ -230,7 +232,7 @@ let prop_parallel_matches_oracle =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = (Search.run p g space).Search.n_found in
-      let par = (Parallel.search ~domains:3 p g space).Search.n_found in
+      let par = (Ws.search ~domains:3 p g space).Search.n_found in
       seq = par)
 
 let suite =
