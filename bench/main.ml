@@ -1598,8 +1598,13 @@ let exec () =
    answer. *)
 let adaptive () =
   let module Adapt = Gql_matcher.Adapt in
+  let module Ws = Gql_matcher.Ws in
   header "Adaptive planner: hub-skewed workload (re-plan wins)";
   let model = Cost.Constant Cost.default_constant in
+  (* the one adaptive driver, at one worker *)
+  let adaptive_run ?report ~order p g space =
+    Ws.search ~domains:1 ~adapt:Adapt.default ~model ?report ~order p g space
+  in
   let g =
     Synthetic.hub (Rng.create 2008) ~n_hubs:40 ~n_leaves:400 ~n_mesh:400
   in
@@ -1608,12 +1613,20 @@ let adaptive () =
   let sizes = Feasible.sizes space in
   let order = Order.greedy ~model p ~sizes in
   let static_out = Search.run ~order p g space in
-  let adaptive_res = Adapt.run ~model ~order p g space in
+  let report = ref None in
+  let adaptive_out =
+    adaptive_run ~report:(fun r -> report := Some r) ~order p g space
+  in
+  let replans, final_order =
+    match !report with
+    | Some r -> (r.Ws.r_replans, r.Ws.r_order)
+    | None -> (0, order)
+  in
   check
-    (adaptive_res.Adapt.outcome.Search.n_found = static_out.Search.n_found)
+    (adaptive_out.Search.n_found = static_out.Search.n_found)
     "adaptive found %d matches, static %d"
-    adaptive_res.Adapt.outcome.Search.n_found static_out.Search.n_found;
-  check (adaptive_res.Adapt.replans > 0) "hub workload triggered no re-plan";
+    adaptive_out.Search.n_found static_out.Search.n_found;
+  check (replans > 0) "hub workload triggered no re-plan";
   let reps = scale 5 20 in
   let t_static = ref infinity and t_adaptive = ref infinity in
   for _ = 1 to 3 do
@@ -1626,7 +1639,7 @@ let adaptive () =
     let _, ta =
       time (fun () ->
           for _ = 1 to reps do
-            ignore (Adapt.run ~model ~order p g space)
+            ignore (adaptive_run ~order p g space)
           done)
     in
     t_static := Float.min !t_static ts;
@@ -1639,12 +1652,11 @@ let adaptive () =
     static_out.Search.n_found
     (String.concat ";" (Array.to_list (Array.map string_of_int order)))
     (String.concat ";"
-       (Array.to_list (Array.map string_of_int adaptive_res.Adapt.final_order)));
+       (Array.to_list (Array.map string_of_int final_order)));
   row "%-10s %12s\n" "engine" "ms/query";
   row "%-10s %12.3f\n" "static" t_static;
   row "%-10s %12.3f\n" "adaptive" t_adaptive;
-  row "speedup (static / adaptive): %.2fx, %d re-plan(s)\n" speedup
-    adaptive_res.Adapt.replans;
+  row "speedup (static / adaptive): %.2fx, %d re-plan(s)\n" speedup replans;
   check (speedup >= 1.2)
     "adaptive speedup %.2fx < 1.2x on the hub workload"
     speedup;
@@ -1656,7 +1668,7 @@ let adaptive () =
              "hub graph (40 hubs, 400 Zipf leaves, 400 mesh nodes), M–H–L \
               path, constant-γ static order joins mesh first" );
          ("n_found", Json.Int static_out.Search.n_found);
-         ("replans", Json.Int adaptive_res.Adapt.replans);
+         ("replans", Json.Int replans);
          ("static_ms", Json.Float t_static);
          ("adaptive_ms", Json.Float t_adaptive);
          ("speedup", Json.Float speedup);
@@ -1693,9 +1705,7 @@ let adaptive () =
         let adaptive_pass () =
           List.fold_left
             (fun acc (q, space, order) ->
-              acc
-              + (Adapt.run ~model ~order q g space).Adapt.outcome
-                  .Search.n_found)
+              acc + (adaptive_run ~order q g space).Search.n_found)
             0 prepared
         in
         let found_static = static_pass () and found_adaptive = adaptive_pass () in

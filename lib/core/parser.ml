@@ -5,6 +5,7 @@ exception Error of string * int
 type state = {
   toks : (Lexer.token * int) array;
   mutable pos : int;
+  mutable depth : int;  (* nested constructs open at [pos] *)
 }
 
 let peek st = fst st.toks.(st.pos)
@@ -14,6 +15,21 @@ let advance st = st.pos <- st.pos + 1
 
 let fail st msg =
   raise (Error (Printf.sprintf "%s (found %s)" msg (Lexer.token_to_string (peek st)), offset st))
+
+(* Nesting bound: parenthesised and unary expressions and nested
+   pattern blocks recurse once per level, and a program can arrive over
+   the wire ([gqlsh serve]); past this depth the parse fails with a
+   typed error instead of growing the stack without bound. The same
+   bound as [Protocol.Json]. *)
+let max_depth = 512
+
+let nested st f =
+  if st.depth >= max_depth then
+    fail st (Printf.sprintf "nesting deeper than %d levels" max_depth);
+  st.depth <- st.depth + 1;
+  let x = f () in
+  st.depth <- st.depth - 1;
+  x
 
 let expect st tok msg =
   if peek st = tok then advance st else fail st msg
@@ -102,11 +118,13 @@ and mul_expr st =
 and unary_expr st =
   match peek st with
   | Lexer.BANG ->
-    advance st;
-    Pred.Not (unary_expr st)
+    nested st (fun () ->
+        advance st;
+        Pred.Not (unary_expr st))
   | Lexer.MINUS ->
-    advance st;
-    Pred.Binop (Pred.Sub, Pred.Lit (Value.Int 0), unary_expr st)
+    nested st (fun () ->
+        advance st;
+        Pred.Binop (Pred.Sub, Pred.Lit (Value.Int 0), unary_expr st))
   | _ -> primary_expr st
 
 and primary_expr st =
@@ -130,10 +148,11 @@ and primary_expr st =
     advance st;
     Pred.Lit Value.Null
   | Lexer.LPAREN ->
-    advance st;
-    let e = expr st in
-    expect st Lexer.RPAREN "expected ')'";
-    e
+    nested st (fun () ->
+        advance st;
+        let e = expr st in
+        expect st Lexer.RPAREN "expected ')'";
+        e)
   | Lexer.ID _ -> Pred.Attr (path st)
   | _ -> fail st "expected an expression"
 
@@ -261,10 +280,11 @@ let rec member st =
     Ast.Exports es
   | Lexer.LBRACE ->
     let block st =
-      expect st Lexer.LBRACE "expected '{'";
-      let ms = members st in
-      expect st Lexer.RBRACE "expected '}'";
-      ms
+      nested st (fun () ->
+          expect st Lexer.LBRACE "expected '{'";
+          let ms = members st in
+          expect st Lexer.RBRACE "expected '}'";
+          ms)
     in
     let first = block st in
     let rec alts acc = if accept st Lexer.PIPE then alts (block st :: acc) else List.rev acc in
@@ -537,7 +557,7 @@ let statement st =
        assignment)"
 
 let run_parser src p =
-  let st = { toks = Lexer.tokenize src; pos = 0 } in
+  let st = { toks = Lexer.tokenize src; pos = 0; depth = 0 } in
   let result = p st in
   if peek st <> Lexer.EOF then fail st "trailing input after statement";
   result

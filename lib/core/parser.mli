@@ -7,7 +7,10 @@
     full expressions appear in [where] clauses. *)
 
 exception Error of string * int
-(** message and byte offset into the source. *)
+(** message and byte offset into the source. Also raised, at the
+    offending opener, when parenthesised or unary expressions or nested
+    pattern blocks nest deeper than 512 levels (the bound of
+    [Protocol.Json.parse]): the stack stays bounded on such input. *)
 
 val program : string -> Ast.program
 (** Parse a whole query text (a sequence of statements). *)

@@ -1,23 +1,22 @@
-(** Mid-query re-planning (adaptive execution).
+(** Mid-query re-planning (adaptive execution): the re-plan step.
 
     The search order is chosen from estimates; when the data disagrees
     — a hub-dominated degree distribution, a label pair far denser than
     the frequency model assumes — the estimate/actual gap shows up as
-    per-position fan-out drift long before the query finishes. This
-    driver runs the backtracking search over the root candidate set in
-    geometrically growing slices, compares the observed fan-out at each
-    order position ({!Search.profile}) against
-    {!Cost.position_estimates} at every slice boundary, and when the
-    ratio diverges past [threshold] re-plans the order suffix with
+    per-position fan-out drift long before the query finishes. The one
+    adaptive driver, {!Ws.search} with [~adapt] (at any width), runs the
+    search over root ranges — at one worker, geometrically growing root
+    slices — compares the observed fan-out at each order position
+    ({!Search.profile}) against {!Cost.position_estimates} at every
+    task boundary, and when the ratio diverges past [threshold] takes
+    {!replan}: the order suffix is re-planned with
     {!Order.exhaustive_from} under an {!Cost.Edge_gamma} model carrying
-    the observed reduction factors. The root node is pinned, so every root
-    is enumerated exactly once and the union of per-root subtree match
-    sets — which do not depend on the suffix order — equals the static
-    search's match set.
-
-    {!run} is the sequential driver; the work-stealing engine ({!Ws})
-    shares its plan between workers. Both take the same {!replan}
-    step. *)
+    the observed reduction factors. The root node is pinned, so every
+    root is enumerated exactly once and the union of per-root subtree
+    match sets — which do not depend on the suffix order — equals the
+    static search's match set. The driver's [~report], when given, is
+    always called with the final plan, the re-plan count and the merged
+    profile. *)
 
 type config = {
   threshold : float;
@@ -35,19 +34,6 @@ type config = {
 
 val default : config
 
-type result = {
-  outcome : Search.outcome;
-  replans : int;  (** re-plans actually applied *)
-  final_order : int array;
-  profile : Search.profile;
-  (** observations accumulated since the last re-plan, positions
-        meaning those of [final_order] — what [explain --analyze] and
-        {!Stats.observe_run} consume *)
-  estimates : float array;
-  (** {!Cost.position_estimates} for [final_order] under the last
-        model used to plan it *)
-}
-
 val diverged : config -> float array -> int array -> bool
 (** [diverged cfg estimates descents]: does some order position with
     enough samples show a fan-out (descents.(i)/descents.(i-1)) off the
@@ -64,7 +50,7 @@ val replan :
   int array ->
   (int array * float array) option
 (** [replan cfg ~model p ~sizes ~order ~estimates descents]: the step
-    both drivers take at a slice or task boundary. [None] unless
+    {!Ws} takes at a task boundary. [None] unless
     [descents] (per position of [order]) {!diverged} from [estimates].
     Otherwise each position's observed fan-out is attributed
     geometrically to the pattern edges closed there, as γ overrides of
@@ -74,21 +60,3 @@ val replan :
     model, else [order] itself (physically), and [estimates'] are its
     {!Cost.position_estimates} — so an order that stands gets a fresh
     baseline and the same drift does not re-trigger. *)
-
-val run :
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  ?config:config ->
-  model:Cost.model ->
-  order:int array ->
-  Flat_pattern.t ->
-  Gql_graph.Graph.t ->
-  Feasible.space ->
-  result
-(** [run ~model ~order p g space]: adaptive search starting from
-    [order] (the planner's static choice; must cover all pattern
-    nodes). Options mirror {!Search.run}. Finds the same match set as
-    the static search; bumps the [planner.replans] counter on each
-    applied re-plan. *)

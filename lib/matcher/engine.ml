@@ -138,73 +138,53 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
       | Some s -> s.domains ~order space
       | None -> strategy.search_domains
     in
-    let replans = ref 0 in
-    (* (profile, estimates, final order) for drift accounting *)
-    let observed = ref None in
+    (* A search on a plan built in this run is profiled when metrics
+       are on, so [explain --analyze] can show estimate/actual drift,
+       or when a source will observe it — at every width. *)
+    let observed = built && (M.enabled metrics || Option.is_some source) in
+    (* The model is taken for the re-planner and for drift estimates
+       only: a warm static search leaves it alone, since a source's
+       model may be a snapshot taken under a lock. *)
+    let model =
+      if strategy.adaptive || (observed && M.enabled metrics) then
+        Some (Lazy.force model)
+      else None
+    in
+    (* [Ws.search] has no [exhaustive] switch; first-match mode is a
+       global limit of 1 *)
+    let limit =
+      if exhaustive then limit
+      else Some (match limit with Some l -> min l 1 | None -> 1)
+    in
+    let report = ref None in
     let outcome, t_search =
       phase_timed "search" (fun () ->
-          if domains <= 1 && not strategy.adaptive then begin
-            (* static sequential run: profile when metrics are on, so
-               [explain --analyze] can show estimate/actual drift, or
-               when a source will observe the run *)
-            let profile =
-              if built && (M.enabled metrics || Option.is_some source) then
-                Some (Search.profile_create (Flat_pattern.size p))
-              else None
-            in
-            let o =
-              Search.run ~exhaustive ?limit ~budget ~metrics ~order ?profile p
-                g space
-            in
-            Option.iter
-              (fun pr ->
-                let est =
-                  lazy
-                    (Cost.position_estimates (Lazy.force model) p
-                       ~sizes:(Feasible.sizes space) order)
-                in
-                observed := Some (pr, est, order))
-              profile;
-            o
-          end
-          else begin
-            (* [Ws.search] has no [exhaustive] switch; first-match mode
-               is a global limit of 1. A static search leaves the model
-               alone: a source's model may be a snapshot taken under a
-               lock. *)
-            let limit =
-              if exhaustive then limit
-              else Some (match limit with Some l -> min l 1 | None -> 1)
-            in
-            let adapt, model =
-              if strategy.adaptive then
-                (Some Adapt.default, Some (Lazy.force model))
-              else (None, None)
-            in
-            Ws.search ~domains ?limit ~budget ~metrics ?adapt ?model
-              ~report:(fun r ->
-                replans := r.Ws.r_replans;
-                observed :=
-                  Some (r.Ws.r_profile, lazy r.Ws.r_estimates, r.Ws.r_order))
-              ~order p g space
-          end)
+          Ws.search ~domains ?limit ~budget ~metrics
+            ?adapt:(if strategy.adaptive then Some Adapt.default else None)
+            ?model
+            ?report:
+              (if observed || strategy.adaptive then
+                 Some (fun rp -> report := Some rp)
+               else None)
+            ~order p g space)
     in
-    (match !observed with
-    | Some (pr, est, ord) when built ->
-      if M.enabled metrics then begin
-        let est = Lazy.force est in
-        for i = 0 to Array.length ord - 1 do
-          M.record_drift metrics ~position:i ~estimated:est.(i)
-            ~actual:(float_of_int pr.Search.pr_descents.(i))
-        done
-      end;
-      Option.iter (fun s -> s.observe outcome space ~order:ord pr) source
+    (match !report with
+    | Some rp when observed ->
+      if M.enabled metrics then
+        Array.iteri
+          (fun i estimated ->
+            M.record_drift metrics ~position:i ~estimated
+              ~actual:(float_of_int rp.Ws.r_profile.Search.pr_descents.(i)))
+          rp.Ws.r_estimates;
+      Option.iter
+        (fun s -> s.observe outcome space ~order:rp.Ws.r_order rp.Ws.r_profile)
+        source
     | _ -> ());
     {
       r with
       outcome;
-      order = (match !observed with Some (_, _, o) -> o | None -> order);
-      replans = !replans;
+      order = (match !report with Some rp -> rp.Ws.r_order | None -> order);
+      replans = (match !report with Some rp -> rp.Ws.r_replans | None -> 0);
       timings = { r.timings with t_search };
       stopped_in =
         (match outcome.Search.stopped with

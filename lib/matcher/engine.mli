@@ -19,16 +19,15 @@ type strategy = {
   optimize_order : bool;
   cost_model : Cost.model option;  (** default: constant γ = 0.5 *)
   search_domains : int;
-  (** > 1: run the search phase on the work-stealing parallel engine
-      ({!Ws.search}) with that many domains. Default 1 (sequential) in
-      both named strategies; [gqlsh --domains N] overrides it. *)
+  (** The search phase's width: {!Ws.search} runs every search, and
+      > 1 fans it out over that many domains. Default 1 (sequential)
+      in both named strategies; [gqlsh --domains N] overrides it. *)
   adaptive : bool;
   (** Mid-query re-planning ({!Adapt}): profile per-position fan-out
       against the cost model's estimates and re-order the suffix when
       they diverge. Same match set; default false in both named
-      strategies; [gqlsh --adaptive] enables it. An adaptive search
-      always runs through {!Ws.search}, which drives {!Adapt.run} at
-      one domain. *)
+      strategies; [gqlsh --adaptive] enables it. {!Ws.search} is the
+      adaptive driver at every width. *)
 }
 
 val optimized : strategy
@@ -98,8 +97,9 @@ type source = {
     order:int array ->
     Search.profile ->
     unit;
-      (** called after a profiled search on a plan built in this run
-          ([Miss]), with the order the search finished under *)
+      (** called after every search on a plan built in this run
+          ([Miss]), at any width, with the order the search finished
+          under and its per-position profile (every worker merged) *)
   domains : order:int array -> Feasible.space -> int;
       (** the search fan-out; > 1 runs the work-stealing engine *)
 }
@@ -123,6 +123,13 @@ val run :
     phase runs in a span of the same name
     ([retrieve]/[refine]/[order]/[search]) and the phase counters
     (retrieval, refine, search) are recorded.
+
+    The search phase is one {!Ws.search} call at every width. A search
+    on a plan built in this run passes [Ws.search] a [~report], which
+    it always calls, when metrics are enabled or a source will observe
+    it: with metrics on it records one drift row per order position
+    ({!Gql_obs.Metrics.record_drift}), and a source's [observe] gets
+    the profile, fanned out or not.
 
     With a [source], the source's model and fan-out replace the
     strategy's [cost_model] and [search_domains]. A cached plan skips

@@ -58,8 +58,7 @@ let back_edges p order =
    already-mapped node needs a compatible data edge. Each probe is a
    binary search over the sorted adjacency row of the mapped source,
    then a scan of the contiguous parallel-edge run — no hash lookups,
-   no allocation. Shared by the sequential engine below and the
-   work-stealing one in {!Ws}. *)
+   no allocation. *)
 let node_check ~g ~p ~pattern_directed (back : back array) (phi : int array) i v
     =
   let b = Array.unsafe_get back i in
@@ -105,50 +104,94 @@ let node_check ~g ~p ~pattern_directed (back : back array) (phi : int array) i v
   done;
   !ok
 
-let generic_run ?(budget = Budget.unlimited)
-    ?(metrics = Gql_obs.Metrics.disabled) ?(order = [||]) ?profile ?root_range
-    p g space ~on_match =
+(* The descend loop of Algorithm 4.1, the only one. A walker is one
+   thread of search: the partial mapping φ and its used-set, the Check
+   and budget accounting, the per-position profile counters and the
+   match callback. [Search.run] descends it over all roots; each
+   {!Ws} task descends it over the task's prefix and candidate range. *)
+type walker = {
+  p : Flat_pattern.t;
+  g : Graph.t;
+  cands : int array array;
+  pattern_directed : bool;
+  budget : Budget.t;
+  max_visited : int;
+  phi : int array;
+  used : Bitset.t;
+  prof : profile;
+  mutable profiling : bool;
+  mutable visited : int;
+  mutable descents : int;
+  mutable matches : int;
+  mutable halted : bool;
+  mutable reason : Budget.stop_reason;
+  on_match : int array -> bool;
+  expose : (int array -> int -> int -> int -> bool) option;
+}
+
+let no_profile = profile_create 0
+
+let stop w r =
+  w.reason <- r;
+  w.halted <- true
+
+let walker ?(budget = Budget.unlimited) ?profile ?expose ~on_match p g space =
   let k = Flat_pattern.size p in
-  let order = if Array.length order = 0 then Array.init k (fun i -> i) else order in
-  let profiling, pr_checked, pr_descents =
-    match profile with
-    | Some pr -> (true, pr.pr_checked, pr.pr_descents)
-    | None -> (false, [||], [||])
+  let w =
+    {
+      p;
+      g;
+      cands = space.Feasible.candidates;
+      pattern_directed = Graph.directed p.Flat_pattern.structure;
+      budget;
+      max_visited = Budget.max_visited budget;
+      phi = Array.make k (-1);
+      used = Bitset.create (max 1 (Graph.n_nodes g));
+      prof = Option.value profile ~default:no_profile;
+      profiling = Option.is_some profile;
+      visited = 0;
+      descents = 0;
+      matches = 0;
+      halted = false;
+      reason = Budget.Exhausted;
+      on_match;
+      expose;
+    }
   in
-  let back = back_edges p order in
-  let phi = Array.make k (-1) in
-  let used = Bitset.create (max 1 (Graph.n_nodes g)) in
-  let visited = ref 0 in
-  (* descents/matches are plain local increments; the metrics object is
-     only touched once, after the search, so the disabled path costs a
-     register each *)
-  let descents = ref 0 in
-  let matches = ref 0 in
-  let pattern_directed = Graph.directed p.Flat_pattern.structure in
-  let stopped = ref false in
-  let reason = ref Budget.Exhausted in
-  let stop r =
-    reason := r;
-    stopped := true
-  in
+  (* poll once up front: an already-cancelled token or expired deadline
+     must do no work, even on searches too small to reach the mask *)
+  (match Budget.poll budget with Some r -> stop w r | None -> ());
+  w
+
+let halted w = w.halted
+let reason w = w.reason
+let visited w = w.visited
+let set_profiling w on = w.profiling <- on && w.prof != no_profile
+
+let descend w ~order ~back ~prefix lo hi =
+  let k = Array.length order in
+  let phi = w.phi and used = w.used and cands = w.cands in
+  let g = w.g and p = w.p and pattern_directed = w.pattern_directed in
+  (* profiling is switched between tasks, never during one *)
+  let profiling = w.profiling in
+  let pr_checked = w.prof.pr_checked and pr_descents = w.prof.pr_descents in
   (* Governance: the step budget is one integer compare per Check call;
      deadline and cancellation are polled every Budget.check_interval
      calls so the hot loop never measurably slows down. *)
-  let max_visited = Budget.max_visited budget in
-  let poll_mask = Budget.check_interval - 1 in
+  let max_visited = w.max_visited and poll_mask = Budget.check_interval - 1 in
   let check i v =
-    incr visited;
-    let vis = !visited in
+    let vis = w.visited + 1 in
+    w.visited <- vis;
     if vis > max_visited then begin
-      stop Budget.Step_budget;
+      stop w Budget.Step_budget;
       false
     end
     else if
       vis land poll_mask = 0
       &&
-      match Budget.poll budget with
+      match Budget.poll w.budget with
       | Some r ->
-        stop r;
+        stop w r;
         true
       | None -> false
     then false
@@ -157,73 +200,89 @@ let generic_run ?(budget = Budget.unlimited)
       node_check ~g ~p ~pattern_directed back phi i v
     end
   in
-  let rec go i =
-    if !stopped then ()
-    else if i >= k then begin
-      if Flat_pattern.global_holds p g phi then begin
-        incr matches;
-        match on_match phi with
-        | `Continue -> ()
-        | `Stop -> stop Budget.Hit_limit
-      end
-    end
-    else begin
-      let u = order.(i) in
-      let cands = space.Feasible.candidates.(u) in
-      let n = Array.length cands in
-      let stop_at =
-        match root_range with Some (_, hi) when i = 0 -> min hi n | _ -> n
-      in
-      let ci =
-        ref (match root_range with Some (lo, _) when i = 0 -> lo | _ -> 0)
-      in
-      while (not !stopped) && !ci < stop_at do
-        let v = Array.unsafe_get cands !ci in
-        (* bounds-checked used-set ops: a malformed candidate space
-           (ids beyond the graph) must raise, not corrupt the heap *)
-        if (not (Bitset.mem used v)) && check i v then begin
-          incr descents;
-          if profiling then pr_descents.(i) <- pr_descents.(i) + 1;
-          phi.(u) <- v;
-          Bitset.add used v;
-          go (i + 1);
-          phi.(u) <- -1;
-          Bitset.remove used v
-        end;
-        incr ci
-      done
-    end
+  (* adopt the prefix: it was validated when captured, and graph and
+     space are immutable, so no re-checking *)
+  let depth = Array.length prefix in
+  for i = 0 to depth - 1 do
+    let v = prefix.(i) in
+    phi.(order.(i)) <- v;
+    Bitset.unsafe_add used v
+  done;
+  let rec level i lo hi =
+    let u = Array.unsafe_get order i in
+    let cs = Array.unsafe_get cands u in
+    let ci = ref lo and hi = ref hi in
+    while (not w.halted) && !ci < !hi do
+      (match w.expose with
+      | Some expose when !hi - !ci > 1 ->
+        (* hand the untouched siblings to the exposure hook; if it
+           takes them, this level ends after the current candidate *)
+        if expose phi i (!ci + 1) !hi then hi := !ci + 1
+      | _ -> ());
+      let v = Array.unsafe_get cs !ci in
+      (* bounds-checked used-set ops: a malformed candidate space (ids
+         beyond the graph) must raise, not corrupt the heap *)
+      if (not (Bitset.mem used v)) && check i v then begin
+        w.descents <- w.descents + 1;
+        if profiling then pr_descents.(i) <- pr_descents.(i) + 1;
+        phi.(u) <- v;
+        Bitset.add used v;
+        (if i + 1 >= k then begin
+           if Flat_pattern.global_holds p g phi then begin
+             w.matches <- w.matches + 1;
+             if not (w.on_match phi) then stop w Budget.Hit_limit
+           end
+         end
+         else
+           let next = Array.unsafe_get cands (Array.unsafe_get order (i + 1)) in
+           level (i + 1) 0 (Array.length next));
+        phi.(u) <- -1;
+        Bitset.remove used v
+      end;
+      incr ci
+    done
   in
-  (* poll once up front: an already-cancelled token or expired deadline
-     must do no work, even on searches too small to reach the mask *)
-  (match Budget.poll budget with Some r -> stop r | None -> ());
-  if !stopped || k = 0 then ()
-  else if Array.exists (fun c -> Array.length c = 0) space.Feasible.candidates
-  then ()
-  else go 0;
+  if (not w.halted) && depth < k then level depth lo hi;
+  for i = 0 to depth - 1 do
+    phi.(order.(i)) <- -1;
+    Bitset.unsafe_remove used prefix.(i)
+  done
+
+(* One flush into the metrics after the search, nothing on the hot
+   path: descents and matches are plain field increments. *)
+let flush w metrics =
   let module M = Gql_obs.Metrics in
   if M.enabled metrics then begin
-    M.add metrics M.Search_visited !visited;
+    M.add metrics M.Search_visited w.visited;
     (* a backtrack is a Check call that found no compatible data edge *)
-    M.add metrics M.Search_backtracks (!visited - !descents);
-    M.add metrics M.Search_matches !matches
-  end;
-  (!visited, !reason)
+    M.add metrics M.Search_backtracks (w.visited - w.descents);
+    M.add metrics M.Search_matches w.matches
+  end
 
-let run_raw ?budget ?metrics ?order ?profile ?root_range ~on_match p g space =
-  generic_run ?budget ?metrics ?order ?profile ?root_range p g space ~on_match
-
-let run ?(exhaustive = true) ?limit ?budget ?metrics ?order ?profile p g space
-    =
+let run ?(exhaustive = true) ?limit ?budget
+    ?(metrics = Gql_obs.Metrics.disabled) ?order ?profile p g space =
+  let k = Flat_pattern.size p in
+  let order =
+    match order with
+    | Some o when Array.length o > 0 -> o
+    | _ -> Array.init k (fun i -> i)
+  in
   let results = ref [] in
   let n = ref 0 in
   let on_match phi =
     incr n;
     results := Array.copy phi :: !results;
-    let hit_limit = match limit with Some l -> !n >= l | None -> false in
-    if hit_limit || not exhaustive then `Stop else `Continue
+    exhaustive && match limit with Some l -> !n < l | None -> true
   in
-  let visited, stopped =
-    generic_run ?budget ?metrics ?order ?profile p g space ~on_match
-  in
-  { mappings = List.rev !results; n_found = !n; visited; stopped }
+  let w = walker ?budget ?profile ~on_match p g space in
+  let empty = Array.exists (fun c -> Array.length c = 0) in
+  if k > 0 && not (empty space.Feasible.candidates) then
+    descend w ~order ~back:(back_edges p order) ~prefix:[||] 0
+      (Array.length space.Feasible.candidates.(order.(0)));
+  flush w metrics;
+  {
+    mappings = List.rev !results;
+    n_found = !n;
+    visited = w.visited;
+    stopped = w.reason;
+  }

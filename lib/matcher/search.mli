@@ -9,7 +9,13 @@
     Every entry point takes an optional {!Budget.t}: the search then
     stops cooperatively at a wall-clock deadline, a Check-call budget
     or a cancellation token, returning the partial mappings found so
-    far plus the structured reason in [stopped]. *)
+    far plus the structured reason in [stopped].
+
+    The descend loop below is the only one ({!Reference} aside,
+    the oracle). {!Ws.search}, the search phase of every
+    {!Engine.run}, runs its tasks through it and always calls its
+    [~report], when given, with the merged {!profile}: at one static
+    worker that is the profile {!run} fills. *)
 
 open Gql_graph
 
@@ -48,21 +54,6 @@ val back_edges : Flat_pattern.t -> int array -> back array
 (** [back_edges p order]: one entry per order position. Immutable once
     built — safe to share across domains. *)
 
-val node_check :
-  g:Graph.t ->
-  p:Flat_pattern.t ->
-  pattern_directed:bool ->
-  back array ->
-  int array ->
-  int ->
-  int ->
-  bool
-(** [node_check ~g ~p ~pattern_directed back phi i v]: may [order.(i)]
-    be mapped to [v] given the partial mapping [phi]? The structural
-    part of Check(uᵢ, v) — budget accounting is the caller's job.
-    [pattern_directed] caches [Graph.directed p.structure]. Used by the
-    work-stealing engine ({!Ws}), which runs its own visit loop. *)
-
 val run :
   ?exhaustive:bool ->
   ?limit:int ->
@@ -75,29 +66,77 @@ val run :
   Feasible.space ->
   outcome
 (** [run p g space] searches for pattern matchings within the candidate
-    space. [exhaustive] (default true): all mappings, else stop at the
-    first (§3.3's [exhaustive] option). [limit] caps the number of
-    reported mappings regardless (the experiments stop at 1000).
-    [order] defaults to the input order [0..k-1].
+    space: one {!descend} over every root. [exhaustive] (default true):
+    all mappings, else stop at the first (§3.3's [exhaustive] option).
+    [limit] caps the number of reported mappings regardless (the
+    experiments stop at 1000). [order] defaults to the input order
+    [0..k-1]. [profile], when given, receives the per-position Check
+    and descent counts.
 
     [metrics] (default disabled) receives the visited / backtrack /
     match counters after the search — one flush, nothing on the hot
     path. *)
 
-val run_raw :
+(** {1 The descend loop}
+
+    Algorithm 4.1's visit loop exists once, here. A {!walker} holds one
+    search thread's state; {!run} descends it over all roots, and each
+    {!Ws} task descends one over the task's prefix and candidate
+    range. *)
+
+type walker
+
+val walker :
   ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  ?order:int array ->
   ?profile:profile ->
-  ?root_range:int * int ->
-  on_match:(int array -> [ `Continue | `Stop ]) ->
+  ?expose:(int array -> int -> int -> int -> bool) ->
+  on_match:(int array -> bool) ->
   Flat_pattern.t ->
   Graph.t ->
   Feasible.space ->
-  int * Budget.stop_reason
-(** The primitive under {!run}: streams each mapping (array reused) and
-    returns [(visited, stopped)] — [Hit_limit] when [on_match] returned
-    [`Stop], [Exhausted] on a full exploration, a budget reason
-    otherwise. [root_range] restricts position 0 to the candidate
-    indices [lo, hi) — the slice primitive {!Adapt.run} re-plans
-    between. *)
+  walker
+(** A fresh walker; polls [budget] once, so an already-expired deadline
+    or cancelled token halts it before any work. [on_match phi] is
+    called on each complete mapping that satisfies the graph-wide
+    predicate ([phi] is reused: copy to keep it) and returns whether to
+    go on; [false] halts the walker with [Hit_limit]. [profile]
+    (default none) receives Check calls and descents per order
+    position while profiling is on (initially on when given).
+
+    [expose phi depth lo hi] is the sibling-exposure hook: called before
+    each candidate at [depth] while more than one remains, with the
+    untouched candidate indices [lo, hi) under the prefix in [phi]. If
+    it returns [true] it has taken that range and the level ends after
+    the current candidate. Without it the loop never splits. *)
+
+val descend :
+  walker ->
+  order:int array ->
+  back:back array ->
+  prefix:int array ->
+  int ->
+  int ->
+  unit
+(** [descend w ~order ~back ~prefix lo hi]: assign [prefix] to order
+    positions [0 .. d-1] (values already checked), then explore
+    candidates [lo, hi) of [order.(d)] depth-first, with [back] the
+    {!back_edges} of [order]. Returns, with the prefix released, when
+    the range is exhausted or the walker halts. *)
+
+val halted : walker -> bool
+
+val stop : walker -> Budget.stop_reason -> unit
+(** Halt with this reason; the loop returns at its next candidate. *)
+
+val reason : walker -> Budget.stop_reason
+(** [Exhausted] until the walker is halted. *)
+
+val visited : walker -> int
+(** Check calls so far. *)
+
+val set_profiling : walker -> bool -> unit
+(** Turn profile counting on or off (no effect without a profile). *)
+
+val flush : walker -> Gql_obs.Metrics.t -> unit
+(** Add the walker's visited / backtrack / match counts to the
+    metrics. *)

@@ -1,7 +1,7 @@
-(* Mid-query re-planning: the adaptive drivers (sequential Adapt.run
-   and the work-stealing shared-plan variant) must return exactly the
-   static search's match set — under exhaustive enumeration, limits,
-   and resource stops — while actually re-planning on skewed data. *)
+(* Mid-query re-planning: the adaptive driver ([Ws.search ~adapt], at
+   one worker and fanned out) must return exactly the static search's
+   match set — under exhaustive enumeration, limits, and resource
+   stops — while actually re-planning on skewed data. *)
 
 open Gql_graph
 open Gql_matcher
@@ -27,6 +27,18 @@ let aggressive = { Adapt.threshold = 1.1; min_samples = 1; max_replans = 3 }
 
 let sorted_set mappings = List.sort compare (List.map Array.to_list mappings)
 
+(* the one-worker adaptive search, with the report it always delivers *)
+let adaptive ?(config = aggressive) ?limit ?budget ?metrics ~order p g space =
+  let report = ref None in
+  let out =
+    Ws.search ~domains:1 ?limit ?budget ?metrics ~adapt:config ~model
+      ~report:(fun r -> report := Some r)
+      ~order p g space
+  in
+  match !report with
+  | Some r -> (out, r)
+  | None -> Alcotest.fail "Ws.search did not call ~report"
+
 let space_and_order p g =
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
   (space, Order.greedy ~model p ~sizes:(Feasible.sizes space))
@@ -47,23 +59,22 @@ let test_hub_replans () =
   let p, g, space, order = hub_case () in
   let static = Search.run ~order p g space in
   let config = { Adapt.default with min_samples = 4 } in
-  let res = Adapt.run ~config ~model ~order p g space in
-  Alcotest.(check bool) "a re-plan triggered" true (res.Adapt.replans >= 1);
+  let out, r = adaptive ~config ~order p g space in
+  Alcotest.(check bool) "a re-plan triggered" true (r.Ws.r_replans >= 1);
   Alcotest.(check bool) "the order actually changed" true
-    (res.Adapt.final_order <> order);
+    (r.Ws.r_order <> order);
   Alcotest.(check int) "same match count" static.Search.n_found
-    res.Adapt.outcome.Search.n_found;
+    out.Search.n_found;
   Alcotest.(check bool) "same match set" true
-    (sorted_set static.Search.mappings
-    = sorted_set res.Adapt.outcome.Search.mappings)
+    (sorted_set static.Search.mappings = sorted_set out.Search.mappings)
 
 let test_hub_replan_counted () =
   let p, g, space, order = hub_case () in
   let metrics = Gql_obs.Metrics.create () in
   let config = { Adapt.default with min_samples = 4 } in
-  let res = Adapt.run ~config ~metrics ~model ~order p g space in
+  let _, r = adaptive ~config ~metrics ~order p g space in
   Alcotest.(check int) "planner.replans counts applied re-plans"
-    res.Adapt.replans
+    r.Ws.r_replans
     (Gql_obs.Metrics.get metrics Gql_obs.Metrics.Planner_replans)
 
 let test_hub_ws_matches () =
@@ -179,10 +190,9 @@ let prop_exhaustive_same_set =
     arb_case (fun case ->
       let p, g, space, order = case_env case in
       let static = Search.run ~order p g space in
-      let res = Adapt.run ~config:aggressive ~model ~order p g space in
-      sorted_set static.Search.mappings
-      = sorted_set res.Adapt.outcome.Search.mappings
-      && res.Adapt.outcome.Search.stopped = Budget.Exhausted)
+      let out, _ = adaptive ~order p g space in
+      sorted_set static.Search.mappings = sorted_set out.Search.mappings
+      && out.Search.stopped = Budget.Exhausted)
 
 let prop_limit_within_static_set =
   QCheck.Test.make ~name:"adaptive under a limit finds static matches"
@@ -190,8 +200,7 @@ let prop_limit_within_static_set =
       let p, g, space, order = case_env case in
       let static = Search.run ~order p g space in
       let full = sorted_set static.Search.mappings in
-      let res = Adapt.run ~config:aggressive ~limit ~model ~order p g space in
-      let out = res.Adapt.outcome in
+      let out, _ = adaptive ~limit ~order p g space in
       out.Search.n_found = min limit static.Search.n_found
       && List.for_all
            (fun m -> List.mem (Array.to_list m) full)
@@ -204,8 +213,8 @@ let prop_cancellation_respected =
       let token = Budget.token () in
       Budget.cancel token;
       let budget = Budget.with_token (Budget.make ()) token in
-      let res = Adapt.run ~config:aggressive ~budget ~model ~order p g space in
-      res.Adapt.outcome.Search.stopped = Budget.Cancelled)
+      let out, _ = adaptive ~budget ~order p g space in
+      out.Search.stopped = Budget.Cancelled)
 
 let prop_ws_adaptive_same_set =
   QCheck.Test.make ~name:"work-stealing adaptive = static match set" ~count:60

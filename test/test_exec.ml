@@ -700,6 +700,35 @@ let test_replace_retires_one_graph () =
   Cache.drop c gb;
   Alcotest.(check int) "drop retires gb's plan" 0 (Cache.stats c).Cache.plans
 
+(* A heavy miss on an idle service fans its search out over the
+   work-stealing engine; that search must still feed the learned
+   statistics, as a sequential miss does. *)
+let test_fanned_out_miss_observed () =
+  let n = 40 in
+  let labels = Array.init (2 * n) (fun v -> if v < n then "A" else "B") in
+  let edges =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if (i + j) mod 3 = 0 then Some (i, n + j) else None)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  (* |Φ(a)| = |Φ(b)| = 40: log10 of the space is 3.2, a heavy search *)
+  let docs = [ ("D", [ Graph.of_labeled ~labels edges ]) ] in
+  let t = Service.create ~jobs:1 ~search_domains:2 ~docs () in
+  ignore (Service.submit t edge_query);
+  (match Service.drain t with
+  | [ o ] ->
+    Alcotest.(check int) "one graph per edge" (List.length edges)
+      (returned_count o.Service.o_status)
+  | _ -> Alcotest.fail "expected one outcome");
+  Alcotest.(check bool) "the search fanned out" true
+    (M.get (Service.metrics t) M.Parallel_tasks_spawned > 0);
+  Alcotest.(check int) "the fanned-out search was observed" 1
+    (Service.cache_stats t).Gql_exec.Cache.observations;
+  Service.shutdown t
+
 let suite =
   [
     Alcotest.test_case "lru eviction under byte budget" `Quick test_lru_eviction;
@@ -722,6 +751,8 @@ let suite =
       test_warm_scan_stays_fresh;
     Alcotest.test_case "a cold scan across epochs, then warm passes" `Quick
       test_cold_scan_across_epochs;
+    Alcotest.test_case "a fanned-out heavy miss feeds the learned stats"
+      `Quick test_fanned_out_miss_observed;
     Alcotest.test_case "structurally equal graphs stay apart in the cache"
       `Quick test_equal_graphs_stay_apart;
     Alcotest.test_case "the service aggregate keeps no spans" `Quick

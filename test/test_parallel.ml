@@ -33,6 +33,36 @@ let test_parallel_equals_sequential () =
       [ 1; 2; 4 ]
   done
 
+(* A fanned-out static search is observed like a sequential one: the
+   same drift rows — positions, estimates and summed actual descents —
+   at every width. *)
+let test_fanned_out_drift () =
+  let g = Synthetic.erdos_renyi (Rng.create 21) ~n:500 ~m:2500 ~n_labels:8 in
+  let idx = Gql_index.Label_index.build g in
+  let labels = Gql_index.Label_index.top_frequent idx 4 in
+  let p = Queries.clique (Rng.create 23) ~labels ~size:3 in
+  let run domains =
+    let metrics = Gql_obs.Metrics.create () in
+    let r =
+      Engine.run
+        ~strategy:{ Engine.optimized with search_domains = domains }
+        ~metrics p g
+    in
+    (r.Engine.outcome.Search.n_found, Gql_obs.Metrics.drift metrics)
+  in
+  let n1, rows1 = run 1 in
+  Alcotest.(check bool) "the sequential run records drift" true (rows1 <> []);
+  List.iter
+    (fun domains ->
+      let n, rows = run domains in
+      let at what = Printf.sprintf "%s at %d domains" what domains in
+      Alcotest.(check int) (at "same matches") n1 n;
+      Alcotest.(check (list (pair int (pair int (pair (float 0.0) (float 0.0))))))
+        (at "same drift rows")
+        (List.map (fun (i, runs, e, a) -> (i, (runs, (e, a)))) rows1)
+        (List.map (fun (i, runs, e, a) -> (i, (runs, (e, a)))) rows))
+    [ 2; 3 ]
+
 let test_parallel_search_partition () =
   let g = Test_graph.sample_g () in
   let p = Flat_pattern.clique [ "A"; "B"; "C" ] in
@@ -239,6 +269,8 @@ let suite =
   [
     Alcotest.test_case "parallel = sequential counts" `Quick
       test_parallel_equals_sequential;
+    Alcotest.test_case "fanned-out static search records the same drift"
+      `Quick test_fanned_out_drift;
     Alcotest.test_case "partitioned search" `Quick test_parallel_search_partition;
     Alcotest.test_case "empty candidate space" `Quick test_empty_space;
     Alcotest.test_case "pre-cancelled token stops before work" `Quick

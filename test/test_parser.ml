@@ -215,6 +215,47 @@ let test_dml_parse_errors () =
   Alcotest.(check bool) "delete of unknown kind" true
     (rejected {|delete thing doc("d").G.a;|})
 
+(* Nesting is bounded at 512 levels: deeper input is a typed parse
+   error at the first opener past the bound, never a stack overflow.
+   Each case is (name, parser, text at depth d, offset of opener d). *)
+let test_nesting_bound () =
+  let rep s d = String.concat "" (List.init d (fun _ -> s)) in
+  let expression text = ignore (Parser.expression text) in
+  let graph text = ignore (Parser.graph text) in
+  let cases =
+    [
+      ( "parentheses",
+        expression,
+        (fun d -> rep "(" d ^ "1" ^ rep ")" d),
+        fun d -> d - 1 );
+      ("negations", expression, (fun d -> rep "!" d ^ "true"), fun d -> d - 1);
+      ( "unary minus",
+        expression,
+        (fun d -> rep "- " d ^ "1"),
+        fun d -> 2 * (d - 1) );
+      ( "pattern blocks",
+        graph,
+        (fun d -> "graph G { " ^ rep "{ " d ^ "node v; " ^ rep "} " d ^ "}"),
+        fun d -> 10 + (2 * (d - 1)) );
+    ]
+  in
+  List.iter
+    (fun (name, parse, text, opener) ->
+      (match parse (text 512) with
+      | () -> ()
+      | exception Parser.Error (msg, _) ->
+        Alcotest.failf "%s: depth 512 must parse, got %s" name msg);
+      List.iter
+        (fun d ->
+          match parse (text d) with
+          | () -> Alcotest.failf "%s: depth %d parsed" name d
+          | exception Parser.Error (_, off) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: depth %d fails at opener 513" name d)
+              (opener 513) off)
+        [ 513; 100_000 ])
+    cases
+
 let suite =
   [
     Alcotest.test_case "simple graph motif (Fig 4.3)" `Quick test_simple_graph;
@@ -229,4 +270,6 @@ let suite =
     Alcotest.test_case "disjunction parse (Fig 4.5)" `Quick test_disjunction_parse;
     Alcotest.test_case "DML statements parse" `Quick test_dml_parse;
     Alcotest.test_case "DML parse errors" `Quick test_dml_parse_errors;
+    Alcotest.test_case "nesting is bounded at 512 levels" `Quick
+      test_nesting_bound;
   ]
