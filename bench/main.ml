@@ -1496,7 +1496,7 @@ let exec_warm_scan () =
         acc + (Search.run ~exhaustive:true ~order p g space).Search.n_found)
       0 prepared
   in
-  let svc = Service.create ~jobs:1 ~search_domains:1 ~docs () in
+  let svc = Service.create ~jobs:1 ~docs () in
   (* submit -> wait is timed; rendering the answers for the check is not *)
   let served () =
     List.map

@@ -314,11 +314,7 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
       let queries = split_batch (read_file batch_file) in
       if queries = [] then
         Error.raise_ (Error.Usage "batch file contains no queries");
-      (match domains with
-      | Some d when d < 1 ->
-        Error.raise_
-          (Error.Usage (Printf.sprintf "--domains must be >= 1, got %d" d))
-      | _ -> ());
+      let strategy = strategy_opt ~adaptive:false domains in
       let mounts, docs = mount_docs docs in
       let t0 = Unix.gettimeofday () in
       let outcomes, svc =
@@ -326,7 +322,7 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
           ~finally:(fun () -> close_mounts mounts)
           (fun () ->
             let svc =
-              Service.create ?jobs ?search_domains:domains ?quantum ~docs
+              Service.create ?jobs ?quantum ?strategy ~docs
                 ~on_write:(persist mounts) ()
             in
             List.iter (Service.install_view svc) (mounted_views mounts);
@@ -936,10 +932,9 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Domains for the search phase of each pattern match. Above 1 the \
-           search runs on the work-stealing parallel engine; for batch, this \
-           sets the per-query split (default: the cores the job pool leaves \
-           idle).")
+          "Domains for the search phase of each pattern match (default 1). \
+           Above 1 every search runs on the work-stealing parallel engine; \
+           for batch, that is every search of every query.")
 
 let adaptive_arg =
   Arg.(

@@ -37,7 +37,6 @@ type key = char * bool * string
 
 type t = {
   mutex : Mutex.t;
-  plan_capacity : int;
   mutable next_gid : int;
   gids : int GraphTbl.t;
   indexes : (int, Gql_index.Label_index.t * Gql_index.Profile_index.t) Hashtbl.t;
@@ -66,12 +65,12 @@ type stats = {
   observations : int;
 }
 
-let create ?(plan_capacity = 4096) ?(retrieval_budget_bytes = 64 * 1024 * 1024)
-    () =
-  if plan_capacity <= 0 then invalid_arg "Cache.create: plan_capacity <= 0";
+let plan_capacity = 4096
+let retrieval_budget_bytes = 64 * 1024 * 1024
+
+let create () =
   {
     mutex = Mutex.create ();
-    plan_capacity;
     next_gid = 0;
     gids = GraphTbl.create 64;
     indexes = Hashtbl.create 64;
@@ -232,7 +231,7 @@ let store t g key plan =
   match gid_opt t g with
   | None -> ()
   | Some gid ->
-    if t.n_plans >= t.plan_capacity then reset_plans t;
+    if t.n_plans >= plan_capacity then reset_plans t;
     let tbl =
       match Hashtbl.find_opt t.plans gid with
       | Some tbl -> tbl

@@ -45,8 +45,8 @@ open Gql_graph
 
 type t
 
-val create : ?plan_capacity:int -> ?retrieval_budget_bytes:int -> unit -> t
-(** Defaults: 4096 plans, 64 MiB of retrieval rows. The plan table is
+val create : unit -> t
+(** Room for 4096 plans and 64 MiB of retrieval rows. The plan table is
     reset wholesale when adding a plan finds it at capacity (plans are
     cheap to recompute and capacity overrun indicates an adversarial
     workload); the retrieval cache evicts LRU entries continuously. *)

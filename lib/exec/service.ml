@@ -51,7 +51,6 @@ type t = {
   cache : Cache.t;
   strategy : Engine.strategy;
   quantum : int;
-  search_domains : int;  (* intra-query fan-out when the queue is idle *)
   (* work queue *)
   q_mutex : Mutex.t;
   q_cond : Condition.t;
@@ -140,7 +139,8 @@ let next_task t =
 (* Where a job's (pattern, graph) runs get their plans: the shared
    cache, when the graph is registered. [None] — a graph bound to a
    query variable, or [`Subgraphs] retrieval — sends the run through
-   the uncached engine with the strategy's own model and fan-out. The
+   the uncached engine with the strategy's own model. Either way the
+   search runs at the strategy's width. The
    callbacks that do not depend on the pair are built once per job,
    and what depends only on the pattern once per scan: the selection
    loop applies [source t job p] before its per-graph loop. *)
@@ -159,23 +159,6 @@ let source t job =
     | None ->
       Gql_matcher.Cost.Learned
         { learned = Cache.learned_snapshot t.cache; fallback = None }
-  in
-  (* Inter- vs intra-query split: while other work is queued, every
-     domain runs its own query (inter-query parallelism, caches hot);
-     when this is the only live query and it is about to walk a big
-     search space, fan the search itself out over the work-stealing
-     engine. Tiny searches stay sequential — handing work to the
-     pool's parked helpers and waiting for them costs more than they
-     do. *)
-  let domains ~order space =
-    if
-      t.search_domains > 1
-      && Array.length order > 0
-      && Array.length space.Feasible.candidates.(order.(0)) > 1
-      && Feasible.log10_size space >= 3.0
-      && not (queue_nonempty t)
-    then t.search_domains
-    else 1
   in
   (* Fold a new plan's search into the shared stats under the cache
      mutex. Only exhaustive runs: a truncated search undercounts deep
@@ -215,7 +198,7 @@ let source t job =
                 p_epoch = epoch;
               }
           in
-          Some { Engine.plan; save; model; observe = observe p g; domains }
+          Some { Engine.plan; save; model; observe = observe p g }
         in
         match Cache.plan_lookup t.cache ~metrics ~epoch g key with
         | Some (`Fresh { Cache.p_space; p_order; _ }) ->
@@ -552,9 +535,8 @@ let parse_budget_bytes = 4 * 1024 * 1024
 let ast_bytes src program =
   String.length src + (8 * Obj.reachable_words (Obj.repr program)) + 64
 
-let create ?jobs ?search_domains ?(quantum = 4096)
-    ?(strategy = Engine.optimized) ?plan_capacity ?retrieval_budget_bytes
-    ?(docs = []) ?on_write () =
+let create ?jobs ?(quantum = 4096) ?(strategy = Engine.optimized) ?(docs = [])
+    ?on_write () =
   if quantum <= 0 then invalid_arg "Service.create: quantum <= 0";
   let jobs =
     match jobs with
@@ -562,21 +544,11 @@ let create ?jobs ?search_domains ?(quantum = 4096)
     | Some _ -> invalid_arg "Service.create: jobs <= 0"
     | None -> min 8 (Domain.recommended_domain_count ())
   in
-  let search_domains =
-    match search_domains with
-    | Some n when n > 0 -> n
-    | Some _ -> invalid_arg "Service.create: search_domains <= 0"
-    | None ->
-      (* split the machine between the two axes: whatever the job pool
-         leaves unused goes to intra-query fan-out *)
-      max 1 (Domain.recommended_domain_count () / jobs)
-  in
   let t =
     {
-      cache = Cache.create ?plan_capacity ?retrieval_budget_bytes ();
+      cache = Cache.create ();
       strategy;
       quantum;
-      search_domains;
       q_mutex = Mutex.create ();
       q_cond = Condition.create ();
       queue = Queue.create ();
@@ -745,12 +717,8 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let run_batch ?jobs ?search_domains ?quantum ?strategy ?plan_capacity
-    ?retrieval_budget_bytes ?docs ?on_write ?deadline queries =
-  let t =
-    create ?jobs ?search_domains ?quantum ?strategy ?plan_capacity
-      ?retrieval_budget_bytes ?docs ?on_write ()
-  in
+let run_batch ?jobs ?quantum ?strategy ?docs ?on_write ?deadline queries =
+  let t = create ?jobs ?quantum ?strategy ?docs ?on_write () in
   List.iter (fun q -> ignore (submit t ?deadline q)) queries;
   let out = drain t in
   shutdown t;

@@ -14,6 +14,12 @@
     source that hands {!Gql_matcher.Engine.run} the cached plan of each
     (pattern, graph) pair, and a hook after each pair.
 
+    {b Inter- vs intra-query split.} The job pool is the service's one
+    axis of parallelism: each domain runs its own query. Within a
+    query, a search is as wide as the strategy says
+    ([search_domains], 1 in {!Gql_matcher.Engine.optimized}); the
+    service never widens one on its own.
+
     {b Fairness.} Execution is cooperative: the hook performs a
     [Yield] effect after a (pattern, graph) engine run once the query
     has expanded [quantum] search-tree nodes in its current slice
@@ -69,11 +75,8 @@ type t
 
 val create :
   ?jobs:int ->
-  ?search_domains:int ->
   ?quantum:int ->
   ?strategy:Gql_matcher.Engine.strategy ->
-  ?plan_capacity:int ->
-  ?retrieval_budget_bytes:int ->
   ?docs:Gql_core.Eval.docs ->
   ?on_write:(Gql_core.Eval.write -> unit) ->
   unit ->
@@ -85,17 +88,14 @@ val create :
     whole service — the plan cache is only sound for a single strategy.
     [`Subgraphs] retrieval bypasses the caches entirely.
 
-    [search_domains] splits the machine between inter- and intra-query
-    parallelism: when a query reaches its search phase with {e nothing
-    else queued} and a non-trivial candidate space, the search runs on
-    the work-stealing engine with this many workers instead of
-    sequentially — one on the job's own domain, the others on the
-    parked helper domains of {!Gql_matcher.Pool}, which the first such
-    search starts and later ones reuse (no domain is spawned per
-    search). Defaults to
-    [max 1 (Domain.recommended_domain_count () / jobs)] — the cores the
-    job pool leaves idle. Cached (warm-plan) searches use it too; the
-    [`Subgraphs] fallback path stays sequential. *)
+    The search width is the strategy's [search_domains] and nothing
+    else: the service adds no fan-out of its own. With the default
+    (width 1) every search runs on its job's domain, and no helper
+    domain of {!Gql_matcher.Pool} is ever started. An explicit width
+    [n > 1] fans every search out over [n] workers, cached plans and
+    the uncached fallback alike: one on the job's domain, the others
+    on parked helpers, which the first such search starts and later
+    ones reuse. *)
 
 val submit :
   t -> ?deadline:float -> ?cancel:Gql_matcher.Budget.token -> ?after:int ->
@@ -189,11 +189,8 @@ val shutdown : t -> unit
 
 val run_batch :
   ?jobs:int ->
-  ?search_domains:int ->
   ?quantum:int ->
   ?strategy:Gql_matcher.Engine.strategy ->
-  ?plan_capacity:int ->
-  ?retrieval_budget_bytes:int ->
   ?docs:Gql_core.Eval.docs ->
   ?on_write:(Gql_core.Eval.write -> unit) ->
   ?deadline:float ->

@@ -77,7 +77,6 @@ type source = {
     order:int array ->
     Search.profile ->
     unit;
-  domains : order:int array -> Feasible.space -> int;
 }
 
 let timed f =
@@ -133,11 +132,6 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
   in
   let search r =
     let space = r.space_refined and order = r.order in
-    let domains =
-      match source with
-      | Some s -> s.domains ~order space
-      | None -> strategy.search_domains
-    in
     (* A search on a plan built in this run is profiled when metrics
        are on, so [explain --analyze] can show estimate/actual drift,
        or when a source will observe it — at every width. *)
@@ -159,7 +153,7 @@ let run ?(strategy = optimized) ?(exhaustive = true) ?limit
     let report = ref None in
     let outcome, t_search =
       phase_timed "search" (fun () ->
-          Ws.search ~domains ?limit ~budget ~metrics
+          Ws.search ~domains:strategy.search_domains ?limit ~budget ~metrics
             ?adapt:(if strategy.adaptive then Some Adapt.default else None)
             ?model
             ?report:

@@ -19,9 +19,10 @@ type strategy = {
   optimize_order : bool;
   cost_model : Cost.model option;  (** default: constant γ = 0.5 *)
   search_domains : int;
-  (** The search phase's width: {!Ws.search} runs every search, and
-      > 1 fans it out over that many domains. Default 1 (sequential)
-      in both named strategies; [gqlsh --domains N] overrides it. *)
+  (** The search phase's width, the only one: {!Ws.search} runs every
+      search, and > 1 fans it out over that many domains, with or
+      without a plan {!source}. Default 1 (sequential) in both named
+      strategies; [gqlsh --domains N] overrides it. *)
   adaptive : bool;
   (** Mid-query re-planning ({!Adapt}): profile per-position fan-out
       against the cost model's estimates and re-order the suffix when
@@ -100,8 +101,6 @@ type source = {
       (** called after every search on a plan built in this run
           ([Miss]), at any width, with the order the search finished
           under and its per-position profile (every worker merged) *)
-  domains : order:int array -> Feasible.space -> int;
-      (** the search fan-out; > 1 runs the work-stealing engine *)
 }
 
 val run :
@@ -131,11 +130,11 @@ val run :
     ({!Gql_obs.Metrics.record_drift}), and a source's [observe] gets
     the profile, fanned out or not.
 
-    With a [source], the source's model and fan-out replace the
-    strategy's [cost_model] and [search_domains]. A cached plan skips
-    the phases it covers, and its search is neither profiled nor
-    observed, nor does it record drift: a warm run is one budget poll
-    and one [search] span. *)
+    With a [source], the source's model replaces the strategy's
+    [cost_model]; nothing replaces the width, [search_domains]. A
+    cached plan skips the phases it covers, and its search is neither
+    profiled nor observed, nor does it record drift: a warm run is one
+    budget poll and one [search] span. *)
 
 val count_matches :
   ?strategy:strategy ->

@@ -46,8 +46,6 @@
    root is enumerated exactly once and a root's subtree match set does
    not depend on the suffix order. *)
 
-let default_domains () = Domain.recommended_domain_count ()
-
 (* Everything a task needs to interpret its prefix and keep searching:
    immutable once built, shared via [Atomic.t plan]. *)
 type plan = {
@@ -100,14 +98,11 @@ let root_slices cfg n0 =
   in
   go 0 (max 8 cfg.Adapt.min_samples) []
 
-let search ?domains ?order ?limit ?(budget = Budget.unlimited)
+let search ~domains ?order ?limit ?(budget = Budget.unlimited)
     ?(metrics = Gql_obs.Metrics.disabled) ?adapt ?model ?report p g space =
   let module M = Gql_obs.Metrics in
   let k = Flat_pattern.size p in
-  (* [default_domains] is a system call: only when asked for *)
-  let n_domains =
-    max 1 (match domains with Some d -> d | None -> default_domains ())
-  in
+  let n_domains = max 1 domains in
   let order =
     match order with
     | Some o when Array.length o > 0 -> o

@@ -1,25 +1,24 @@
 (** The search driver: work-stealing at any width, adaptive on request.
 
     {!Engine.run}'s search phase is one call of {!search}, at every
-    width, static or adaptive. [~domains:n] runs worker 0 on the calling
-    domain and workers 1..n-1 on parked helpers of the process-wide
-    {!Pool}: once the pool has grown to the widest fan-out seen, a
-    search spawns no domain. Each worker owns a {!Deque} of subtree
-    tasks (prefix assignment + candidate range), runs each through the
-    one descend loop ({!Search.descend}), lazily exposes the shallowest
-    untouched siblings for thieves through the loop's exposure hook,
-    and steals the shallowest pending subtree when idle. One worker
-    takes none of that machinery: no deque, no exposure, no pool, no
-    match tickets. See DESIGN.md §13 for the protocol.
+    width, static or adaptive; the width is always the caller's (the
+    engine passes its strategy's [search_domains]). [~domains:n] runs
+    worker 0 on the calling domain and workers 1..n-1 on parked helpers
+    of the process-wide {!Pool}: once the pool has grown to the widest
+    fan-out seen, a search spawns no domain. A process that never asks
+    for [n > 1] never starts a helper. Each worker owns a {!Deque} of
+    subtree tasks (prefix assignment + candidate range), runs each
+    through the one descend loop ({!Search.descend}), lazily exposes the
+    shallowest untouched siblings for thieves through the loop's
+    exposure hook, and steals the shallowest pending subtree when idle.
+    One worker takes none of that machinery: no deque, no exposure, no
+    pool, no match tickets. See DESIGN.md §13 for the protocol.
 
     Retrieval, refinement and ordering stay sequential (they are a
     small fraction of the time on selective queries); only the search
     fans out. *)
 
 open Gql_graph
-
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — no cap. *)
 
 type report = {
   r_replans : int;  (** re-plans applied across all domains *)
@@ -32,7 +31,7 @@ type report = {
 }
 
 val search :
-  ?domains:int ->
+  domains:int ->
   ?order:int array ->
   ?limit:int ->
   ?budget:Budget.t ->
@@ -44,10 +43,9 @@ val search :
   Graph.t ->
   Feasible.space ->
   Search.outcome
-(** [domains] defaults to {!default_domains}, and an explicit value
-    above it is honored. With [domains <= 1], an empty pattern or an
-    empty candidate set the search runs on the calling domain as one
-    worker.
+(** [domains] is the width, honored above the core count too. With
+    [domains <= 1], an empty pattern or an empty candidate set the
+    search runs on the calling domain as one worker.
 
     Semantics match {!Search.run} up to mapping order (at one worker
     the order is {!Search.run}'s too): subtrees complete independently,

@@ -700,10 +700,8 @@ let test_replace_retires_one_graph () =
   Cache.drop c gb;
   Alcotest.(check int) "drop retires gb's plan" 0 (Cache.stats c).Cache.plans
 
-(* A heavy miss on an idle service fans its search out over the
-   work-stealing engine; that search must still feed the learned
-   statistics, as a sequential miss does. *)
-let test_fanned_out_miss_observed () =
+(* |Φ(a)| = |Φ(b)| = 40: log10 of the space is 3.2, a heavy search *)
+let heavy_docs () =
   let n = 40 in
   let labels = Array.init (2 * n) (fun v -> if v < n then "A" else "B") in
   let edges =
@@ -714,18 +712,41 @@ let test_fanned_out_miss_observed () =
           (List.init n Fun.id))
       (List.init n Fun.id)
   in
-  (* |Φ(a)| = |Φ(b)| = 40: log10 of the space is 3.2, a heavy search *)
-  let docs = [ ("D", [ Graph.of_labeled ~labels edges ]) ] in
-  let t = Service.create ~jobs:1 ~search_domains:2 ~docs () in
+  ([ ("D", [ Graph.of_labeled ~labels edges ]) ], List.length edges)
+
+(* Run the edge query once on [t]; returns the graphs it built. *)
+let run_heavy_miss t =
   ignore (Service.submit t edge_query);
-  (match Service.drain t with
-  | [ o ] ->
-    Alcotest.(check int) "one graph per edge" (List.length edges)
-      (returned_count o.Service.o_status)
-  | _ -> Alcotest.fail "expected one outcome");
+  match Service.drain t with
+  | [ o ] -> returned_count o.Service.o_status
+  | _ -> Alcotest.fail "expected one outcome"
+
+(* A heavy miss on a service whose strategy sets a width fans its
+   search out over the work-stealing engine; that search must still
+   feed the learned statistics, as a sequential miss does. *)
+let test_fanned_out_miss_observed () =
+  let docs, n_edges = heavy_docs () in
+  let t =
+    Service.create ~jobs:1
+      ~strategy:{ Gql_matcher.Engine.optimized with search_domains = 2 }
+      ~docs ()
+  in
+  Alcotest.(check int) "one graph per edge" n_edges (run_heavy_miss t);
   Alcotest.(check bool) "the search fanned out" true
     (M.get (Service.metrics t) M.Parallel_tasks_spawned > 0);
   Alcotest.(check int) "the fanned-out search was observed" 1
+    (Service.cache_stats t).Gql_exec.Cache.observations;
+  Service.shutdown t
+
+(* The service adds no width of its own: at the default strategy the
+   same heavy miss, alone on an idle pool, runs on its job's domain. *)
+let test_default_service_one_domain () =
+  let docs, n_edges = heavy_docs () in
+  let t = Service.create ~jobs:1 ~docs () in
+  Alcotest.(check int) "one graph per edge" n_edges (run_heavy_miss t);
+  Alcotest.(check int) "no task was spawned" 0
+    (M.get (Service.metrics t) M.Parallel_tasks_spawned);
+  Alcotest.(check int) "the search was observed" 1
     (Service.cache_stats t).Gql_exec.Cache.observations;
   Service.shutdown t
 
@@ -753,6 +774,8 @@ let suite =
       test_cold_scan_across_epochs;
     Alcotest.test_case "a fanned-out heavy miss feeds the learned stats"
       `Quick test_fanned_out_miss_observed;
+    Alcotest.test_case "a default service runs every search on one domain"
+      `Quick test_default_service_one_domain;
     Alcotest.test_case "structurally equal graphs stay apart in the cache"
       `Quick test_equal_graphs_stay_apart;
     Alcotest.test_case "the service aggregate keeps no spans" `Quick
