@@ -1764,15 +1764,17 @@ let adaptive () =
 (* ---------------------------------------------------------------------- *)
 (* online write path: incremental index maintenance and the txn log        *)
 
-(* Two claims. (1) On r-hop-local updates (a relabel or a new edge
+(* Three claims. (1) On r-hop-local updates (a relabel or a new edge
    dirties only its radius-1 ball) maintaining the label/profile
    indexes from the mutation delta must beat rebuilding them from
    scratch by ≥ 3x — that is the point of carrying the dirty set
    through [Mutate]. The final incremental profile index is checked
    node-for-node against the rebuild, so the speedup cannot come from
-   computing less. (2) The transaction log's group commit: staging N
-   DML records and publishing them with one superblock swap vs a
-   flush per record. *)
+   computing less. (2) The graph itself: [Mutate.apply] extends it
+   copy-on-write, which must beat building the same post-state from
+   scratch by ≥ 5x, so a slide back to a rebuild per op fails here.
+   (3) The transaction log's group commit: staging N DML records and
+   publishing them with one superblock swap vs a flush per record. *)
 let write_path () =
   let module LI = Gql_index.Label_index in
   let module PI = Gql_index.Profile_index in
@@ -1845,6 +1847,55 @@ let write_path () =
   row "%-14s %14.2f\n" "rebuild" (ms t_rebuild);
   row "speedup (rebuild / incremental): %.1fx\n" speedup;
   check (speedup >= 3.0) "incremental maintenance speedup %.1fx < 3x" speedup;
+  header "Graph writes: copy-on-write apply vs a from-scratch build";
+  (* one Add_node, then one Add_edge from the new node to node 0 *)
+  let w_tuple = Tuple.make [ ("label", Value.Str "W1") ] in
+  let cow () =
+    let g1, _ =
+      Mutate.apply ~r:1 g0 (Mutate.Add_node { name = Some "w"; tuple = w_tuple })
+    in
+    fst
+      (Mutate.apply ~r:1 g1
+         (Mutate.Add_edge
+            { name = None; src = n; dst = 0; tuple = Tuple.empty }))
+  in
+  let build () =
+    let b =
+      Graph.Builder.create ~directed:(Graph.directed g0) ?name:(Graph.name g0)
+        ~tuple:(Graph.tuple g0) ()
+    in
+    Graph.iter_nodes g0 ~f:(fun v ->
+        ignore
+          (Graph.Builder.add_node b ?name:(Graph.node_name g0 v)
+             (Graph.node_tuple g0 v)));
+    ignore (Graph.Builder.add_node b ~name:"w" w_tuple);
+    Graph.iter_edges g0 ~f:(fun e { Graph.src; dst; etuple } ->
+        ignore
+          (Graph.Builder.add_edge b ?name:(Graph.edge_name g0 e) ~tuple:etuple
+             src dst));
+    ignore (Graph.Builder.add_edge b n 0);
+    Graph.Builder.build b
+  in
+  let applied = cow () and built = build () in
+  check
+    (Graph.to_string applied = Graph.to_string built
+    && Graph.neighbors applied n = Graph.neighbors built n
+    && Graph.neighbors applied 0 = Graph.neighbors built 0)
+    "the copy-on-write post-state differs from the from-scratch build";
+  let apply_reps = scale 21 101 in
+  let median_s f =
+    let ts = List.init apply_reps (fun _ -> snd (time f)) in
+    List.nth (List.sort compare ts) (apply_reps / 2)
+  in
+  let t_cow = median_s cow and t_build = median_s build in
+  let apply_speedup = t_build /. t_cow in
+  row "Add_node + Add_edge on %d nodes, median of %d\n" n apply_reps;
+  row "%-22s %14s\n" "side" "median (us)";
+  row "%-22s %14.1f\n" "copy-on-write apply" (t_cow *. 1e6);
+  row "%-22s %14.1f\n" "from-scratch build" (t_build *. 1e6);
+  row "speedup (build / apply): %.1fx\n" apply_speedup;
+  check (apply_speedup >= 5.0) "copy-on-write apply speedup %.1fx < 5x"
+    apply_speedup;
   header "Transaction log: group commit vs a flush per record";
   let base =
     let b = Graph.Builder.create ~name:"G" () in
@@ -1908,6 +1959,10 @@ let write_path () =
          ("t_rebuild_ms", Json.Float (ms t_rebuild));
          ("speedup", Json.Float speedup);
          ("threshold_speedup", Json.Float 3.0);
+         ("t_cow_apply_us", Json.Float (t_cow *. 1e6));
+         ("t_scratch_build_us", Json.Float (t_build *. 1e6));
+         ("apply_speedup", Json.Float apply_speedup);
+         ("threshold_apply_speedup", Json.Float 5.0);
          ("txns", Json.Int n_txns);
          ("t_flush_per_txn_ms", Json.Float (ms t_per_txn));
          ("t_group_commit_ms", Json.Float (ms t_grouped));

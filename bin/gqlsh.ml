@@ -24,6 +24,7 @@ open Gql_core
 open Gql_graph
 module Budget = Gql_matcher.Budget
 module View = Gql_exec.View
+module Mount = Gql_exec.Mount
 
 let read_file path =
   let ic = open_in_bin path in
@@ -32,143 +33,6 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let load_collection path = Gql.collection_of_string (read_file path)
-
-(* --- doc mounts ----------------------------------------------------------- *)
-
-(* A doc source is either a .gql text file or a .store disk store.
-   [run] and [batch] mount their docs: a .store-backed doc keeps its
-   store open read-write, with the doc-position -> gid mapping that lets
-   evaluator writes flow back into the transaction log. A .gql text doc
-   has no durability — its writes live only for the process (the write
-   count still reports them). [metrics] makes store traffic (page reads,
-   pool hits) visible to explain --analyze. *)
-type mount = {
-  m_name : string;
-  m_store : Gql_storage.Store.t option;
-  mutable m_gids : int array;  (* doc position -> gid; store-backed only *)
-  mutable m_len : int;  (* live prefix of [m_gids] *)
-}
-
-let mount_docs ?metrics specs =
-  List.split
-    (List.map
-       (fun spec ->
-         match String.index_opt spec '=' with
-         | None ->
-           Error.raise_
-             (Error.Usage
-                (Printf.sprintf "bad --doc %S, expected NAME=FILE" spec))
-         | Some i ->
-           let name = String.sub spec 0 i in
-           let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-           if Filename.check_suffix path ".store" then begin
-             let store = Gql_storage.Store.open_existing path in
-             Option.iter (Gql_storage.Store.set_metrics store) metrics;
-             let gids = ref [] and graphs = ref [] in
-             Gql_storage.Store.iter store ~f:(fun gid g ->
-                 gids := gid :: !gids;
-                 graphs := g :: !graphs);
-             let gids = Array.of_list (List.rev !gids) in
-             ( {
-                 m_name = name;
-                 m_store = Some store;
-                 m_gids = gids;
-                 m_len = Array.length gids;
-               },
-               (name, List.rev !graphs) )
-           end
-           else
-             ( { m_name = name; m_store = None; m_gids = [||]; m_len = 0 },
-               (name, load_collection path) ))
-       specs)
-
-let push_gid m gid =
-  if m.m_len = Array.length m.m_gids then begin
-    let bigger = Array.make (max 16 (2 * m.m_len)) 0 in
-    Array.blit m.m_gids 0 bigger 0 m.m_len;
-    m.m_gids <- bigger
-  end;
-  m.m_gids.(m.m_len) <- gid;
-  m.m_len <- m.m_len + 1
-
-let gid_at m index =
-  if index < 0 || index >= m.m_len then
-    invalid_arg (Printf.sprintf "doc %s has no position %d" m.m_name index);
-  m.m_gids.(index)
-
-(* a removal shifts the later doc positions down by one *)
-let remove_gid m index =
-  let gid = gid_at m index in
-  Array.blit m.m_gids (index + 1) m.m_gids index (m.m_len - index - 1);
-  m.m_len <- m.m_len - 1;
-  gid
-
-(* The durability sink: one evaluator write -> one transaction-log
-   record (or base-record append / tombstone) in the backing store.
-   Store graph state tracks the evaluator's exactly — both sides apply
-   the same op sequence to the same starting graph — so node/edge ids
-   in later ops stay aligned. Callers serialize writes (gqlsh run is
-   sequential; the batch service gates DML jobs on the watermark).
-   Applied to its mounts once, it indexes them by name (the first mount
-   of a name wins, as in doc lookup). *)
-let persist mounts =
-  let by_name = Hashtbl.create 8 in
-  List.iter
-    (fun m ->
-      if not (Hashtbl.mem by_name m.m_name) then Hashtbl.add by_name m.m_name m)
-    mounts;
-  let mount source = Hashtbl.find_opt by_name source in
-  function
-  | Eval.W_update { source; index; ops; _ } -> (
-    match mount source with
-    | Some ({ m_store = Some store; _ } as m) ->
-      ignore (Gql_storage.Store.append_txn store ~gid:(gid_at m index) ops)
-    | _ -> ())
-  | Eval.W_insert { source; new_graph } -> (
-    match mount source with
-    | Some ({ m_store = Some store; _ } as m) ->
-      push_gid m (Gql_storage.Store.add_graph store new_graph)
-    | _ -> ())
-  | Eval.W_remove { source; index; _ } -> (
-    match mount source with
-    | Some ({ m_store = Some store; _ } as m) ->
-      Gql_storage.Store.remove_graph store (remove_gid m index)
-    | _ -> ())
-  | Eval.W_create_view { name; materialized; def; graphs; epoch } -> (
-    (* the view record travels with the store of its source doc; a
-       maintainer refresh re-emits this event with a bumped epoch, so
-       newest-committed-wins replay restores the latest materialization *)
-    match mount def.Ast.f_source with
-    | Some { m_store = Some store; _ } ->
-      let v = View.make ~name ~materialized ~epoch def in
-      View.attach ~graphs v ~docs:[];
-      Gql_storage.Store.set_view store ~name (View.encode v)
-    | _ -> ())
-  | Eval.W_drop_view { name } ->
-    (* a drop does not say which doc the definition read — tombstone
-       wherever the record lives (drop_view is a no-op elsewhere) *)
-    List.iter
-      (fun m ->
-        Option.iter
-          (fun store -> ignore (Gql_storage.Store.drop_view store name))
-          m.m_store)
-      mounts
-
-(* Closing commits: every store close groups the staged records under
-   one superblock swap. *)
-let close_mounts mounts =
-  List.iter (fun m -> Option.iter Gql_storage.Store.close m.m_store) mounts
-
-let mounted_views mounts =
-  List.concat_map
-    (fun m ->
-      match m.m_store with
-      | None -> []
-      | Some store ->
-        List.map
-          (fun (name, blob) -> View.decode ~name blob)
-          (Gql_storage.Store.views store))
-    mounts
 
 (* Make persisted views readable by a standalone evaluation: each view
    becomes a [view("v")] collection in the doc set. Materialized views
@@ -252,17 +116,17 @@ let finish_with stopped what =
 
 let run_cmd query_file docs domains adaptive timeout max_visited verbose =
   guarded (fun () ->
-      let mounts, docs = mount_docs docs in
+      let mounts, docs = Mount.open_docs docs in
       Fun.protect
-        ~finally:(fun () -> close_mounts mounts)
+        ~finally:(fun () -> Mount.close_all mounts)
         (fun () ->
-          let docs = docs_with_views (mounted_views mounts) docs in
+          let docs = docs_with_views (Mount.views mounts) docs in
           let strategy = strategy_opt ~adaptive domains in
           (* the deadline clock starts after the inputs are loaded: it
              governs query execution, not file parsing *)
           let budget = budget_of timeout max_visited in
           let result =
-            Gql.run_query ~docs ?strategy ?budget ~writer:(persist mounts)
+            Gql.run_query ~docs ?strategy ?budget ~writer:(Mount.persist mounts)
               (read_file query_file)
           in
           List.iter
@@ -315,17 +179,17 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
       if queries = [] then
         Error.raise_ (Error.Usage "batch file contains no queries");
       let strategy = strategy_opt ~adaptive:false domains in
-      let mounts, docs = mount_docs docs in
+      let mounts, docs = Mount.open_docs docs in
       let t0 = Unix.gettimeofday () in
       let outcomes, svc =
         Fun.protect
-          ~finally:(fun () -> close_mounts mounts)
+          ~finally:(fun () -> Mount.close_all mounts)
           (fun () ->
             let svc =
               Service.create ?jobs ?quantum ?strategy ~docs
-                ~on_write:(persist mounts) ()
+                ~on_write:(Mount.persist mounts) ()
             in
-            List.iter (Service.install_view svc) (mounted_views mounts);
+            List.iter (Service.install_view svc) (Mount.views mounts);
             List.iter
               (fun q ->
                 (* --wait-watermark: every query waits for all writes
@@ -507,9 +371,9 @@ let explain_cmd query_file analyze json docs domains adaptive timeout
         let metrics = M.create () in
         let docs, views =
           M.with_span metrics "load" (fun () ->
-              let mounts, docs = mount_docs ~metrics docs in
-              let views = mounted_views mounts in
-              close_mounts mounts;
+              let mounts, docs = Mount.open_docs ~metrics docs in
+              let views = Mount.views mounts in
+              Mount.close_all mounts;
               (docs, views))
         in
         let docs = docs_with_views views docs in
@@ -747,9 +611,10 @@ let serve_cmd listen docs jobs quantum max_inflight partition router shards
       end
       else begin
         let part = Option.map parse_partition partition in
-        let mounts, docs = mount_docs docs in
+        let mounts, docs = Mount.open_docs docs in
         (match part with
-        | Some _ when List.exists (fun m -> Option.is_some m.m_store) mounts ->
+        | Some _
+          when List.exists (fun m -> Option.is_some (Mount.store m)) mounts ->
           (* a partitioned shard sees a filtered doc list, so the
              position -> gid mapping persistence relies on would be
              wrong; shards serve text snapshots for now *)
@@ -760,12 +625,13 @@ let serve_cmd listen docs jobs quantum max_inflight partition router shards
           match part with None -> docs | Some p -> partition_docs p docs
         in
         Fun.protect
-          ~finally:(fun () -> close_mounts mounts)
+          ~finally:(fun () -> Mount.close_all mounts)
           (fun () ->
             let svc =
-              Service.create ?jobs ?quantum ~docs ~on_write:(persist mounts) ()
+              Service.create ?jobs ?quantum ~docs
+                ~on_write:(Mount.persist mounts) ()
             in
-            List.iter (Service.install_view svc) (mounted_views mounts);
+            List.iter (Service.install_view svc) (Mount.views mounts);
             let server =
               Server.create ~max_inflight ~log (Server.Local svc) ~addr:listen
             in

@@ -4,6 +4,14 @@ type edge = {
   etuple : Tuple.t;
 }
 
+module Smap = Map.Make (String)
+
+(* Name -> id lookup. [frozen] is the builder's table, never written
+   after {!Builder.build}; the copy-on-write extensions record the
+   names they add in the persistent [added], so a graph and all its
+   extensions share one table and each one sees only its own names. *)
+type names = { frozen : (string, int) Hashtbl.t; added : int Smap.t }
+
 type t = {
   directed : bool;
   name : string option;
@@ -23,10 +31,15 @@ type t = {
      searches stay inside one cache line per step. *)
   adj_nbr : int array array;
   adj_eid : int array array;
-  by_node_name : (string, int) Hashtbl.t;
-  by_edge_name : (string, int) Hashtbl.t;
+  by_node_name : names;
+  by_edge_name : names;
   stamp : int;  (* unique per construction; identity only *)
 }
+
+let find_name ns s =
+  match Smap.find_opt s ns.added with
+  | Some _ as hit -> hit
+  | None -> Hashtbl.find_opt ns.frozen s
 
 (* domain-safe: graphs are built on every worker domain *)
 let next_stamp = Atomic.make 0
@@ -41,10 +54,10 @@ let n_edges g = Array.length g.edges
 let node_tuple g v = g.node_tuples.(v)
 let label g v = Tuple.label g.node_tuples.(v)
 let node_name g v = g.node_names.(v)
-let node_by_name g name = Hashtbl.find_opt g.by_node_name name
+let node_by_name g name = find_name g.by_node_name name
 let edge g e = g.edges.(e)
 let edge_name g e = g.edge_names.(e)
-let edge_by_name g name = Hashtbl.find_opt g.by_edge_name name
+let edge_by_name g name = find_name g.by_edge_name name
 
 let degree g v = Array.length g.adj.(v)
 let in_degree g v = Array.length g.in_adj.(v)
@@ -150,6 +163,108 @@ let with_name g name = { g with name; stamp = fresh_stamp () }
 
 let map_node_tuples g ~f =
   { g with node_tuples = Array.mapi f g.node_tuples; stamp = fresh_stamp () }
+
+(* --- copy-on-write extension --------------------------------------------- *)
+
+(* Each extension copies the outer arrays it changes (pointer blits)
+   and replaces only the rows it touches; every other row, tuple and
+   name table is shared with the source graph, which stays valid. *)
+
+let add_name ~dup ns name id =
+  match name with
+  | None -> ns
+  | Some s ->
+    if find_name ns s <> None then invalid_arg (Printf.sprintf "%s %S" dup s);
+    { ns with added = Smap.add s id ns.added }
+
+let snoc a x = Array.append a [| x |]
+
+let insert_at a i x =
+  let n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
+
+(* The index after every entry of [row] whose neighbor is <= [v]: a new
+   edge has the largest id, so inserting there keeps the row sorted by
+   (neighbor, edge id). *)
+let insert_pos (row : (int * int) array) v =
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if fst (Array.unsafe_get row mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let add_node g ?name tuple =
+  let v = n_nodes g in
+  let by_node_name =
+    add_name ~dup:"Graph.add_node: duplicate node name" g.by_node_name name v
+  in
+  let adj = snoc g.adj [||] in
+  ( {
+      g with
+      node_tuples = snoc g.node_tuples tuple;
+      node_names = snoc g.node_names name;
+      adj;
+      in_adj = (if g.directed then snoc g.in_adj [||] else adj);
+      adj_nbr = snoc g.adj_nbr [||];
+      adj_eid = snoc g.adj_eid [||];
+      by_node_name;
+      stamp = fresh_stamp ();
+    },
+    v )
+
+let add_edge g ?name ?(tuple = Tuple.empty) src dst =
+  let n = n_nodes g in
+  if src < 0 || src >= n || dst < 0 || dst >= n then
+    invalid_arg "Graph.add_edge: endpoint out of range";
+  let e = n_edges g in
+  let by_edge_name =
+    add_name ~dup:"Graph.add_edge: duplicate edge name" g.by_edge_name name e
+  in
+  let adj = Array.copy g.adj in
+  let adj_nbr = Array.copy g.adj_nbr and adj_eid = Array.copy g.adj_eid in
+  let link v nbr =
+    let i = insert_pos adj.(v) nbr in
+    adj.(v) <- insert_at adj.(v) i (nbr, e);
+    adj_nbr.(v) <- insert_at adj_nbr.(v) i nbr;
+    adj_eid.(v) <- insert_at adj_eid.(v) i e
+  in
+  link src dst;
+  let in_adj =
+    if g.directed then begin
+      let in_adj = Array.copy g.in_adj in
+      let row = in_adj.(dst) in
+      in_adj.(dst) <- insert_at row (insert_pos row src) (src, e);
+      in_adj
+    end
+    else begin
+      (* an undirected self-loop is listed once, as the builder does *)
+      if dst <> src then link dst src;
+      adj
+    end
+  in
+  ( {
+      g with
+      edges = snoc g.edges { src; dst; etuple = tuple };
+      edge_names = snoc g.edge_names name;
+      adj;
+      in_adj;
+      adj_nbr;
+      adj_eid;
+      by_edge_name;
+      stamp = fresh_stamp ();
+    },
+    e )
+
+let set_edge_tuple g e tuple =
+  if e < 0 || e >= n_edges g then
+    invalid_arg "Graph.set_edge_tuple: edge out of range";
+  let edges = Array.copy g.edges in
+  edges.(e) <- { (edges.(e)) with etuple = tuple };
+  { g with edges; stamp = fresh_stamp () }
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -296,8 +411,8 @@ module Builder = struct
       in_adj;
       adj_nbr;
       adj_eid;
-      by_node_name = b.b_by_node_name;
-      by_edge_name = b.b_by_edge_name;
+      by_node_name = { frozen = b.b_by_node_name; added = Smap.empty };
+      by_edge_name = { frozen = b.b_by_edge_name; added = Smap.empty };
       stamp = fresh_stamp ();
     }
 end

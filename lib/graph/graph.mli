@@ -10,7 +10,9 @@
     Graphs are immutable once built. Construction goes through
     {!Builder}, which freezes into a compact representation with
     CSR-style adjacency so that the access methods of Section 4 can scan
-    neighborhoods without allocation. Undirected graphs store each edge
+    neighborhoods without allocation; {!add_node}, {!add_edge} and
+    {!set_edge_tuple} derive a changed graph that shares every
+    untouched row with its source. Undirected graphs store each edge
     once but list it in both endpoints' adjacency. *)
 
 type edge = {
@@ -30,7 +32,8 @@ val tuple : t -> Tuple.t
 
 val stamp : t -> int
 (** A number unique to this value's construction: {!Builder.build},
-    {!with_name} and {!map_node_tuples} each draw a fresh one, so two
+    {!with_name}, {!map_node_tuples} and the copy-on-write extensions
+    each draw a fresh one, so two
     structurally equal graphs have different stamps. Identity only — an
     O(1) hash for tables keyed by physical identity ([==]); it is never
     persisted, printed or compared for equality. *)
@@ -153,6 +156,29 @@ val prints_as : t -> t -> bool
     ([Gql_core.Template.compile]) share their skeleton, so the test is
     a few pointer compares plus one pass over the node tuples; any two
     graphs built separately fail it, whatever their text. *)
+
+(** {1 Copy-on-write extension}
+
+    Each returns a new graph equal to the one {!Builder} would build
+    from the source graph's nodes and edges plus the change, adjacency
+    row order included, and leaves the source graph unchanged. Only
+    the changed rows are new: a node append copies the outer node
+    arrays, an edge append replaces the endpoints' adjacency rows, and
+    everything else is shared. *)
+
+val add_node : t -> ?name:string -> Tuple.t -> t * int
+(** Appends a node with no edges; returns the new graph and the node's
+    id ([n_nodes] of the source). Raises [Invalid_argument] on a
+    duplicate node name. *)
+
+val add_edge : t -> ?name:string -> ?tuple:Tuple.t -> int -> int -> t * int
+(** [add_edge g u v] appends an edge; returns the new graph and the
+    edge's id ([n_edges] of the source). Raises [Invalid_argument] on
+    an endpoint out of range or a duplicate edge name. *)
+
+val set_edge_tuple : t -> int -> Tuple.t -> t
+(** Replaces one edge's tuple; adjacency and names are shared. Raises
+    [Invalid_argument] on an edge id out of range. *)
 
 (** {1 Construction} *)
 

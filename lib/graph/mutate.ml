@@ -1,8 +1,12 @@
 (* Point mutations over immutable graphs.
 
-   Graphs are frozen CSR structures, so every operation rebuilds; what
-   this module adds over "rebuild by hand" is the [delta]: the id
-   renumbering and, crucially, the *dirty set* — the nodes whose
+   Appends and tuple replacements are copy-on-write extensions of the
+   frozen CSR graph ({!Graph.add_node}, {!Graph.add_edge},
+   {!Graph.set_edge_tuple}, {!Graph.map_node_tuples}): ids do not move,
+   so only the touched rows are new. Deletions renumber ids densely and
+   rebuild through the builder. What this module adds over "change the
+   graph by hand" is the [delta]: the id renumbering and, crucially,
+   the *dirty set* — the nodes whose
    radius-r neighborhood (and hence profile, §4.2) may have changed.
    The dirty set is what makes index maintenance incremental: a write
    that touches one corner of a large graph recomputes only the
@@ -50,9 +54,9 @@ let sorted_dedup l =
   let a = Array.of_list (List.sort_uniq compare l) in
   a
 
-(* Copy [g] into a fresh builder, minus a dropped node/edge, with a
-   tuple override; returns the builder plus the old→new id maps. *)
-let rebuild ?drop_node ?drop_edge ?set_edge g =
+(* Copy [g] into a fresh builder, minus a dropped node or edge; returns
+   the built graph plus the old→new id maps. *)
+let rebuild ?drop_node ?drop_edge g =
   let n = Graph.n_nodes g and m = Graph.n_edges g in
   let b =
     Graph.Builder.create ~directed:(Graph.directed g) ?name:(Graph.name g)
@@ -68,49 +72,41 @@ let rebuild ?drop_node ?drop_edge ?set_edge g =
   let edge_map = Array.make m (-1) in
   for e = 0 to m - 1 do
     let { Graph.src; dst; etuple } = Graph.edge g e in
-    if drop_edge <> Some e && node_map.(src) >= 0 && node_map.(dst) >= 0 then begin
-      let etuple =
-        match set_edge with Some (e', t) when e' = e -> t | _ -> etuple
-      in
+    if drop_edge <> Some e && node_map.(src) >= 0 && node_map.(dst) >= 0 then
       edge_map.(e) <-
         Graph.Builder.add_edge b ?name:(Graph.edge_name g e) ~tuple:etuple
           node_map.(src) node_map.(dst)
-    end
   done;
-  (b, node_map, edge_map)
+  (Graph.Builder.build b, node_map, edge_map)
 
 let apply ?(r = 1) g op =
   if r < 0 then err "Mutate: negative radius";
-  let n = Graph.n_nodes g and m = Graph.n_edges g in
-  let identity k = Array.init k Fun.id in
+  let identity () =
+    ( Array.init (Graph.n_nodes g) Fun.id,
+      Array.init (Graph.n_edges g) Fun.id )
+  in
   match op with
   | Add_node { name; tuple } ->
-    let b, node_map, edge_map = rebuild g in
-    let id = Graph.Builder.add_node b ?name tuple in
-    (Graph.Builder.build b, { d_r = r; node_map; edge_map; dirty = [| id |] })
+    let node_map, edge_map = identity () in
+    let g', id = Graph.add_node g ?name tuple in
+    (g', { d_r = r; node_map; edge_map; dirty = [| id |] })
   | Add_edge { name; src; dst; tuple } ->
     check_node g src;
     check_node g dst;
-    let b, node_map, edge_map = rebuild g in
-    ignore (Graph.Builder.add_edge b ?name ~tuple src dst);
-    let g' = Graph.Builder.build b in
+    let node_map, edge_map = identity () in
+    let g', _ = Graph.add_edge g ?name ~tuple src dst in
     let dirty = sorted_dedup (ball g' src ~r @ ball g' dst ~r) in
     (g', { d_r = r; node_map; edge_map; dirty })
   | Set_node { v; tuple } ->
     check_node g v;
+    let node_map, edge_map = identity () in
     let g' = Graph.map_node_tuples g ~f:(fun u t -> if u = v then tuple else t) in
-    ( g',
-      {
-        d_r = r;
-        node_map = identity n;
-        edge_map = identity m;
-        dirty = sorted_dedup (ball g' v ~r);
-      } )
+    (g', { d_r = r; node_map; edge_map; dirty = sorted_dedup (ball g' v ~r) })
   | Set_edge { e; tuple } ->
     check_edge g e;
-    let b, node_map, edge_map = rebuild ~set_edge:(e, tuple) g in
+    let node_map, edge_map = identity () in
     let { Graph.src; dst; _ } = Graph.edge g e in
-    ( Graph.Builder.build b,
+    ( Graph.set_edge_tuple g e tuple,
       {
         d_r = r;
         node_map;
@@ -120,8 +116,8 @@ let apply ?(r = 1) g op =
   | Del_node v ->
     check_node g v;
     let dirty_old = List.filter (fun u -> u <> v) (ball g v ~r) in
-    let b, node_map, edge_map = rebuild ~drop_node:v g in
-    ( Graph.Builder.build b,
+    let g', node_map, edge_map = rebuild ~drop_node:v g in
+    ( g',
       {
         d_r = r;
         node_map;
@@ -132,16 +128,15 @@ let apply ?(r = 1) g op =
     check_edge g e;
     let { Graph.src; dst; _ } = Graph.edge g e in
     let dirty_old = ball g src ~r @ ball g dst ~r in
-    let b, node_map, edge_map = rebuild ~drop_edge:e g in
-    ( Graph.Builder.build b,
-      { d_r = r; node_map; edge_map; dirty = sorted_dedup dirty_old } )
+    let g', node_map, edge_map = rebuild ~drop_edge:e g in
+    (g', { d_r = r; node_map; edge_map; dirty = sorted_dedup dirty_old })
 
 (* [outer] maps mid→new, [inner] maps orig→mid: the composition maps
    orig→new, dropping through any -1. *)
 let compose outer inner =
   Array.map (fun i -> if i < 0 then -1 else outer.(i)) inner
 
-let apply_all ?(r = 1) g ops =
+let fold_ops ~r g ops =
   let node_map = ref (Array.init (Graph.n_nodes g) Fun.id) in
   let edge_map = ref (Array.init (Graph.n_edges g) Fun.id) in
   let dirty = Hashtbl.create 16 in
@@ -174,3 +169,8 @@ let apply_all ?(r = 1) g ops =
       edge_map = !edge_map;
       dirty = sorted_dedup dirty;
     } )
+
+(* a DML statement is one op: its delta needs no composing *)
+let apply_all ?(r = 1) g = function
+  | [ op ] -> apply ~r g op
+  | ops -> fold_ops ~r g ops

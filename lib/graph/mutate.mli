@@ -1,7 +1,9 @@
 (** Point mutations over immutable graphs, with change tracking.
 
-    Every mutation rebuilds the CSR graph (graphs are frozen), but the
-    returned {!delta} records the id renumbering and the {e dirty set}:
+    Appends and tuple replacements derive the new graph copy-on-write
+    (only the touched adjacency rows are new; see {!Graph.add_edge});
+    deletions renumber ids and rebuild the CSR graph. The returned
+    {!delta} records the id renumbering and the {e dirty set}:
     the nodes whose radius-r neighborhood profile may differ from
     before. Index maintenance uses the dirty set to recompute only the
     affected profiles instead of rebuilding from scratch. *)

@@ -214,9 +214,11 @@ let descend w ~order ~back ~prefix lo hi =
     let ci = ref lo and hi = ref hi in
     while (not w.halted) && !ci < !hi do
       (match w.expose with
-      | Some expose when !hi - !ci > 1 ->
+      | Some expose when i + 1 < k && !hi - !ci > 1 ->
         (* hand the untouched siblings to the exposure hook; if it
-           takes them, this level ends after the current candidate *)
+           takes them, this level ends after the current candidate.
+           Never at the last position: a task there is one Check call
+           each, so exposing would turn every leaf into a task. *)
         if expose phi i (!ci + 1) !hi then hi := !ci + 1
       | _ -> ());
       let v = Array.unsafe_get cs !ci in

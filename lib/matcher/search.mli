@@ -104,7 +104,8 @@ val walker :
     position while profiling is on (initially on when given).
 
     [expose phi depth lo hi] is the sibling-exposure hook: called before
-    each candidate at [depth] while more than one remains, with the
+    each candidate at [depth] while more than one remains, at every
+    order position but the last (a leaf is one Check call), with the
     untouched candidate indices [lo, hi) under the prefix in [phi]. If
     it returns [true] it has taken that range and the level ends after
     the current candidate. Without it the loop never splits. *)

@@ -66,7 +66,7 @@ type snapshot = {
   c_n : int;
   c_tail : int;
   c_txns : int;
-  c_pending : (int * Mutate.op list) list;
+  c_pending : (int * Mutate.op list list) list;
   c_dead : int list;
   c_views : (string * string) list;
 }
@@ -79,7 +79,8 @@ type t = {
   mutable tail : int;  (* byte offset of the end of the log *)
   mutable seq : int;  (* last committed superblock sequence number *)
   mutable txns : int;  (* txn records replayed + appended (tombstones included) *)
-  pending : (int, Mutate.op list) Hashtbl.t;  (* gid -> logged ops, log order *)
+  pending : (int, Mutate.op list list) Hashtbl.t;
+      (* gid -> logged op batches, newest first: staging is O(1) *)
   dead : (int, unit) Hashtbl.t;  (* tombstoned gids *)
   views : (string, string) Hashtbl.t;  (* view name -> newest blob *)
   materialized : (int, Graph.t) Hashtbl.t;  (* memo of base + pending overlay *)
@@ -96,6 +97,11 @@ let push_offset t entry =
     t.offsets <- bigger
   end;
   t.offsets.(t.n) <- entry
+
+(* Log one more op batch for [gid]. *)
+let stage t gid ops =
+  Hashtbl.replace t.pending gid
+    (ops :: Option.value ~default:[] (Hashtbl.find_opt t.pending gid))
 
 let header_size = Pager.page_size
 let record_header = 8
@@ -276,10 +282,7 @@ let replay_txn t payload =
         if o <> len || gid < 0 || gid >= t.n || Hashtbl.mem t.dead gid then
           false
         else begin
-          Hashtbl.replace t.pending gid
-            (match Hashtbl.find_opt t.pending gid with
-            | None -> ops
-            | Some prev -> prev @ ops);
+          stage t gid ops;
           t.txns <- t.txns + 1;
           true
         end
@@ -506,9 +509,12 @@ let get_graph t i =
     let g = base_graph t i in
     match Hashtbl.find_opt t.pending i with
     | None -> g
-    | Some ops ->
+    | Some batches ->
       let g' =
-        try fst (Mutate.apply_all g ops)
+        try
+          List.fold_left
+            (List.fold_left (fun g op -> fst (Mutate.apply g op)))
+            g (List.rev batches)
         with Invalid_argument msg ->
           corrupt "record %d: transaction replay failed: %s" i msg
       in
@@ -535,12 +541,15 @@ let count_txn t =
   | Some m -> Gql_obs.Metrics.incr m Storage_txn_appended
   | None -> ()
 
-let append_txn ?(r = 1) t ~gid ops =
+let live_graph ~what t gid =
   check t;
   if not (is_live t gid) then
-    invalid_arg (Printf.sprintf "Store.append_txn: graph %d not live" gid);
-  let g = get_graph t gid in
-  let g', delta = Mutate.apply_all ~r g ops in
+    invalid_arg (Printf.sprintf "Store.%s: graph %d not live" what gid);
+  get_graph t gid
+
+(* The one logging path: [post] is [gid]'s graph after [ops], and
+   becomes its memoized state, so a write is never applied twice. *)
+let log_txn t ~gid ops post =
   if ops <> [] then begin
     let buf = Buffer.create 64 in
     Buffer.add_char buf txn_kind;
@@ -548,14 +557,61 @@ let append_txn ?(r = 1) t ~gid ops =
     Codec.write_uvarint buf gid;
     Codec.write_ops buf ops;
     t.tail <- write_record t t.tail (Buffer.contents buf);
-    Hashtbl.replace t.pending gid
-      (match Hashtbl.find_opt t.pending gid with
-      | None -> ops
-      | Some prev -> prev @ ops);
-    Hashtbl.replace t.materialized gid g';
+    stage t gid ops;
+    Hashtbl.replace t.materialized gid post;
     count_txn t
-  end;
+  end
+
+let append_txn ?(r = 1) t ~gid ops =
+  let g = live_graph ~what:"append_txn" t gid in
+  let g', delta = Mutate.apply_all ~r g ops in
+  log_txn t ~gid ops g';
   (g', delta)
+
+(* Every id an op names is checked against the sizes of [g] counted
+   forward through the batch, in O(ops). A node deletion also drops
+   its incident edges, which only the graph knows: from there on the
+   edge count is an upper bound. *)
+let check_ops ~gid g ops post =
+  let bad fmt =
+    Printf.ksprintf
+      (fun s ->
+        invalid_arg (Printf.sprintf "Store.adopt_txn: graph %d: %s" gid s))
+      fmt
+  in
+  let node n v = if v < 0 || v >= n then bad "node %d out of range" v in
+  let edge m e = if e < 0 || e >= m then bad "edge %d out of range" e in
+  let n, m, exact =
+    List.fold_left
+      (fun (n, m, exact) -> function
+        | Mutate.Add_node _ -> (n + 1, m, exact)
+        | Mutate.Add_edge { src; dst; _ } ->
+          node n src;
+          node n dst;
+          (n, m + 1, exact)
+        | Mutate.Set_node { v; _ } ->
+          node n v;
+          (n, m, exact)
+        | Mutate.Set_edge { e; _ } ->
+          edge m e;
+          (n, m, exact)
+        | Mutate.Del_node v ->
+          node n v;
+          (n - 1, m, false)
+        | Mutate.Del_edge e ->
+          edge m e;
+          (n, m - 1, exact))
+      (Graph.n_nodes g, Graph.n_edges g, true)
+      ops
+  in
+  let pn = Graph.n_nodes post and pm = Graph.n_edges post in
+  if pn <> n || pm > m || (exact && pm <> m) then
+    bad "the post-state has %d nodes and %d edges, the ops leave %d and %d" pn
+      pm n m
+
+let adopt_txn t ~gid ~post ops =
+  check_ops ~gid (live_graph ~what:"adopt_txn" t gid) ops post;
+  log_txn t ~gid ops post
 
 let remove_graph t gid =
   check t;
@@ -573,7 +629,10 @@ let remove_graph t gid =
 
 let txn_count t = t.txns
 let durable_txn_count t = t.committed.c_txns
-let pending_ops t gid = Option.value ~default:[] (Hashtbl.find_opt t.pending gid)
+let pending_ops t gid =
+  match Hashtbl.find_opt t.pending gid with
+  | None -> []
+  | Some batches -> List.concat (List.rev batches)
 
 let set_view t ~name blob =
   check t;

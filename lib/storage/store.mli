@@ -92,6 +92,17 @@ val append_txn :
     them all). Raises [Invalid_argument] if [gid] is not live or an op
     is invalid against the current graph (nothing is logged then). *)
 
+val adopt_txn : t -> gid:int -> post:Graph.t -> Mutate.op list -> unit
+(** The write path of a caller that has already applied [ops]: append
+    the same transaction record as {!append_txn} and make [post] the
+    graph [gid] is read as from now on, without applying the ops again.
+    [post] must be [get_graph t gid] after [ops] — for the evaluator,
+    the [new_graph] of its write. The ids the ops name are checked
+    against the current graph's sizes, counted forward through the
+    batch, and [post]'s sizes against the result, in O(ops). Raises
+    [Invalid_argument] if [gid] is not live or a check fails; nothing
+    is logged then. *)
+
 val remove_graph : t -> int -> unit
 (** Append a deletion tombstone. The gid stays allocated but is no
     longer live; other ids are unchanged. *)

@@ -273,6 +273,88 @@ let test_invalid_op_logs_nothing () =
   Store.close st;
   Sys.remove path
 
+(* Staging keeps each graph's op batches newest first, so 500
+   single-op txns stage in O(1) each; a reopen must still replay them in
+   log order onto the live graph. *)
+let test_many_txns_reopen () =
+  let path = tmp "gql_log_many.db" in
+  make_base path;
+  let st = Store.open_existing path in
+  let ops =
+    List.init 500 (fun i ->
+        match i mod 3 with
+        | 0 ->
+          Mutate.Add_node
+            { name = Some (Printf.sprintf "n%d" i); tuple = lbl "N" }
+        | 1 ->
+          (* node 3 + i / 3 is the one the previous op added *)
+          let dst = 3 + (i / 3) in
+          Mutate.Add_edge { name = None; src = i mod 3; dst; tuple = Tuple.empty }
+        | _ -> Mutate.Set_node { v = i mod 3; tuple = lbl (string_of_int i) })
+  in
+  List.iter (fun op -> ignore (Store.append_txn st ~gid:0 [ op ])) ops;
+  let live = Store.get_graph st 0 in
+  Alcotest.(check bool) "pending ops in log order" true
+    (Store.pending_ops st 0 = ops);
+  Store.close st;
+  let st = Store.open_existing path in
+  Alcotest.(check int) "every txn replayed" 500 (Store.txn_count st);
+  Alcotest.(check bool) "reopened graph = live graph" true
+    (same live (Store.get_graph st 0));
+  Alcotest.(check bool) "replayed pending ops in log order" true
+    (Store.pending_ops st 0 = ops);
+  Store.close st;
+  Sys.remove path
+
+(* [adopt_txn] takes the caller's post-state instead of applying the
+   ops, but keeps [append_txn]'s checks: each rejected batch raises and
+   logs nothing, in memory or on disk. *)
+let test_adopt_checks () =
+  let path = tmp "gql_log_adopt.db" in
+  make_base path;
+  let st = Store.open_existing path in
+  ignore (Store.add_graph st (base_graph ()));
+  Store.remove_graph st 1;
+  let txns = Store.txn_count st in
+  let pre = Store.get_graph st 0 in
+  let post ops = fst (Mutate.apply_all pre ops) in
+  let rejected what ~gid ~post ops =
+    Alcotest.(check bool) what true
+      (match Store.adopt_txn st ~gid ~post ops with
+      | exception Invalid_argument _ -> true
+      | () -> false);
+    Alcotest.(check int) (what ^ ": nothing logged") txns (Store.txn_count st);
+    Alcotest.(check bool) (what ^ ": no pending ops") true
+      (Store.pending_ops st 0 = []);
+    Alcotest.(check bool) (what ^ ": graph unchanged") true
+      (same pre (Store.get_graph st 0))
+  in
+  let edge src dst =
+    Mutate.Add_edge { name = None; src; dst; tuple = Tuple.empty }
+  in
+  let node = Mutate.Add_node { name = None; tuple = lbl "D" } in
+  rejected "gid out of range" ~gid:7 ~post:(post ops1) ops1;
+  rejected "tombstoned gid" ~gid:1 ~post:(post ops1) ops1;
+  rejected "node id out of range" ~gid:0 ~post:pre [ edge 0 3 ];
+  rejected "edge id out of range" ~gid:0 ~post:pre
+    [ Mutate.Set_edge { e = 2; tuple = lbl "X" } ];
+  rejected "ids counted forward: the node comes later" ~gid:0
+    ~post:(post [ node ]) [ edge 0 3; node ];
+  rejected "post-state of another batch" ~gid:0 ~post:(post [ node ]) ops1;
+  (* the same ids in the right order are valid: node 3 exists once the
+     batch has added it, and edge 2 once the batch has added it *)
+  let ops = [ node; edge 0 3; Mutate.Set_edge { e = 2; tuple = lbl "X" } ] in
+  let g' = post ops in
+  Store.adopt_txn st ~gid:0 ~post:g' ops;
+  Alcotest.(check bool) "the post-state is adopted as is" true
+    (Store.get_graph st 0 == g');
+  Store.close st;
+  let st = Store.open_existing path in
+  Alcotest.(check bool) "the logged batch replays to it" true
+    (same g' (Store.get_graph st 0));
+  Store.close st;
+  Sys.remove path
+
 (* ---- the replay property -------------------------------------------- *)
 
 (* Random mutation batches, some committed mid-stream: after a reopen,
@@ -331,5 +413,9 @@ let suite =
     Alcotest.test_case "deletion tombstones replay" `Quick test_tombstone;
     Alcotest.test_case "an invalid op logs nothing" `Quick
       test_invalid_op_logs_nothing;
+    Alcotest.test_case "500 single-op txns reopen to the live graph" `Quick
+      test_many_txns_reopen;
+    Alcotest.test_case "adopted post-states keep append_txn's checks" `Quick
+      test_adopt_checks;
     QCheck_alcotest.to_alcotest prop_replay_equals_memory;
   ]

@@ -80,6 +80,14 @@ let test_invalid_ops () =
   Alcotest.(check bool) "duplicate node name" true
     (match Mutate.apply g2 (Mutate.Add_node { name = Some "x"; tuple = lbl "E" }) with
     | exception Invalid_argument _ -> true
+    | _ -> false);
+  let edge_f src dst =
+    Mutate.Add_edge { name = Some "f"; src; dst; tuple = Tuple.empty }
+  in
+  let g3, _ = Mutate.apply g (edge_f 0 1) in
+  Alcotest.(check bool) "duplicate edge name" true
+    (match Mutate.apply g3 (edge_f 1 2) with
+    | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_compose_maps () =
@@ -220,6 +228,297 @@ let test_radius_fallback () =
   Alcotest.(check bool) "fallback equals rebuild" true
     (pi_equal pi' (PI.build ~r:2 g') g')
 
+(* ---- copy-on-write extension against a from-scratch build ----------- *)
+
+(* A graph as plain lists in id order, built from scratch by the
+   builder: the oracle for every copy-on-write extension. *)
+type model = {
+  m_directed : bool;
+  m_nodes : (string option * Tuple.t) list;
+  m_edges : (string option * int * int * Tuple.t) list;
+}
+
+let build_model m =
+  let b = Graph.Builder.create ~directed:m.m_directed () in
+  List.iter
+    (fun (name, t) -> ignore (Graph.Builder.add_node b ?name t))
+    m.m_nodes;
+  List.iter
+    (fun (name, u, v, tuple) ->
+      ignore (Graph.Builder.add_edge b ?name ~tuple u v))
+    m.m_edges;
+  Graph.Builder.build b
+
+let name_if named fmt i = if named then Some (Printf.sprintf fmt i) else None
+
+(* Directed or not, self-loops and parallel edges (random endpoints
+   over a few nodes), named and unnamed nodes and edges. *)
+let gen_model =
+  QCheck.Gen.(
+    let* m_directed = bool in
+    let* n = int_range 1 6 in
+    let* nodes = list_repeat n (pair bool (int_bound 2)) in
+    let* edges =
+      list_size (int_bound 10)
+        (triple bool (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    return
+      {
+        m_directed;
+        m_nodes =
+          List.mapi
+            (fun i (named, l) -> (name_if named "v%d" i, lbl labels_pool.(l)))
+            nodes;
+        m_edges =
+          List.mapi
+            (fun i (named, u, v) -> (name_if named "e%d" i, u, v, Tuple.empty))
+            edges;
+      })
+
+(* The op a seed picks against a graph of [n] nodes and [m] edges,
+   with fresh names from the op's position [k]. *)
+let cow_op ~n ~m k seed =
+  let named = seed mod 3 <> 0 and pick = seed / 4 in
+  match seed mod 4 with
+  | 0 ->
+    Mutate.Add_node
+      { name = name_if named "x%d" k; tuple = lbl labels_pool.(pick mod 3) }
+  | 2 -> Mutate.Set_node { v = pick mod n; tuple = lbl labels_pool.(seed mod 3) }
+  | 3 when m > 0 ->
+    Mutate.Set_edge { e = pick mod m; tuple = lbl labels_pool.(seed mod 3) }
+  | _ ->
+    Mutate.Add_edge
+      {
+        name = name_if named "f%d" k;
+        src = pick mod n;
+        dst = pick / 4 mod n;
+        tuple = lbl "w";
+      }
+
+let model_apply md op =
+  let set i x = List.mapi (fun j y -> if i = j then x y else y) in
+  match op with
+  | Mutate.Add_node { name; tuple } ->
+    { md with m_nodes = md.m_nodes @ [ (name, tuple) ] }
+  | Mutate.Add_edge { name; src; dst; tuple } ->
+    { md with m_edges = md.m_edges @ [ (name, src, dst, tuple) ] }
+  | Mutate.Set_node { v; tuple } ->
+    { md with m_nodes = set v (fun (nm, _) -> (nm, tuple)) md.m_nodes }
+  | Mutate.Set_edge { e; tuple } ->
+    let retuple (nm, u, v, _) = (nm, u, v, tuple) in
+    { md with m_edges = set e retuple md.m_edges }
+  | Mutate.Del_node _ | Mutate.Del_edge _ -> assert false
+
+(* Everything a reader can see of a graph, row order included. *)
+let same_graph a b =
+  let ids k = List.init k Fun.id in
+  let nodes = ids (Graph.n_nodes b) and edges = ids (Graph.n_edges b) in
+  let rows f = List.map (f a) nodes = List.map (f b) nodes in
+  let node_ok v =
+    Tuple.equal (Graph.node_tuple a v) (Graph.node_tuple b v)
+    && Graph.node_name a v = Graph.node_name b v
+  in
+  let edge_ok e =
+    let x = Graph.edge a e and y = Graph.edge b e in
+    x.Graph.src = y.Graph.src && x.dst = y.dst
+    && Tuple.equal x.etuple y.etuple
+    && Graph.edge_name a e = Graph.edge_name b e
+  in
+  (* every name of [b], and one that no graph has *)
+  let lookups find names =
+    List.for_all (fun s -> find a s = find b s) ("zz" :: names)
+  in
+  Graph.directed a = Graph.directed b
+  && Graph.n_nodes a = Graph.n_nodes b
+  && Graph.n_edges a = Graph.n_edges b
+  && List.for_all node_ok nodes
+  && List.for_all edge_ok edges
+  && rows Graph.neighbors && rows Graph.in_neighbors
+  && rows Graph.adj_nbrs && rows Graph.adj_eids
+  && lookups Graph.node_by_name (List.filter_map (Graph.node_name b) nodes)
+  && lookups Graph.edge_by_name (List.filter_map (Graph.edge_name b) edges)
+
+(* The delta each copy-on-write op must return: identity maps and the
+   dirty balls, read off the oracle graphs before and after. *)
+let expected_delta ~before ~after op =
+  let ball g v = Neighborhood.nodes_within g v ~r:1 in
+  let dirty =
+    match op with
+    | Mutate.Add_node _ -> [ Graph.n_nodes before ]
+    | Mutate.Add_edge { src; dst; _ } -> ball after src @ ball after dst
+    | Mutate.Set_node { v; _ } -> ball after v
+    | Mutate.Set_edge { e; _ } ->
+      let { Graph.src; dst; _ } = Graph.edge before e in
+      ball before src @ ball before dst
+    | Mutate.Del_node _ | Mutate.Del_edge _ -> assert false
+  in
+  ( Array.init (Graph.n_nodes before) Fun.id,
+    Array.init (Graph.n_edges before) Fun.id,
+    Array.of_list (List.sort_uniq compare dirty) )
+
+let prop_cow_equals_build =
+  QCheck.Test.make ~name:"copy-on-write apply = from-scratch build"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_model (list_size (int_range 1 12) nat))
+       ~print:(fun (md, seeds) ->
+         Format.asprintf "%a@.seeds: %s" Graph.pp (build_model md)
+           (String.concat "," (List.map string_of_int seeds))))
+    (fun (md, seeds) ->
+      let g0 = build_model md in
+      (* every graph so far with its oracle: a later extension must
+         leave each one as it was *)
+      let seen = ref [ (g0, g0) ] in
+      let step (g, md, k, ok) seed =
+        let op = cow_op ~n:(Graph.n_nodes g) ~m:(Graph.n_edges g) k seed in
+        let g', d = Mutate.apply g op in
+        let md' = model_apply md op in
+        let before = build_model md and after = build_model md' in
+        let node_map, edge_map, dirty = expected_delta ~before ~after op in
+        seen := (g', after) :: !seen;
+        ( g',
+          md',
+          k + 1,
+          ok && same_graph g' after
+          && d.Mutate.node_map = node_map
+          && d.Mutate.edge_map = edge_map
+          && d.Mutate.dirty = dirty )
+      in
+      let _, _, _, ok = List.fold_left step (g0, md, 0, true) seeds in
+      ok && List.for_all (fun (g, oracle) -> same_graph g oracle) !seen)
+
+(* ---- the evaluator's writes, staged through gqlsh's persist sink ---- *)
+
+(* A graph's text and adjacency rows, taken when a write reports it:
+   comparing them again later catches a row shared with, and changed
+   by, a later extension. *)
+let fingerprint g =
+  ( Graph.to_string g,
+    List.init (Graph.n_nodes g) (fun v -> Array.to_list (Graph.neighbors g v))
+  )
+
+(* Random valid DML over the named graphs G0 and G1 of doc("D"): a
+   model of each graph's live node names, and its live edge names with
+   their endpoints' names, picks the targets. *)
+type dml_model = {
+  mutable live_nodes : string list;
+  mutable live_edges : (string * string * string) list;
+}
+
+let dml_of_seed models k seed =
+  let gi = seed mod 2 in
+  let md = models.(gi) in
+  let pick l = List.nth l (seed / 7 mod List.length l) in
+  let g = Printf.sprintf {|doc("D").G%d|} gi in
+  let label = labels_pool.(seed mod 3) in
+  match seed / 2 mod 6 with
+  | 1 when md.live_nodes <> [] ->
+    let a = pick md.live_nodes in
+    let b = List.nth md.live_nodes (seed / 11 mod List.length md.live_nodes) in
+    let e = Printf.sprintf "f%d" k in
+    md.live_edges <- (e, a, b) :: md.live_edges;
+    Printf.sprintf "insert edge %s (%s, %s) into %s;" e a b g
+  | 2 when md.live_nodes <> [] ->
+    Printf.sprintf {|update node %s.%s set <label="%s">;|} g
+      (pick md.live_nodes) label
+  | 3 when md.live_edges <> [] ->
+    let e, _, _ = pick md.live_edges in
+    Printf.sprintf "update edge %s.%s set <w=%d>;" g e k
+  | 4 when md.live_edges <> [] ->
+    let e, _, _ = pick md.live_edges in
+    md.live_edges <- List.filter (fun (x, _, _) -> x <> e) md.live_edges;
+    Printf.sprintf "delete edge %s.%s;" g e
+  | 5 when List.length md.live_nodes > 1 ->
+    let a = pick md.live_nodes in
+    md.live_nodes <- List.filter (( <> ) a) md.live_nodes;
+    md.live_edges <-
+      List.filter (fun (_, x, y) -> x <> a && y <> a) md.live_edges;
+    Printf.sprintf "delete node %s.%s;" g a
+  | _ ->
+    let a = Printf.sprintf "n%d" k in
+    md.live_nodes <- a :: md.live_nodes;
+    Printf.sprintf {|insert node %s <label="%s"> into %s;|} a label g
+
+let persist_base () =
+  List.init 2 (fun gi ->
+      let b = Graph.Builder.create ~name:(Printf.sprintf "G%d" gi) () in
+      let v i =
+        Graph.Builder.add_labeled_node b
+          ~name:(Printf.sprintf "a%d" i)
+          labels_pool.(i)
+      in
+      let vs = Array.init 3 v in
+      ignore (Graph.Builder.add_edge b ~name:"e0" vs.(0) vs.(1));
+      ignore (Graph.Builder.add_edge b ~name:"e1" vs.(1) vs.(2));
+      Graph.Builder.build b)
+
+(* Two programs, each on freshly opened mounts of one store: after
+   each, the store's graphs equal the evaluator's while it is open and
+   after the next reopen, which replays them from the log. *)
+let prop_persist_matches_evaluator =
+  let module Store = Gql_storage.Store in
+  let module Mount = Gql_exec.Mount in
+  let seeds = QCheck.Gen.(list_size (int_range 1 12) nat) in
+  QCheck.Test.make
+    ~name:"persisted store graphs = evaluator graphs, across reopen"
+    ~count:25
+    (QCheck.make
+       QCheck.Gen.(pair seeds seeds)
+       ~print:(fun (a, b) ->
+         let show l = String.concat "," (List.map string_of_int l) in
+         show a ^ " / " ^ show b))
+    (fun (first, second) ->
+      let path = Filename.temp_file "gql_persist" ".store" in
+      let st = Store.create path in
+      List.iter (fun g -> ignore (Store.add_graph st g)) (persist_base ());
+      Store.close st;
+      let models =
+        Array.init 2 (fun _ ->
+            {
+              live_nodes = [ "a0"; "a1"; "a2" ];
+              live_edges = [ ("e0", "a0", "a1"); ("e1", "a1", "a2") ];
+            })
+      in
+      let seen = ref [] and fresh = ref 0 in
+      let agrees mounts graphs =
+        match Mount.store (List.hd mounts) with
+        | Some st ->
+          List.map fingerprint (Store.to_list st) = List.map fingerprint graphs
+        | None -> false
+      in
+      let run_program seeds =
+        let mounts, docs = Mount.open_docs [ "D=" ^ path ] in
+        let current = ref (List.assoc "D" docs) in
+        let sink = Mount.persist mounts in
+        let writer w =
+          (match w with
+          | Gql_core.Eval.W_update { index; old_graph; new_graph; _ } ->
+            seen :=
+              (old_graph, fingerprint old_graph)
+              :: (new_graph, fingerprint new_graph)
+              :: !seen;
+            current :=
+              List.mapi (fun i g -> if i = index then new_graph else g) !current
+          | _ -> ());
+          sink w
+        in
+        let statement seed =
+          incr fresh;
+          dml_of_seed models !fresh seed
+        in
+        let program = String.concat "\n" (List.map statement seeds) in
+        ignore (Gql_core.Gql.run_query ~docs ~writer program);
+        let live = agrees mounts !current in
+        Mount.close_all mounts;
+        let mounts, _ = Mount.open_docs [ "D=" ^ path ] in
+        let reopened = agrees mounts !current in
+        Mount.close_all mounts;
+        live && reopened
+      in
+      let ok = run_program first && run_program second in
+      Sys.remove path;
+      ok && List.for_all (fun (g, fp) -> fingerprint g = fp) !seen)
+
 let suite =
   [
     Alcotest.test_case "add node" `Quick test_add_node;
@@ -231,6 +530,8 @@ let suite =
     Alcotest.test_case "apply_all composes maps" `Quick test_compose_maps;
     QCheck_alcotest.to_alcotest prop_dirty_sound;
     QCheck_alcotest.to_alcotest prop_incremental_equals_rebuild;
+    QCheck_alcotest.to_alcotest prop_cow_equals_build;
+    QCheck_alcotest.to_alcotest prop_persist_matches_evaluator;
     Alcotest.test_case "incremental update is local" `Quick
       test_incremental_is_local;
     Alcotest.test_case "narrow delta forces a rebuild" `Quick

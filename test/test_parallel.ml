@@ -142,6 +142,35 @@ let test_ws_skewed_spawns_tasks () =
     "subtree tasks were exposed" true
     (M.get metrics M.Parallel_tasks_spawned > 0)
 
+(* An exhaustive 2-node edge query: its second position is the leaf
+   level, where each candidate is one Check call. Tasks are split off
+   above it only, so a fanned-out search spawns a task per root at
+   most, not one per visited candidate. *)
+let test_leaf_level_not_exposed () =
+  let module M = Gql_obs.Metrics in
+  let g = Synthetic.erdos_renyi (Rng.create 21) ~n:500 ~m:2500 ~n_labels:8 in
+  let p =
+    Gql_core.Gql.pattern_of_string "graph P { node a; node b; edge e (a, b); }"
+  in
+  let run domains =
+    let metrics = M.create () in
+    let r =
+      Engine.run
+        ~strategy:{ Engine.optimized with search_domains = domains }
+        ~metrics p g
+    in
+    (mapping_set r.Engine.outcome, metrics)
+  in
+  let one, _ = run 1 in
+  let two, metrics = run 2 in
+  Alcotest.(check bool) "same matches at 2 domains" true (one = two);
+  Alcotest.(check int) "every edge, both ways" (2 * Graph.n_edges g)
+    (List.length two);
+  let tasks = M.get metrics M.Parallel_tasks_spawned in
+  let visited = M.get metrics M.Search_visited in
+  if tasks > visited / 10 then
+    Alcotest.failf "%d tasks spawned for %d visited candidates" tasks visited
+
 (* --- the helper pool ------------------------------------------------- *)
 
 let er_clique seed =
@@ -277,6 +306,8 @@ let suite =
       test_ws_pre_cancelled;
     Alcotest.test_case "expired deadline stops before work" `Quick
       test_ws_expired_deadline;
+    Alcotest.test_case "the leaf level is never exposed as tasks" `Quick
+      test_leaf_level_not_exposed;
     Alcotest.test_case "skewed hub graph exposes subtree tasks" `Quick
       test_ws_skewed_spawns_tasks;
     Alcotest.test_case "consecutive searches reuse the pool's helpers" `Quick
