@@ -712,7 +712,8 @@ let storage () =
   row "%d graphs, %d KiB file, write %.2f s\n" n_compounds size_kb t_write;
   row "cold scan + match: %.2f s (%d C-N hits), pool misses %d\n" t_cold !hits
     cold_stats.Gql_storage.Buffer_pool.misses;
-  row "warm scan + match: %.2f s, extra misses %d, hits %d\n" t_warm
+  row "warm scan (memoized graphs) + match: %.2f s, extra misses %d, hits %d\n"
+    t_warm
     (warm_stats.Gql_storage.Buffer_pool.misses
     - cold_stats.Gql_storage.Buffer_pool.misses)
     warm_stats.Gql_storage.Buffer_pool.hits;
@@ -1775,6 +1776,62 @@ let adaptive () =
    scratch by ≥ 5x, so a slide back to a rebuild per op fails here.
    (3) The transaction log's group commit: staging N DML records and
    publishing them with one superblock swap vs a flush per record. *)
+(* One write of each kind, and the index upkeep after it, on 1K- and
+   10K-node graphs of one random family: how each op scales with the
+   graph. Ungated, a baseline. Each cell is the median over rounds of
+   the mean of 10 back-to-back calls on the same pre-state. *)
+let write_op_costs () =
+  let module LI = Gql_index.Label_index in
+  let module PI = Gql_index.Profile_index in
+  header "Graph writes: Mutate.apply and index upkeep per op kind";
+  let rounds = scale 11 31 in
+  let us f =
+    1e5
+    *. median_time rounds (fun () ->
+           for _ = 1 to 10 do
+             ignore (Sys.opaque_identity (f ()))
+           done)
+  in
+  let label l = Tuple.make [ ("label", Value.Str l) ] in
+  let cell (g, li, pi) (kind, op) =
+    let g', d = Mutate.apply ~r:1 g op in
+    let apply_us = us (fun () -> Mutate.apply ~r:1 g op) in
+    let index_us =
+      us (fun () -> (LI.update li ~old_graph:g g' d, PI.update pi g' d))
+    in
+    let n = Graph.n_nodes g in
+    row "%-10s %8d %12.1f %12.1f\n" kind n apply_us index_us;
+    Json.Obj
+      [
+        ("op", Json.Str kind);
+        ("nodes", Json.Int n);
+        ("apply_us", Json.Float apply_us);
+        ("index_us", Json.Float index_us);
+      ]
+  in
+  let ops g =
+    let n = Graph.n_nodes g in
+    let v = n / 2 and e = Graph.n_edges g / 2 in
+    [
+      ("Add_node", Mutate.Add_node { name = None; tuple = label "W1" });
+      ( "Add_edge",
+        Mutate.Add_edge
+          { name = None; src = v; dst = (v + 7) mod n; tuple = Tuple.empty } );
+      ("Set_node", Mutate.Set_node { v; tuple = label "W2" });
+      ("Set_edge", Mutate.Set_edge { e; tuple = label "W3" });
+      ("Del_edge", Mutate.Del_edge e);
+      ("Del_node", Mutate.Del_node v);
+    ]
+  in
+  row "%-10s %8s %12s %12s\n" "op" "nodes" "apply (us)" "index (us)";
+  let cells =
+    List.concat_map
+      (fun ((g, _, _) as env) -> List.map (cell env) (ops g))
+      [ synthetic_env 1_000; Lazy.force synthetic_10k ]
+  in
+  emit_json "write.ops"
+    (Json.Obj [ ("rounds", Json.Int rounds); ("cells", Json.List cells) ])
+
 let write_path () =
   let module LI = Gql_index.Label_index in
   let module PI = Gql_index.Profile_index in
@@ -1877,17 +1934,18 @@ let write_path () =
     Graph.Builder.build b
   in
   let applied = cow () and built = build () in
+  let same_rows v =
+    List.for_all
+      (fun row -> row applied v = row built v)
+      [ Graph.adj_nbrs; Graph.adj_eids; Graph.in_nbrs; Graph.in_eids ]
+  in
   check
     (Graph.to_string applied = Graph.to_string built
-    && Graph.neighbors applied n = Graph.neighbors built n
-    && Graph.neighbors applied 0 = Graph.neighbors built 0)
+    && same_rows n && same_rows 0)
     "the copy-on-write post-state differs from the from-scratch build";
   let apply_reps = scale 21 101 in
-  let median_s f =
-    let ts = List.init apply_reps (fun _ -> snd (time f)) in
-    List.nth (List.sort compare ts) (apply_reps / 2)
-  in
-  let t_cow = median_s cow and t_build = median_s build in
+  let t_cow = median_time apply_reps cow in
+  let t_build = median_time apply_reps build in
   let apply_speedup = t_build /. t_cow in
   row "Add_node + Add_edge on %d nodes, median of %d\n" n apply_reps;
   row "%-22s %14s\n" "side" "median (us)";
@@ -1896,6 +1954,7 @@ let write_path () =
   row "speedup (build / apply): %.1fx\n" apply_speedup;
   check (apply_speedup >= 5.0) "copy-on-write apply speedup %.1fx < 5x"
     apply_speedup;
+  write_op_costs ();
   header "Transaction log: group commit vs a flush per record";
   let base =
     let b = Graph.Builder.create ~name:"G" () in
@@ -2596,10 +2655,7 @@ let wire_bench () =
       | Error msg -> failwith ("wire: " ^ msg)
       | Ok j -> Protocol.query_response_of_json j)
   in
-  let median_ms repeats f =
-    let ts = List.init repeats (fun _ -> snd (time f)) in
-    ms (List.nth (List.sort compare ts) (repeats / 2))
-  in
+  let median_ms repeats f = ms (median_time repeats f) in
   (* Each route runs in phases of its own, after a full collection, so
      it pays for its own garbage only. Phases alternate, three each,
      and each route keeps its fastest phase median, so one noisy

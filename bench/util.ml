@@ -36,6 +36,11 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
+(* the median wall time of [reps] runs of [f] *)
+let median_time reps f =
+  let ts = List.sort compare (List.init reps (fun _ -> snd (time f))) in
+  List.nth ts (reps / 2)
+
 (* --- verdicts and the JSON trajectory (--json FILE) --------------------- *)
 
 exception Check_failed of string

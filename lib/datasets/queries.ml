@@ -48,9 +48,8 @@ let connected_subgraph rng g ~size =
       let candidates =
         List.concat_map
           (fun v ->
-            Array.to_list (Graph.neighbors g v)
-            |> List.filter_map (fun (w, _) ->
-                   if Hashtbl.mem chosen w then None else Some w))
+            Array.to_list (Graph.adj_nbrs g v)
+            |> List.filter (fun w -> not (Hashtbl.mem chosen w)))
           !order
       in
       match candidates with
@@ -76,11 +75,11 @@ let connected_subgraph rng g ~size =
           (fun v ->
             let i = Hashtbl.find index_of v in
             Array.iter
-              (fun (w, _) ->
+              (fun w ->
                 match Hashtbl.find_opt index_of w with
                 | Some j when i < j -> edges := (i, j) :: !edges
                 | _ -> ())
-              (Graph.neighbors g v))
+              (Graph.adj_nbrs g v))
           nodes;
         Gql_matcher.Flat_pattern.of_graph
           (Graph.of_labeled ~labels (List.sort_uniq compare !edges))

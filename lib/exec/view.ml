@@ -155,7 +155,7 @@ type change =
 let replace_nth l i x = List.mapi (fun j y -> if j = i then x else y) l
 let remove_nth l i = List.filteri (fun j _ -> j <> i) l
 
-(* Survivors: remap phi through the node map; a match loses a node
+(* Survivors: renumber phi through the delta; a match loses a node
    (deleted) or touches the dirty ball -> dropped (the pivot search
    re-finds it if it still holds). A wholly clean match survives with
    its output graph reused verbatim. *)
@@ -168,11 +168,7 @@ let survivors cached ~(delta : Mutate.delta) ~is_dirty =
       let u = ref 0 in
       while !ok && !u < k do
         let v = c.cm_phi.(!u) in
-        let v' =
-          if v >= 0 && v < Array.length delta.Mutate.node_map then
-            delta.Mutate.node_map.(v)
-          else -1
-        in
+        let v' = Mutate.renumber delta v in
         if v' < 0 || is_dirty.(v') then ok := false
         else begin
           phi'.(!u) <- v';

@@ -20,17 +20,16 @@ type t = {
   node_names : string option array;
   edges : edge array;
   edge_names : string option array;
-  (* CSR adjacency: for node v, (neighbor, edge id) pairs are
-     adj.(v), sorted by (neighbor, edge id) so that edge probes are
-     binary searches. Out-adjacency for directed graphs; full adjacency
-     for undirected ones. *)
-  adj : (int * int) array array;
-  in_adj : (int * int) array array;  (* == adj when undirected *)
-  (* The same rows split into parallel unboxed int arrays: probing an
-     [int array] touches no tuple pointers, so the matcher's binary
-     searches stay inside one cache line per step. *)
+  (* CSR adjacency as parallel unboxed rows: for node v, adj_nbr.(v)
+     holds the neighbor ids and adj_eid.(v) the edge ids, sorted by
+     (neighbor, edge id) so that edge probes are binary searches over
+     an [int array] that touches no tuple pointers. Out-rows for
+     directed graphs, full rows for undirected ones; the in-rows are
+     the same arrays when undirected. *)
   adj_nbr : int array array;
   adj_eid : int array array;
+  in_nbr : int array array;
+  in_eid : int array array;
   by_node_name : names;
   by_edge_name : names;
   stamp : int;  (* unique per construction; identity only *)
@@ -59,50 +58,38 @@ let edge g e = g.edges.(e)
 let edge_name g e = g.edge_names.(e)
 let edge_by_name g name = find_name g.by_edge_name name
 
-let degree g v = Array.length g.adj.(v)
-let in_degree g v = Array.length g.in_adj.(v)
-let neighbors g v = g.adj.(v)
-let in_neighbors g v = g.in_adj.(v)
+let degree g v = Array.length g.adj_nbr.(v)
+let in_degree g v = Array.length g.in_nbr.(v)
 let adj_nbrs g v = g.adj_nbr.(v)
 let adj_eids g v = g.adj_eid.(v)
+let in_nbrs g v = g.in_nbr.(v)
+let in_eids g v = g.in_eid.(v)
 
-(* Deduplicated neighbor ids regardless of orientation, ascending.
-   Rows are sorted by neighbor id, so undirected graphs dedup in one
-   pass and directed graphs merge the sorted out/in rows. *)
+let iter_incident g v ~f =
+  let visit nbrs eids = Array.iteri (fun i w -> f w eids.(i)) nbrs in
+  visit g.adj_nbr.(v) g.adj_eid.(v);
+  if g.directed then visit g.in_nbr.(v) g.in_eid.(v)
+
+(* Deduplicated neighbor ids regardless of orientation, ascending:
+   one pass over the sorted row, or over the out- and in-rows sorted
+   together when directed. *)
 let undirected_neighbor_ids g v =
-  let push out n x =
-    if !n = 0 || out.(!n - 1) <> x then begin
-      out.(!n) <- x;
+  let row =
+    if g.directed then begin
+      let both = Array.append g.adj_nbr.(v) g.in_nbr.(v) in
+      Array.sort Int.compare both;
+      both
+    end
+    else g.adj_nbr.(v)
+  in
+  let out = Array.make (Array.length row) 0 and n = ref 0 in
+  for i = 0 to Array.length row - 1 do
+    if !n = 0 || out.(!n - 1) <> row.(i) then begin
+      out.(!n) <- row.(i);
       incr n
     end
-  in
-  if g.directed then begin
-    let a = g.adj.(v) and b = g.in_adj.(v) in
-    let la = Array.length a and lb = Array.length b in
-    let out = Array.make (max 1 (la + lb)) 0 in
-    let i = ref 0 and j = ref 0 and n = ref 0 in
-    while !i < la || !j < lb do
-      if !j >= lb || (!i < la && fst a.(!i) <= fst b.(!j)) then begin
-        push out n (fst a.(!i));
-        incr i
-      end
-      else begin
-        push out n (fst b.(!j));
-        incr j
-      end
-    done;
-    Array.sub out 0 !n
-  end
-  else begin
-    let a = g.adj.(v) in
-    let la = Array.length a in
-    let out = Array.make (max 1 la) 0 in
-    let n = ref 0 in
-    for i = 0 to la - 1 do
-      push out n (fst a.(i))
-    done;
-    Array.sub out 0 !n
-  end
+  done;
+  Array.sub out 0 !n
 
 (* First index of [row] holding [v], or [Array.length row] if absent.
    Rows are sorted, so parallel edges to [v] occupy a contiguous run
@@ -120,20 +107,13 @@ let has_edge g u v =
   let row = g.adj_nbr.(u) in
   row_lower_bound row v < Array.length row
 
-let iter_edges_between g u v ~f =
-  let row = g.adj_nbr.(u) in
-  let eids = g.adj_eid.(u) in
-  let n = Array.length row in
-  let i = ref (row_lower_bound row v) in
-  while !i < n && Array.unsafe_get row !i = v do
-    f (Array.unsafe_get eids !i);
-    incr i
-  done
-
 let find_all_edges g u v =
-  let acc = ref [] in
-  iter_edges_between g u v ~f:(fun e -> acc := e :: !acc);
-  List.rev !acc
+  let row = g.adj_nbr.(u) and eids = g.adj_eid.(u) in
+  let rec from i =
+    if i < Array.length row && row.(i) = v then eids.(i) :: from (i + 1)
+    else []
+  in
+  from (row_lower_bound row v)
 
 let find_edge g u v =
   let row = g.adj_nbr.(u) in
@@ -189,11 +169,11 @@ let insert_at a i x =
 (* The index after every entry of [row] whose neighbor is <= [v]: a new
    edge has the largest id, so inserting there keeps the row sorted by
    (neighbor, edge id). *)
-let insert_pos (row : (int * int) array) v =
+let insert_pos (row : int array) v =
   let lo = ref 0 and hi = ref (Array.length row) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if fst (Array.unsafe_get row mid) <= v then lo := mid + 1 else hi := mid
+    if Array.unsafe_get row mid <= v then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -202,15 +182,15 @@ let add_node g ?name tuple =
   let by_node_name =
     add_name ~dup:"Graph.add_node: duplicate node name" g.by_node_name name v
   in
-  let adj = snoc g.adj [||] in
+  let adj_nbr = snoc g.adj_nbr [||] and adj_eid = snoc g.adj_eid [||] in
   ( {
       g with
       node_tuples = snoc g.node_tuples tuple;
       node_names = snoc g.node_names name;
-      adj;
-      in_adj = (if g.directed then snoc g.in_adj [||] else adj);
-      adj_nbr = snoc g.adj_nbr [||];
-      adj_eid = snoc g.adj_eid [||];
+      adj_nbr;
+      adj_eid;
+      in_nbr = (if g.directed then snoc g.in_nbr [||] else adj_nbr);
+      in_eid = (if g.directed then snoc g.in_eid [||] else adj_eid);
       by_node_name;
       stamp = fresh_stamp ();
     },
@@ -224,36 +204,35 @@ let add_edge g ?name ?(tuple = Tuple.empty) src dst =
   let by_edge_name =
     add_name ~dup:"Graph.add_edge: duplicate edge name" g.by_edge_name name e
   in
-  let adj = Array.copy g.adj in
-  let adj_nbr = Array.copy g.adj_nbr and adj_eid = Array.copy g.adj_eid in
-  let link v nbr =
-    let i = insert_pos adj.(v) nbr in
-    adj.(v) <- insert_at adj.(v) i (nbr, e);
-    adj_nbr.(v) <- insert_at adj_nbr.(v) i nbr;
-    adj_eid.(v) <- insert_at adj_eid.(v) i e
+  (* insert [(nbr, e)] into row [v] of the copied outer arrays
+     [nbrs]/[eids]: the row is replaced, never written *)
+  let link nbrs eids v nbr =
+    let i = insert_pos nbrs.(v) nbr in
+    nbrs.(v) <- insert_at nbrs.(v) i nbr;
+    eids.(v) <- insert_at eids.(v) i e
   in
-  link src dst;
-  let in_adj =
+  let adj_nbr = Array.copy g.adj_nbr and adj_eid = Array.copy g.adj_eid in
+  link adj_nbr adj_eid src dst;
+  let in_nbr, in_eid =
     if g.directed then begin
-      let in_adj = Array.copy g.in_adj in
-      let row = in_adj.(dst) in
-      in_adj.(dst) <- insert_at row (insert_pos row src) (src, e);
-      in_adj
+      let in_nbr = Array.copy g.in_nbr and in_eid = Array.copy g.in_eid in
+      link in_nbr in_eid dst src;
+      (in_nbr, in_eid)
     end
     else begin
       (* an undirected self-loop is listed once, as the builder does *)
-      if dst <> src then link dst src;
-      adj
+      if dst <> src then link adj_nbr adj_eid dst src;
+      (adj_nbr, adj_eid)
     end
   in
   ( {
       g with
       edges = snoc g.edges { src; dst; etuple = tuple };
       edge_names = snoc g.edge_names name;
-      adj;
-      in_adj;
       adj_nbr;
       adj_eid;
+      in_nbr;
+      in_eid;
       by_edge_name;
       stamp = fresh_stamp ();
     },
@@ -268,9 +247,42 @@ let set_edge_tuple g e tuple =
 
 (* --- construction ------------------------------------------------------ *)
 
-module Builder = struct
-  type graph = t
+(* The rows of [n] nodes holding, for each arc [(v, w, e)] that
+   [arcs f] lists (by calling [f v w e] in ascending edge id order),
+   [w] in row [v] of the first result and [e] in row [v] of the second.
+   The arcs are bucketed by [w], stably, and then dealt out to their
+   rows bucket by bucket, so every row comes out sorted by (neighbor,
+   edge id) without a comparison. *)
+let sorted_rows n arcs =
+  let start = Array.make (n + 1) 0 and deg = Array.make n 0 in
+  arcs (fun v w _ ->
+      start.(w + 1) <- start.(w + 1) + 1;
+      deg.(v) <- deg.(v) + 1);
+  for w = 1 to n do
+    start.(w) <- start.(w) + start.(w - 1)
+  done;
+  let owner = Array.make start.(n) 0 and eid = Array.make start.(n) 0 in
+  let next = Array.sub start 0 n in
+  arcs (fun v w e ->
+      let p = next.(w) in
+      owner.(p) <- v;
+      eid.(p) <- e;
+      next.(w) <- p + 1);
+  let nbrs = Array.init n (fun v -> Array.make deg.(v) 0) in
+  let eids = Array.init n (fun v -> Array.make deg.(v) 0) in
+  Array.fill deg 0 n 0;
+  for w = 0 to n - 1 do
+    for p = start.(w) to start.(w + 1) - 1 do
+      let v = owner.(p) in
+      let i = deg.(v) in
+      nbrs.(v).(i) <- w;
+      eids.(v).(i) <- eid.(p);
+      deg.(v) <- i + 1
+    done
+  done;
+  (nbrs, eids)
 
+module Builder = struct
   type t = {
     b_directed : bool;
     b_name : string option;
@@ -336,81 +348,41 @@ module Builder = struct
 
   let n_nodes b = b.b_n
 
-  let add_graph b (g : graph) =
-    check_live b;
-    let renum = Array.make (Array.length g.node_tuples) 0 in
-    Array.iteri (fun v t -> renum.(v) <- add_node b t) g.node_tuples;
-    Array.iter
-      (fun e -> ignore (add_edge b ~tuple:e.etuple renum.(e.src) renum.(e.dst)))
-      g.edges;
-    renum
-
   let build b =
     check_live b;
     b.b_built <- true;
     let n = b.b_n in
-    let node_tuples = Array.make n Tuple.empty in
-    let node_names = Array.make n None in
-    List.iteri
-      (fun i t -> node_tuples.(n - 1 - i) <- t)
-      b.b_node_tuples;
-    List.iteri (fun i nm -> node_names.(n - 1 - i) <- nm) b.b_node_names;
-    let m = b.b_m in
-    let edges = Array.make m { src = 0; dst = 0; etuple = Tuple.empty } in
-    let edge_names = Array.make m None in
-    List.iteri
-      (fun i (nm, e) ->
-        edges.(m - 1 - i) <- e;
-        edge_names.(m - 1 - i) <- nm)
-      b.b_edges;
-    (* adjacency *)
-    let out_deg = Array.make n 0 and in_deg = Array.make n 0 in
-    Array.iter
-      (fun e ->
-        out_deg.(e.src) <- out_deg.(e.src) + 1;
-        if b.b_directed then in_deg.(e.dst) <- in_deg.(e.dst) + 1
-        else if e.dst <> e.src then out_deg.(e.dst) <- out_deg.(e.dst) + 1)
-      edges;
-    let adj = Array.init n (fun v -> Array.make out_deg.(v) (0, 0)) in
-    let in_adj =
-      if b.b_directed then Array.init n (fun v -> Array.make in_deg.(v) (0, 0))
-      else adj
+    let node_tuples = Array.of_list (List.rev b.b_node_tuples) in
+    let node_names = Array.of_list (List.rev b.b_node_names) in
+    let named_edges = Array.of_list (List.rev b.b_edges) in
+    let edges = Array.map snd named_edges in
+    let edge_names = Array.map fst named_edges in
+    let directed = b.b_directed in
+    let adj_nbr, adj_eid =
+      sorted_rows n (fun f ->
+          Array.iteri
+            (fun i e ->
+              f e.src e.dst i;
+              if (not directed) && e.dst <> e.src then f e.dst e.src i)
+            edges)
     in
-    let out_fill = Array.make n 0 and in_fill = Array.make n 0 in
-    Array.iteri
-      (fun i e ->
-        adj.(e.src).(out_fill.(e.src)) <- (e.dst, i);
-        out_fill.(e.src) <- out_fill.(e.src) + 1;
-        if b.b_directed then begin
-          in_adj.(e.dst).(in_fill.(e.dst)) <- (e.src, i);
-          in_fill.(e.dst) <- in_fill.(e.dst) + 1
-        end
-        else if e.dst <> e.src then begin
-          adj.(e.dst).(out_fill.(e.dst)) <- (e.src, i);
-          out_fill.(e.dst) <- out_fill.(e.dst) + 1
-        end)
-      edges;
-    (* sort rows by (neighbor, edge id) so lookups can binary-search;
-       undirected graphs share adj == in_adj, one pass sorts both *)
-    let cmp ((a1 : int), (b1 : int)) ((a2 : int), (b2 : int)) =
-      if a1 <> a2 then Int.compare a1 a2 else Int.compare b1 b2
+    let in_nbr, in_eid =
+      if directed then
+        sorted_rows n (fun f -> Array.iteri (fun i e -> f e.dst e.src i) edges)
+      else (adj_nbr, adj_eid)
     in
-    Array.iter (fun row -> Array.sort cmp row) adj;
-    if b.b_directed then Array.iter (fun row -> Array.sort cmp row) in_adj;
-    let adj_nbr = Array.map (fun row -> Array.map fst row) adj in
-    let adj_eid = Array.map (fun row -> Array.map snd row) adj in
     {
-      directed = b.b_directed;
+      directed;
       name = b.b_name;
       gtuple = b.b_tuple;
       node_tuples;
       node_names;
       edges;
       edge_names;
-      adj;
-      in_adj;
       adj_nbr;
       adj_eid;
+      in_nbr;
+      in_eid;
       by_node_name = { frozen = b.b_by_node_name; added = Smap.empty };
       by_edge_name = { frozen = b.b_by_edge_name; added = Smap.empty };
       stamp = fresh_stamp ();

@@ -60,23 +60,27 @@ val degree : t -> int -> int
 val in_degree : t -> int -> int
 (** Equal to [degree] on undirected graphs. *)
 
-val neighbors : t -> int -> (int * int) array
-(** [neighbors g v] are the [(neighbor, edge id)] pairs adjacent to [v]
-    (outgoing for directed graphs), sorted by neighbor id then edge id —
-    parallel edges to the same neighbor form a contiguous run. The
-    returned array is owned by the graph: do not mutate. *)
-
-val in_neighbors : t -> int -> (int * int) array
-(** Sorted like {!neighbors}. *)
-
 val adj_nbrs : t -> int -> int array
-(** The neighbor ids of {!neighbors} as an unboxed row — same order,
-    same length. Probing this avoids tuple indirections; pair it with
-    {!adj_eids} (index-aligned) to recover edge ids. Owned by the
-    graph: do not mutate. *)
+(** [adj_nbrs g v] are the ids of [v]'s neighbors (outgoing for
+    directed graphs), one entry per incident edge, sorted by neighbor
+    id then edge id — parallel edges to the same neighbor form a
+    contiguous run. Owned by the graph: do not mutate. *)
 
 val adj_eids : t -> int -> int array
-(** Edge ids aligned with {!adj_nbrs}. Owned by the graph. *)
+(** Edge ids aligned with {!adj_nbrs}: entry [i] is the edge to
+    neighbor [(adj_nbrs g v).(i)]. Owned by the graph. *)
+
+val in_nbrs : t -> int -> int array
+(** The in-row of [v] on directed graphs, sorted like {!adj_nbrs}:
+    the sources of the edges into [v]. The same array as {!adj_nbrs}
+    on undirected graphs. Owned by the graph. *)
+
+val in_eids : t -> int -> int array
+(** Edge ids aligned with {!in_nbrs}. Owned by the graph. *)
+
+val iter_incident : t -> int -> f:(int -> int -> unit) -> unit
+(** [iter_incident g v ~f] calls [f neighbor edge_id] for the out-row
+    of [v] in order, then, on directed graphs, for its in-row. *)
 
 val undirected_neighbor_ids : t -> int -> int array
 (** Distinct neighbor ids of [v] ignoring orientation and parallel
@@ -93,10 +97,6 @@ val find_edge : t -> int -> int -> int option
 val find_all_edges : t -> int -> int -> int list
 (** Ascending edge ids. For directed graphs only edges oriented
     [u -> v]; for undirected graphs both storage orientations. *)
-
-val iter_edges_between : t -> int -> int -> f:(int -> unit) -> unit
-(** Allocation-free version of {!find_all_edges}: applies [f] to each
-    connecting edge id in ascending order. *)
 
 (** {1 Iteration} *)
 
@@ -200,10 +200,6 @@ module Builder : sig
       exist. *)
 
   val n_nodes : t -> int
-
-  val add_graph : t -> graph -> int array
-  (** Copies a whole graph into the builder (fresh anonymous names);
-      returns the node renumbering. *)
 
   val build : t -> graph
   (** Freezes the builder. The builder must not be used afterwards. *)

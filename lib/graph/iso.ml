@@ -7,17 +7,17 @@ let default_compat pattern target u v =
    already-mapped nodes. *)
 let edges_ok pattern target phi u v =
   Array.for_all
-    (fun (u', _) ->
+    (fun u' ->
       let v' = phi.(u') in
       v' < 0 || Graph.has_edge target v v')
-    (Graph.neighbors pattern u)
+    (Graph.adj_nbrs pattern u)
   &&
   (not (Graph.directed pattern)
   || Array.for_all
-       (fun (u', _) ->
+       (fun u' ->
          let v' = phi.(u') in
          v' < 0 || Graph.has_edge target v' v)
-       (Graph.in_neighbors pattern u))
+       (Graph.in_nbrs pattern u))
 
 let find_embeddings ?compat ?(fixed = []) ?limit ~pattern ~target () =
   let k = Graph.n_nodes pattern and n = Graph.n_nodes target in

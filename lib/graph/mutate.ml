@@ -4,9 +4,10 @@
    frozen CSR graph ({!Graph.add_node}, {!Graph.add_edge},
    {!Graph.set_edge_tuple}, {!Graph.map_node_tuples}): ids do not move,
    so only the touched rows are new. Deletions renumber ids densely and
-   rebuild through the builder. What this module adds over "change the
-   graph by hand" is the [delta]: the id renumbering and, crucially,
-   the *dirty set* — the nodes whose
+   rebuild through the builder, keeping the survivors in their order.
+   What this module adds over "change the graph by hand" is the
+   [delta]: the removed node ids (which fix the renumbering) and,
+   crucially, the *dirty set* — the nodes whose
    radius-r neighborhood (and hence profile, §4.2) may have changed.
    The dirty set is what makes index maintenance incremental: a write
    that touches one corner of a large graph recomputes only the
@@ -35,10 +36,27 @@ type op =
 
 type delta = {
   d_r : int;
-  node_map : int array;
-  edge_map : int array;
+  removed : int array;
   dirty : int array;
 }
+
+(* [removed] is sorted, so the survivors' new ids are their old ids
+   less the removed ids below them *)
+let renumber d u =
+  let lo = ref 0 and hi = ref (Array.length d.removed) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if d.removed.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length d.removed && d.removed.(!lo) = u then -1 else u - !lo
+
+(* the new ids of [vs], less the removed ones *)
+let carry d vs =
+  List.filter_map
+    (fun v ->
+      let v' = renumber d v in
+      if v' >= 0 then Some v' else None)
+    vs
 
 let err fmt = Format.kasprintf invalid_arg fmt
 
@@ -49,126 +67,93 @@ let check_edge g e =
   if e < 0 || e >= Graph.n_edges g then err "Mutate: edge %d out of range" e
 
 let ball g v ~r = Neighborhood.nodes_within g v ~r
+let sorted_dedup l = Array.of_list (List.sort_uniq compare l)
 
-let sorted_dedup l =
-  let a = Array.of_list (List.sort_uniq compare l) in
-  a
-
-(* Copy [g] into a fresh builder, minus a dropped node or edge; returns
-   the built graph plus the old→new id maps. *)
-let rebuild ?drop_node ?drop_edge g =
-  let n = Graph.n_nodes g and m = Graph.n_edges g in
+(* Copy [g] into a fresh builder, minus [d]'s removed nodes (and their
+   edges) and a dropped edge; the survivors keep their order. *)
+let rebuild ?(drop_edge = -1) g d =
   let b =
     Graph.Builder.create ~directed:(Graph.directed g) ?name:(Graph.name g)
       ~tuple:(Graph.tuple g) ()
   in
-  let node_map = Array.make n (-1) in
-  for v = 0 to n - 1 do
-    if drop_node <> Some v then
-      node_map.(v) <-
-        Graph.Builder.add_node b ?name:(Graph.node_name g v)
-          (Graph.node_tuple g v)
+  for v = 0 to Graph.n_nodes g - 1 do
+    if renumber d v >= 0 then
+      ignore
+        (Graph.Builder.add_node b ?name:(Graph.node_name g v)
+           (Graph.node_tuple g v))
   done;
-  let edge_map = Array.make m (-1) in
-  for e = 0 to m - 1 do
+  for e = 0 to Graph.n_edges g - 1 do
     let { Graph.src; dst; etuple } = Graph.edge g e in
-    if drop_edge <> Some e && node_map.(src) >= 0 && node_map.(dst) >= 0 then
-      edge_map.(e) <-
-        Graph.Builder.add_edge b ?name:(Graph.edge_name g e) ~tuple:etuple
-          node_map.(src) node_map.(dst)
+    let src = renumber d src and dst = renumber d dst in
+    if e <> drop_edge && src >= 0 && dst >= 0 then
+      ignore
+        (Graph.Builder.add_edge b ?name:(Graph.edge_name g e) ~tuple:etuple
+           src dst)
   done;
-  (Graph.Builder.build b, node_map, edge_map)
+  Graph.Builder.build b
 
 let apply ?(r = 1) g op =
   if r < 0 then err "Mutate: negative radius";
-  let identity () =
-    ( Array.init (Graph.n_nodes g) Fun.id,
-      Array.init (Graph.n_edges g) Fun.id )
-  in
+  let delta dirty = { d_r = r; removed = [||]; dirty = sorted_dedup dirty } in
   match op with
   | Add_node { name; tuple } ->
-    let node_map, edge_map = identity () in
     let g', id = Graph.add_node g ?name tuple in
-    (g', { d_r = r; node_map; edge_map; dirty = [| id |] })
+    (g', delta [ id ])
   | Add_edge { name; src; dst; tuple } ->
     check_node g src;
     check_node g dst;
-    let node_map, edge_map = identity () in
     let g', _ = Graph.add_edge g ?name ~tuple src dst in
-    let dirty = sorted_dedup (ball g' src ~r @ ball g' dst ~r) in
-    (g', { d_r = r; node_map; edge_map; dirty })
+    (g', delta (ball g' src ~r @ ball g' dst ~r))
   | Set_node { v; tuple } ->
     check_node g v;
-    let node_map, edge_map = identity () in
     let g' = Graph.map_node_tuples g ~f:(fun u t -> if u = v then tuple else t) in
-    (g', { d_r = r; node_map; edge_map; dirty = sorted_dedup (ball g' v ~r) })
+    (g', delta (ball g' v ~r))
   | Set_edge { e; tuple } ->
     check_edge g e;
-    let node_map, edge_map = identity () in
     let { Graph.src; dst; _ } = Graph.edge g e in
-    ( Graph.set_edge_tuple g e tuple,
-      {
-        d_r = r;
-        node_map;
-        edge_map;
-        dirty = sorted_dedup (ball g src ~r @ ball g dst ~r);
-      } )
+    (Graph.set_edge_tuple g e tuple, delta (ball g src ~r @ ball g dst ~r))
   | Del_node v ->
     check_node g v;
-    let dirty_old = List.filter (fun u -> u <> v) (ball g v ~r) in
-    let g', node_map, edge_map = rebuild ~drop_node:v g in
-    ( g',
-      {
-        d_r = r;
-        node_map;
-        edge_map;
-        dirty = sorted_dedup (List.map (fun u -> node_map.(u)) dirty_old);
-      } )
+    let d = { d_r = r; removed = [| v |]; dirty = [||] } in
+    (* the old r-ball of [v], less [v], in the new numbering *)
+    let dirty = sorted_dedup (carry d (ball g v ~r)) in
+    (rebuild g d, { d with dirty })
   | Del_edge e ->
     check_edge g e;
     let { Graph.src; dst; _ } = Graph.edge g e in
-    let dirty_old = ball g src ~r @ ball g dst ~r in
-    let g', node_map, edge_map = rebuild ~drop_edge:e g in
-    (g', { d_r = r; node_map; edge_map; dirty = sorted_dedup dirty_old })
+    let d = delta (ball g src ~r @ ball g dst ~r) in
+    (rebuild ~drop_edge:e g d, d)
 
-(* [outer] maps mid→new, [inner] maps orig→mid: the composition maps
-   orig→new, dropping through any -1. *)
-let compose outer inner =
-  Array.map (fun i -> if i < 0 then -1 else outer.(i)) inner
+(* The old id of the [c]-th survivor, given the ascending removed old
+   ids: step over every one at or below the candidate. *)
+let old_id removed c =
+  List.fold_left (fun u x -> if x <= u then u + 1 else u) c removed
 
 let fold_ops ~r g ops =
-  let node_map = ref (Array.init (Graph.n_nodes g) Fun.id) in
-  let edge_map = ref (Array.init (Graph.n_edges g) Fun.id) in
-  let dirty = Hashtbl.create 16 in
-  let g' =
+  let n = Graph.n_nodes g in
+  (* [removed] holds the batch's removed old ids, ascending *)
+  let g', removed, dirty =
     List.fold_left
-      (fun g op ->
+      (fun (g, removed, dirty) op ->
         let g', d = apply ~r g op in
-        (* carry forward the accumulated dirty set through this op's
-           renumbering, then add the op's own *)
-        let carried =
-          Hashtbl.fold
-            (fun v () acc ->
-              let v' = d.node_map.(v) in
-              if v' >= 0 then v' :: acc else acc)
-            dirty []
+        (* a node appended by the batch has no old id: its old id
+           would be past the original nodes *)
+        let removed =
+          match op with
+          | Del_node v when old_id removed v < n ->
+            List.merge compare removed [ old_id removed v ]
+          | _ -> removed
         in
-        Hashtbl.reset dirty;
-        List.iter (fun v -> Hashtbl.replace dirty v ()) carried;
-        Array.iter (fun v -> Hashtbl.replace dirty v ()) d.dirty;
-        node_map := compose d.node_map !node_map;
-        edge_map := compose d.edge_map !edge_map;
-        g')
-      g ops
+        (* the accumulated dirty set, carried through this op's
+           renumbering, and the op's own *)
+        let dirty =
+          List.sort_uniq compare (Array.to_list d.dirty @ carry d dirty)
+        in
+        (g', removed, dirty))
+      (g, [], []) ops
   in
-  let dirty = Hashtbl.fold (fun v () acc -> v :: acc) dirty [] in
-  ( g',
-    {
-      d_r = r;
-      node_map = !node_map;
-      edge_map = !edge_map;
-      dirty = sorted_dedup dirty;
-    } )
+  let removed = Array.of_list removed and dirty = Array.of_list dirty in
+  (g', { d_r = r; removed; dirty })
 
 (* a DML statement is one op: its delta needs no composing *)
 let apply_all ?(r = 1) g = function

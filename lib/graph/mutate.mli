@@ -2,8 +2,9 @@
 
     Appends and tuple replacements derive the new graph copy-on-write
     (only the touched adjacency rows are new; see {!Graph.add_edge});
-    deletions renumber ids and rebuild the CSR graph. The returned
-    {!delta} records the id renumbering and the {e dirty set}:
+    deletions renumber ids and rebuild the CSR graph, keeping the
+    survivors in their order. The returned {!delta} records the
+    deleted ids and the {e dirty set}:
     the nodes whose radius-r neighborhood profile may differ from
     before. Index maintenance uses the dirty set to recompute only the
     affected profiles instead of rebuilding from scratch. *)
@@ -20,16 +21,21 @@ type op =
 
 type delta = {
   d_r : int;  (** Radius the dirty set was computed for. *)
-  node_map : int array;
-      (** Old node id → new node id, [-1] if the node was deleted. *)
-  edge_map : int array;
-      (** Old edge id → new edge id, [-1] if the edge was deleted
-          (directly or via an endpoint deletion). *)
+  removed : int array;
+      (** The deleted nodes of the pre-state, as ascending old ids.
+          Nodes keep their order, so these fix the renumbering: see
+          {!renumber}. Empty when no node of the pre-state was
+          deleted, whatever was appended. *)
   dirty : int array;
       (** Sorted, deduplicated {e new} node ids whose radius-[d_r]
           profile may have changed. Sound over-approximation: every
           changed profile is listed; listed profiles may be unchanged. *)
 }
+
+val renumber : delta -> int -> int
+(** [renumber d u] is the new id of node [u] of the pre-state, or [-1]
+    if the write deleted it: [u] less the number of removed ids below
+    it. O(log (removed)). Nodes appended by the write have no old id. *)
 
 val apply : ?r:int -> Graph.t -> op -> Graph.t * delta
 (** Apply one operation. [r] (default 1) is the profile radius tracked
@@ -37,5 +43,6 @@ val apply : ?r:int -> Graph.t -> op -> Graph.t * delta
     duplicate node/edge names. *)
 
 val apply_all : ?r:int -> Graph.t -> op list -> Graph.t * delta
-(** Apply a batch left to right; maps and dirty set are composed across
-    the ops (maps relate the original graph to the final one). *)
+(** Apply a batch left to right; the dirty set is carried across the
+    ops, and [removed] lists the nodes of the original graph that the
+    batch deleted, in its ids. *)

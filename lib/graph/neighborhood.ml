@@ -13,14 +13,11 @@ let nodes_within g v ~r =
     let u = Queue.pop q in
     let d = Hashtbl.find dist u in
     if d < r then begin
-      let visit (w, _) =
-        if not (Hashtbl.mem dist w) then begin
-          Hashtbl.add dist w (d + 1);
-          Queue.add w q
-        end
-      in
-      Array.iter visit (Graph.neighbors g u);
-      if Graph.directed g then Array.iter visit (Graph.in_neighbors g u)
+      Graph.iter_incident g u ~f:(fun w _ ->
+          if not (Hashtbl.mem dist w) then begin
+            Hashtbl.add dist w (d + 1);
+            Queue.add w q
+          end)
     end
   done;
   Hashtbl.fold (fun w _ acc -> w :: acc) dist [] |> List.sort compare
@@ -33,8 +30,3 @@ let make g v ~r =
     find 0
   in
   { center; graph = sub; original }
-
-let all g ~r = Array.init (Graph.n_nodes g) (fun v -> make g v ~r)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>center=%d@,%a@]" t.center Graph.pp t.graph

@@ -23,8 +23,3 @@ val nodes_within : Graph.t -> int -> r:int -> int list
 
 val make : Graph.t -> int -> r:int -> t
 (** The neighborhood subgraph of one node. *)
-
-val all : Graph.t -> r:int -> t array
-(** Neighborhood subgraphs of every node; index = node id. *)
-
-val pp : Format.formatter -> t -> unit

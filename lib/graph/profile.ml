@@ -5,11 +5,7 @@ let of_labels ls = Array.of_list (List.sort String.compare ls)
 let of_node g ~r v =
   Neighborhood.nodes_within g v ~r |> List.map (Graph.label g) |> of_labels
 
-let all g ~r =
-  Array.init (Graph.n_nodes g) (fun v ->
-      Neighborhood.nodes_within g v ~r
-      |> List.map (Graph.label g)
-      |> of_labels)
+let all g ~r = Array.init (Graph.n_nodes g) (of_node g ~r)
 
 let contains ~big ~small =
   let nb = Array.length big and ns = Array.length small in

@@ -32,13 +32,7 @@ let build g =
    any appended nodes. *)
 let update t ~old_graph graph (d : Mutate.delta) =
   let old_n = Graph.n_nodes old_graph and n = Graph.n_nodes graph in
-  let identity =
-    Array.length d.node_map = old_n
-    && (let ok = ref true in
-        Array.iteri (fun i v -> if v <> i then ok := false) d.node_map;
-        !ok)
-  in
-  if not identity then build graph
+  if Array.length d.removed > 0 then build graph
   else begin
     let touched = Hashtbl.create 16 in
     let remove_from l v m =

@@ -20,7 +20,8 @@ val update :
 (** Incremental maintenance after a mutation of [old_graph] into the new
     graph. Structure is shared with [t] (the B-tree is persistent);
     [t] itself is untouched and stays valid for [old_graph]. Falls back
-    to a full {!build} when the delta renumbers node ids (deletions). *)
+    to a full {!build} when the delta removed a node, which renumbers
+    the ids after it. *)
 
 val nodes_with_label : t -> string -> int list
 (** Ascending node ids; [[]] for unknown labels. *)

@@ -15,7 +15,7 @@ let simple_paths ~max_len g =
     (* [path] is reversed, [last] its head *)
     if depth < max_len then
       Array.iter
-        (fun (w, _) ->
+        (fun w ->
           if not (List.mem w path) then begin
             let path' = w :: path in
             (* canonical: emit only if the forward reading is minimal *)
@@ -23,7 +23,7 @@ let simple_paths ~max_len g =
             if Graph.directed g || fwd <= path' then acc := fwd :: !acc;
             extend path' w (depth + 1)
           end)
-        (Graph.neighbors g last)
+        (Graph.adj_nbrs g last)
   in
   Graph.iter_nodes g ~f:(fun v ->
       acc := [ v ] :: !acc;

@@ -15,9 +15,10 @@ let build ?(r = 1) graph =
     nbh_cache = Hashtbl.create 256;
   }
 
-(* Incremental maintenance: profiles of surviving nodes are copied
-   through the renumbering; only the delta's dirty set (plus any node the
-   renumbering left uncovered, e.g. freshly appended ones) pays a BFS.
+(* Incremental maintenance: the surviving old nodes keep their order,
+   so their profiles are the old array less the removed entries, and
+   they take the first new ids; only the delta's dirty set and the
+   nodes after them (freshly appended ones) pay a BFS.
    Sound only when the delta tracked at least our radius — a narrower
    dirty set could miss a changed ball — so we rebuild in that case.
    Returns the number of profiles recomputed (the "work" the bench and
@@ -29,21 +30,24 @@ let update t graph (d : Mutate.delta) =
   else begin
     let n = Graph.n_nodes graph in
     let profiles = Array.make n (Profile.of_labels []) in
-    let covered = Array.make n false in
-    Array.iteri
-      (fun old_v new_v ->
-        if new_v >= 0 then begin
-          profiles.(new_v) <- t.profiles.(old_v);
-          covered.(new_v) <- true
-        end)
-      d.node_map;
-    Array.iter (fun v -> if v >= 0 && v < n then covered.(v) <- false) d.dirty;
+    (* copy each run of old profiles up to the next removed id, moved
+       down by the [i] removed ids below it *)
+    let next = ref 0 in
+    let copy_run i stop =
+      Array.blit t.profiles !next profiles (!next - i) (stop - !next);
+      next := stop + 1
+    in
+    Array.iteri copy_run d.removed;
+    let n_kept = Array.length t.profiles - Array.length d.removed in
+    copy_run (Array.length d.removed) (Array.length t.profiles);
     let recomputed = ref 0 in
-    for v = 0 to n - 1 do
-      if not covered.(v) then begin
-        profiles.(v) <- Profile.of_node graph ~r:t.r v;
-        incr recomputed
-      end
+    let recompute v =
+      profiles.(v) <- Profile.of_node graph ~r:t.r v;
+      incr recomputed
+    in
+    Array.iter (fun v -> if v < n_kept then recompute v) d.dirty;
+    for v = n_kept to n - 1 do
+      recompute v
     done;
     ({ r = t.r; graph; profiles; nbh_cache = Hashtbl.create 256 }, !recomputed)
   end

@@ -12,8 +12,9 @@ val build : ?r:int -> Gql_graph.Graph.t -> t
 
 val update : t -> Gql_graph.Graph.t -> Gql_graph.Mutate.delta -> t * int
 (** [update t g delta] is the index of the post-mutation graph [g],
-    recomputing only the delta's dirty profiles (surviving nodes'
-    profiles are copied through the renumbering). Returns the new index
+    recomputing only the profiles of the delta's dirty nodes and of
+    the appended nodes; the surviving nodes' profiles are copied in
+    order, less the removed ones. Returns the new index
     and the number of profiles actually recomputed. Falls back to a
     full rebuild (recomputing all [n]) when the delta was tracked at a
     radius narrower than the index's. [t] is untouched. *)

@@ -64,9 +64,9 @@ let tarjan g =
         match !frames with
         | [] -> ()
         | (v, pos) :: rest ->
-          let nbrs = Graph.neighbors g v in
+          let nbrs = Graph.adj_nbrs g v in
           if !pos < Array.length nbrs then begin
-            let w, _ = nbrs.(!pos) in
+            let w = nbrs.(!pos) in
             incr pos;
             if index.(w) < 0 then begin
               index.(w) <- !next_index;

@@ -68,11 +68,8 @@ let rec edge_factor model p ~u ~u' e =
 let join_gamma model p ~in_set u =
   let g = p.Flat_pattern.structure in
   let acc = ref 1.0 in
-  let visit (u', e) =
-    if in_set.(u') then acc := !acc *. edge_factor model p ~u ~u' e
-  in
-  Array.iter visit (Graph.neighbors g u);
-  if Graph.directed g then Array.iter visit (Graph.in_neighbors g u);
+  Graph.iter_incident g u ~f:(fun u' e ->
+      if in_set.(u') then acc := !acc *. edge_factor model p ~u ~u' e);
   !acc
 
 let fold_order model p ~sizes order ~f ~init =

@@ -17,15 +17,12 @@ let greedy_core model p ~sizes ~prefix =
   let gamma_cache = Array.make k 1.0 in
   let conn = Array.make k 0 in
   let connect w =
-    let visit (u', e) =
-      if not chosen.(u') then begin
-        gamma_cache.(u') <-
-          gamma_cache.(u') *. Cost.edge_factor model p ~u:u' ~u':w e;
-        conn.(u') <- conn.(u') + 1
-      end
-    in
-    Array.iter visit (Graph.neighbors g w);
-    if Graph.directed g then Array.iter visit (Graph.in_neighbors g w)
+    Graph.iter_incident g w ~f:(fun u' e ->
+        if not chosen.(u') then begin
+          gamma_cache.(u') <-
+            gamma_cache.(u') *. Cost.edge_factor model p ~u:u' ~u':w e;
+          conn.(u') <- conn.(u') + 1
+        end)
   in
   let count = ref 0 in
   let size = ref 1.0 in

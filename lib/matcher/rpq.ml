@@ -153,19 +153,19 @@ let bidi_reachable ?(budget = Budget.unlimited) ?(metrics = M.disabled) c s
         if !expanded > max_visited then raise (Stop Budget.Step_budget);
         if !expanded land (Budget.check_interval - 1) = 0 then
           poll_or_stop budget;
-        let row =
-          if backward && Graph.directed g then Graph.in_neighbors g v
-          else Graph.neighbors g v
+        let nbrs, eids =
+          if backward then (Graph.in_nbrs g v, Graph.in_eids g v)
+          else (Graph.adj_nbrs g v, Graph.adj_eids g v)
         in
-        Array.iter
-          (fun (w, e) ->
-            if (not !found) && edge_ok g s e then
+        Array.iteri
+          (fun i w ->
+            if (not !found) && edge_ok g s eids.(i) then
               if Bytes.get seen_other w = '\001' then found := true
               else if Bytes.get seen_mine w = '\000' then begin
                 Bytes.set seen_mine w '\001';
                 next := w :: !next
               end)
-          row)
+          nbrs)
       frontier;
     !next
   in

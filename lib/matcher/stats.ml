@@ -134,9 +134,8 @@ let observe_run t ~p ~n_nodes ~sizes ~order ~fanouts =
       if i >= 1 && i < Array.length fanouts && Float.is_finite fanouts.(i)
       then begin
         let closed = ref [] in
-        let visit (u', _) = if pos.(u') < i then closed := u' :: !closed in
-        Array.iter visit (Graph.neighbors g u);
-        if Graph.directed g then Array.iter visit (Graph.in_neighbors g u);
+        Graph.iter_incident g u ~f:(fun u' _ ->
+            if pos.(u') < i then closed := u' :: !closed);
         let m = List.length !closed in
         if m > 0 && sizes.(u) > 0 then begin
           let reduction =

@@ -83,7 +83,8 @@ type t = {
       (* gid -> logged op batches, newest first: staging is O(1) *)
   dead : (int, unit) Hashtbl.t;  (* tombstoned gids *)
   views : (string, string) Hashtbl.t;  (* view name -> newest blob *)
-  materialized : (int, Graph.t) Hashtbl.t;  (* memo of base + pending overlay *)
+  materialized : (int, Graph.t) Hashtbl.t;
+      (* memo of base + pending overlay, for every gid decoded so far *)
   mutable committed : snapshot;
   mutable recovery : recovery option;
   mutable metrics : Gql_obs.Metrics.t option;
@@ -505,21 +506,19 @@ let get_graph t i =
     invalid_arg (Printf.sprintf "Store.get_graph: graph %d is deleted" i);
   match Hashtbl.find_opt t.materialized i with
   | Some g -> g
-  | None -> (
-    let g = base_graph t i in
-    match Hashtbl.find_opt t.pending i with
-    | None -> g
-    | Some batches ->
-      let g' =
-        try
-          List.fold_left
-            (List.fold_left (fun g op -> fst (Mutate.apply g op)))
-            g (List.rev batches)
-        with Invalid_argument msg ->
-          corrupt "record %d: transaction replay failed: %s" i msg
-      in
-      Hashtbl.replace t.materialized i g';
-      g')
+  | None ->
+    let base = base_graph t i in
+    let batches = Option.value ~default:[] (Hashtbl.find_opt t.pending i) in
+    let g =
+      try
+        List.fold_left
+          (List.fold_left (fun g op -> fst (Mutate.apply g op)))
+          base (List.rev batches)
+      with Invalid_argument msg ->
+        corrupt "record %d: transaction replay failed: %s" i msg
+    in
+    Hashtbl.replace t.materialized i g;
+    g
 
 let iter t ~f =
   check t;

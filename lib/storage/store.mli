@@ -76,9 +76,11 @@ val is_live : t -> int -> bool
 val live_count : t -> int
 
 val get_graph : t -> int -> Graph.t
-(** The graph with its pending mutation overlay applied (memoized).
-    Verifies the base record CRC; raises [Codec.Corrupt] on mismatch,
-    [Invalid_argument] on a dead or out-of-range id. *)
+(** The graph with its pending mutation overlay applied. Decoded once
+    and memoized: later calls, and {!iter}, return the same physical
+    graph until a write, {!rollback} or {!abort} replaces it. Verifies
+    the base record CRC on decoding; raises [Codec.Corrupt] on
+    mismatch, [Invalid_argument] on a dead or out-of-range id. *)
 
 val append_txn :
   ?r:int -> t -> gid:int -> Mutate.op list -> Graph.t * Mutate.delta

@@ -52,7 +52,7 @@ let test_directed () =
 let test_self_loop () =
   let g = Graph.of_edges ~n:1 [ (0, 0) ] in
   Alcotest.(check bool) "self loop present" true (Graph.has_edge g 0 0);
-  Alcotest.(check int) "listed once in adjacency" 1 (Array.length (Graph.neighbors g 0))
+  Alcotest.(check int) "listed once in adjacency" 1 (Array.length (Graph.adj_nbrs g 0))
 
 let test_parallel_edges () =
   let g = Graph.of_edges ~n:2 [ (0, 1); (0, 1); (1, 0) ] in

@@ -355,6 +355,31 @@ let test_adopt_checks () =
   Store.close st;
   Sys.remove path
 
+(* A graph with no pending ops is decoded once: [iter] at mount and
+   every later [get_graph] return the same value, so a first write
+   reads its sizes without a decode. A rollback still drops the memo
+   of a discarded write. *)
+let test_untouched_graph_decoded_once () =
+  let path = tmp "gql_log_memo.db" in
+  let st = Store.create path in
+  ignore (Store.add_graph st (base_graph ()));
+  ignore (Store.add_graph st (base_graph ()));
+  Store.close st;
+  let st = Store.open_existing path in
+  let mounted = ref [] in
+  Store.iter st ~f:(fun gid g -> mounted := (gid, g) :: !mounted);
+  let g0 = Store.get_graph st 0 in
+  Alcotest.(check bool) "two calls return one graph" true
+    (Store.get_graph st 0 == g0);
+  Alcotest.(check bool) "the graph iter gave" true
+    (List.assoc 0 !mounted == g0);
+  ignore (Store.append_txn st ~gid:1 ops2);
+  Store.rollback st;
+  Alcotest.(check bool) "rollback drops the discarded write" true
+    (same (base_graph ()) (Store.get_graph st 1));
+  Store.close st;
+  Sys.remove path
+
 (* ---- the replay property -------------------------------------------- *)
 
 (* Random mutation batches, some committed mid-stream: after a reopen,
@@ -417,5 +442,7 @@ let suite =
       test_many_txns_reopen;
     Alcotest.test_case "adopted post-states keep append_txn's checks" `Quick
       test_adopt_checks;
+    Alcotest.test_case "an untouched graph is decoded once" `Quick
+      test_untouched_graph_decoded_once;
     QCheck_alcotest.to_alcotest prop_replay_equals_memory;
   ]

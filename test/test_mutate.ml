@@ -1,5 +1,5 @@
 (* Point mutations ([Mutate]) and incremental index maintenance: op
-   semantics, map/dirty-set bookkeeping, dirty-set soundness against
+   semantics, renumbering/dirty-set bookkeeping, dirty-set soundness against
    recomputed profiles, and QCheck equivalence of [Label_index.update] /
    [Profile_index.update] against the full-rebuild oracle over random
    mutation sequences. *)
@@ -12,13 +12,17 @@ let lbl s = Tuple.make [ ("label", Value.Str s) ]
 let path3 () = Graph.of_labeled ~labels:[| "A"; "B"; "C" |] [ (0, 1); (1, 2) ]
 let mem x arr = Array.exists (( = ) x) arr
 
+(* [Mutate.renumber] over every node of an [n]-node pre-state *)
+let renumbering d n = Array.init n (Mutate.renumber d)
+
 let test_add_node () =
   let g = path3 () in
   let g', d = Mutate.apply g (Mutate.Add_node { name = Some "x"; tuple = lbl "D" }) in
   Alcotest.(check int) "node appended" 4 (Graph.n_nodes g');
   Alcotest.(check string) "label set" "D" (Graph.label g' 3);
   Alcotest.(check (option int)) "named" (Some 3) (Graph.node_by_name g' "x");
-  Alcotest.(check (array int)) "node map is identity" [| 0; 1; 2 |] d.Mutate.node_map;
+  Alcotest.(check (array int)) "node map is identity" [| 0; 1; 2 |]
+    (renumbering d 3);
   Alcotest.(check (array int)) "only the new node is dirty" [| 3 |] d.Mutate.dirty;
   Alcotest.(check int) "edges untouched" 2 (Graph.n_edges g')
 
@@ -50,14 +54,14 @@ let test_del_edge () =
   let g = path3 () in
   let g', d = Mutate.apply g (Mutate.Del_edge 0) in
   Alcotest.(check int) "edge removed" 1 (Graph.n_edges g');
-  Alcotest.(check int) "deleted edge maps to -1" (-1) d.Mutate.edge_map.(0);
-  Alcotest.(check bool) "surviving edge remapped" true (d.Mutate.edge_map.(1) >= 0)
+  Alcotest.(check (array int)) "no node renumbered" [| 0; 1; 2 |]
+    (renumbering d 3)
 
 let test_del_node () =
   let g = path3 () in
   let g', d = Mutate.apply g (Mutate.Del_node 1) in
   Alcotest.(check int) "node removed" 2 (Graph.n_nodes g');
-  Alcotest.(check (array int)) "renumbering" [| 0; -1; 1 |] d.Mutate.node_map;
+  Alcotest.(check (array int)) "renumbering" [| 0; -1; 1 |] (renumbering d 3);
   Alcotest.(check int) "incident edges removed" 0 (Graph.n_edges g');
   Alcotest.(check string) "survivor 0" "A" (Graph.label g' 0);
   Alcotest.(check string) "survivor 1" "C" (Graph.label g' 1)
@@ -98,9 +102,9 @@ let test_compose_maps () =
     Mutate.apply_all g
       [ Mutate.Del_node 1; Mutate.Set_node { v = 1; tuple = lbl "Z" } ]
   in
-  Alcotest.(check (array int)) "composed node map" [| 0; -1; 1 |] d.Mutate.node_map;
-  Alcotest.(check string) "relabel landed on the survivor" "Z" (Graph.label g' 1);
-  Alcotest.(check (array int)) "both edges died" [| -1; -1 |] d.Mutate.edge_map
+  Alcotest.(check (array int)) "composed node map" [| 0; -1; 1 |]
+    (renumbering d 3);
+  Alcotest.(check string) "relabel landed on the survivor" "Z" (Graph.label g' 1)
 
 (* ---- random mutation sequences ------------------------------------- *)
 
@@ -168,8 +172,58 @@ let prop_dirty_sound =
                    (Profile.of_node g ~r:d.Mutate.d_r old_v)
                    (Profile.of_node g' ~r:d.Mutate.d_r new_v))
             then ok := false)
-        d.Mutate.node_map;
+        (renumbering d (Graph.n_nodes g));
       !ok)
+
+(* [Mutate.renumber] against the names: in a batch that deletes
+   original nodes, appended nodes and nodes an earlier delete shifted,
+   each original node (named "v<id>", unique) renumbers to its name's
+   id in the post-state, or to -1 when the batch deleted it; [removed]
+   lists exactly the deleted originals, ascending. *)
+let prop_renumber_follows_names =
+  QCheck.Test.make ~name:"renumber follows each node's name through a batch"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 1 12) nat))
+       ~print:(fun (n, seeds) ->
+         Printf.sprintf "n=%d seeds: %s" n
+           (String.concat "," (List.map string_of_int seeds))))
+    (fun (n, seeds) ->
+      let b = Graph.Builder.create () in
+      for i = 0 to n - 1 do
+        let name = Printf.sprintf "v%d" i in
+        ignore (Graph.Builder.add_labeled_node b ~name "A")
+      done;
+      for i = 1 to n - 1 do
+        ignore (Graph.Builder.add_edge b (i - 1) i)
+      done;
+      let g = Graph.Builder.build b in
+      let cur = ref g in
+      let ops =
+        List.mapi
+          (fun k seed ->
+            let m = Graph.n_nodes !cur in
+            let pick = seed / 3 mod max 1 m in
+            let op =
+              match seed mod 3 with
+              | 0 | 1 when m >= 2 -> Mutate.Del_node pick
+              | 2 when m >= 1 -> Mutate.Set_node { v = pick; tuple = lbl "B" }
+              | _ ->
+                Mutate.Add_node
+                  { name = Some (Printf.sprintf "x%d" k); tuple = lbl "C" }
+            in
+            cur := fst (Mutate.apply !cur op);
+            op)
+          seeds
+      in
+      let g', d = Mutate.apply_all g ops in
+      let id u = Graph.node_by_name g' (Printf.sprintf "v%d" u) in
+      let olds = List.init n Fun.id in
+      Array.to_list d.Mutate.removed
+      = List.filter (fun u -> id u = None) olds
+      && List.for_all
+           (fun u -> Mutate.renumber d u = Option.value (id u) ~default:(-1))
+           olds)
 
 (* The tentpole property: incremental index maintenance lands on exactly
    the same index as a from-scratch rebuild. *)
@@ -333,13 +387,13 @@ let same_graph a b =
   && Graph.n_edges a = Graph.n_edges b
   && List.for_all node_ok nodes
   && List.for_all edge_ok edges
-  && rows Graph.neighbors && rows Graph.in_neighbors
   && rows Graph.adj_nbrs && rows Graph.adj_eids
+  && rows Graph.in_nbrs && rows Graph.in_eids
   && lookups Graph.node_by_name (List.filter_map (Graph.node_name b) nodes)
   && lookups Graph.edge_by_name (List.filter_map (Graph.edge_name b) edges)
 
-(* The delta each copy-on-write op must return: identity maps and the
-   dirty balls, read off the oracle graphs before and after. *)
+(* The delta each copy-on-write op must return: nothing removed and
+   the dirty balls, read off the oracle graphs before and after. *)
 let expected_delta ~before ~after op =
   let ball g v = Neighborhood.nodes_within g v ~r:1 in
   let dirty =
@@ -352,9 +406,7 @@ let expected_delta ~before ~after op =
       ball before src @ ball before dst
     | Mutate.Del_node _ | Mutate.Del_edge _ -> assert false
   in
-  ( Array.init (Graph.n_nodes before) Fun.id,
-    Array.init (Graph.n_edges before) Fun.id,
-    Array.of_list (List.sort_uniq compare dirty) )
+  Array.of_list (List.sort_uniq compare dirty)
 
 let prop_cow_equals_build =
   QCheck.Test.make ~name:"copy-on-write apply = from-scratch build"
@@ -374,14 +426,13 @@ let prop_cow_equals_build =
         let g', d = Mutate.apply g op in
         let md' = model_apply md op in
         let before = build_model md and after = build_model md' in
-        let node_map, edge_map, dirty = expected_delta ~before ~after op in
+        let dirty = expected_delta ~before ~after op in
         seen := (g', after) :: !seen;
         ( g',
           md',
           k + 1,
           ok && same_graph g' after
-          && d.Mutate.node_map = node_map
-          && d.Mutate.edge_map = edge_map
+          && d.Mutate.removed = [||]
           && d.Mutate.dirty = dirty )
       in
       let _, _, _, ok = List.fold_left step (g0, md, 0, true) seeds in
@@ -394,8 +445,8 @@ let prop_cow_equals_build =
    by, a later extension. *)
 let fingerprint g =
   ( Graph.to_string g,
-    List.init (Graph.n_nodes g) (fun v -> Array.to_list (Graph.neighbors g v))
-  )
+    List.init (Graph.n_nodes g) (fun v ->
+        (Graph.adj_nbrs g v, Graph.adj_eids g v, Graph.in_nbrs g v)) )
 
 (* Random valid DML over the named graphs G0 and G1 of doc("D"): a
    model of each graph's live node names, and its live edge names with
@@ -529,6 +580,7 @@ let suite =
     Alcotest.test_case "invalid ops rejected" `Quick test_invalid_ops;
     Alcotest.test_case "apply_all composes maps" `Quick test_compose_maps;
     QCheck_alcotest.to_alcotest prop_dirty_sound;
+    QCheck_alcotest.to_alcotest prop_renumber_follows_names;
     QCheck_alcotest.to_alcotest prop_incremental_equals_rebuild;
     QCheck_alcotest.to_alcotest prop_cow_equals_build;
     QCheck_alcotest.to_alcotest prop_persist_matches_evaluator;

@@ -12,13 +12,13 @@ let bfs_reachable g u v =
     while (not !found) && not (Queue.is_empty q) do
       let x = Queue.pop q in
       Array.iter
-        (fun (w, _) ->
+        (fun w ->
           if w = v then found := true;
           if not seen.(w) then begin
             seen.(w) <- true;
             Queue.add w q
           end)
-        (Graph.neighbors g x)
+        (Graph.adj_nbrs g x)
     done;
     !found
   end

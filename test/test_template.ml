@@ -152,7 +152,7 @@ let test_compiled_shares_skeleton () =
   let g2 = t [ ("P", Template.Pmatched m) ] in
   Alcotest.(check string) "same graph" (Graph.to_string g1) (Graph.to_string g2);
   Alcotest.(check bool) "adjacency shared" true
-    (Graph.neighbors g1 0 == Graph.neighbors g2 0);
+    (Graph.adj_nbrs g1 0 == Graph.adj_nbrs g2 0);
   Alcotest.(check bool) "copied tuple" true
     (Tuple.equal (Graph.node_tuple g1 0) (Graph.node_tuple m.Matched.graph m.Matched.phi.(0)))
 
