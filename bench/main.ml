@@ -2521,6 +2521,68 @@ let views_bench () =
   check (maint_speedup >= 3.0)
     "incremental maintenance speedup %.1fx < 3x"
     maint_speedup;
+  header "Materialized views: the trickle persisted through the mount";
+  (* the same trajectory again, each refresh handed to the persist sink
+     of a store-backed mount, as the server does *)
+  let module Mount = Gql_exec.Mount in
+  let module Store = Gql_storage.Store in
+  let path = Filename.temp_file "gql_bench_views" ".store" in
+  let st = Store.create path in
+  ignore (Store.add_graph st g0);
+  Store.close st;
+  let mounts, _ = Mount.open_docs [ "D=" ^ path ] in
+  let st = Option.get (Mount.store (List.hd mounts)) in
+  let persist = Mount.persist mounts in
+  let vp = View.make ~name:"hot" ~materialized:true def in
+  View.attach vp ~docs:[ g0 ];
+  let event () =
+    Eval.W_create_view
+      {
+        name = "hot";
+        materialized = true;
+        def = View.def vp;
+        graphs = View.graphs vp;
+        epoch = View.epoch vp;
+      }
+  in
+  let ev = event () in
+  let (), t_full_record = time (fun () -> persist ev) in
+  let full_bytes = String.length (Option.get (Store.view_blob st "hot")) in
+  let delta_bytes = ref [] and full_records = ref 0 and t_deltas = ref 0.0 in
+  List.iter
+    (fun (after, delta) ->
+      ignore
+        (View.refresh vp ~docs:[ after ]
+           (View.Update { index = 0; new_graph = after; delta }));
+      let before = List.length (Store.view_deltas st "hot") in
+      let ev = event () in
+      let (), dt = time (fun () -> persist ev) in
+      match List.rev (Store.view_deltas st "hot") with
+      | d :: rest when List.length rest = before ->
+        t_deltas := !t_deltas +. dt;
+        delta_bytes := String.length d :: !delta_bytes
+      | _ -> incr full_records)
+    trajectory;
+  Mount.close_all mounts;
+  Sys.remove path;
+  let n_deltas = List.length !delta_bytes in
+  let max_delta = List.fold_left max 0 !delta_bytes in
+  let mean_delta =
+    float_of_int (List.fold_left ( + ) 0 !delta_bytes)
+    /. float_of_int (max 1 n_deltas)
+  in
+  let delta_us = !t_deltas *. 1e6 /. float_of_int (max 1 n_deltas) in
+  row "%d refreshes: %d delta record(s), %d full record(s)\n" n_txns n_deltas
+    !full_records;
+  row "%-22s %14s %14s\n" "record" "bytes" "us (ungated)";
+  row "%-22s %14d %14.1f\n" "full (the create)" full_bytes
+    (t_full_record *. 1e6);
+  row "%-22s %14.1f %14.1f\n" "delta (mean)" mean_delta delta_us;
+  row "largest delta %d B <= full / 10 = %d B\n" max_delta (full_bytes / 10);
+  check (n_deltas > 0 && max_delta * 10 <= full_bytes)
+    "a refresh's delta record (largest %d B of %d) exceeds a tenth of the \
+     full record (%d B)"
+    max_delta n_deltas full_bytes;
   emit_json "views"
     (Json.Obj
        [
@@ -2540,6 +2602,13 @@ let views_bench () =
          ("t_incremental_ms", Json.Float (ms t_incr));
          ("t_rematerialize_ms", Json.Float (ms t_full));
          ("maintenance_speedup", Json.Float maint_speedup);
+         ("persist_full_bytes", Json.Int full_bytes);
+         ("persist_delta_records", Json.Int n_deltas);
+         ("persist_full_records", Json.Int !full_records);
+         ("persist_delta_mean_bytes", Json.Float mean_delta);
+         ("persist_delta_max_bytes", Json.Int max_delta);
+         ("persist_full_us", Json.Float (t_full_record *. 1e6));
+         ("persist_delta_us", Json.Float delta_us);
        ])
 
 (* ---------------------------------------------------------------------- *)

@@ -481,16 +481,18 @@ let store_cmd store_file import verify =
           | vs ->
             List.iter
               (fun (name, blob) ->
-                match View.decode ~name blob with
+                let deltas = Gql_storage.Store.view_deltas store name in
+                match View.decode ~deltas ~name blob with
                 | v ->
                   Format.printf
                     "  view %s%s over %a: epoch %d, %d stored graph(s), %d \
-                     byte(s)@."
+                     byte(s), %d delta record(s) (%d byte(s))@."
                     name
                     (if View.materialized v then " (materialized)" else "")
                     Ast.pp_source (View.source v) (View.epoch v)
-                    (List.length (View.decoded_graphs blob))
-                    (String.length blob)
+                    (List.length (View.graphs v))
+                    (String.length blob) (List.length deltas)
+                    (List.fold_left (fun a d -> a + String.length d) 0 deltas)
                 | exception _ ->
                   (* the record's CRC held but the definition text no
                      longer parses — report, don't fail the summary *)

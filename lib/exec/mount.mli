@@ -21,12 +21,18 @@ val persist : t list -> Eval.write -> unit
 (** The [?writer] sink: each write to a store-backed doc is staged in
     its store — an update through {!Gql_storage.Store.adopt_txn} with
     the evaluator's [new_graph], an insert as a graph record, a
-    removal as a tombstone, a view event as a view record. Staged is
-    not durable: {!close_all} commits. *)
+    removal as a tombstone, a view event as a view record. A refresh
+    of a materialized view is a delta over the list the mount last
+    persisted ({!View.encode_delta}); a full record is written when
+    there is no such list, or when the deltas since the last full
+    record would outweigh it. Staged is not durable: {!close_all}
+    commits. *)
 
 val close_all : t list -> unit
 (** Closes every store, committing its staged records under one
     superblock swap. *)
 
 val views : t list -> View.t list
-(** The view records persisted in the mounted stores. *)
+(** The views persisted in the mounted stores, each decoded from its
+    full record and the delta chain after it. Also seeds the mounts'
+    persisted lists, so later refreshes can be logged as deltas. *)

@@ -288,9 +288,14 @@ let set_view_docs t v =
          t.docs
      else t.docs @ [ (key, gs) ])
 
+(* A refresh hands survivors on as the same physical graphs, so one
+   stamp table finds the old graphs it dropped. *)
 let reconcile_view_cache t ~old_gs ~new_gs =
+  let stamp = Gql_graph.Graph.stamp in
+  let kept = Hashtbl.create 64 in
+  List.iter (fun g -> Hashtbl.replace kept (stamp g) ()) new_gs;
   List.iter
-    (fun g -> if not (List.memq g new_gs) then Cache.drop t.cache g)
+    (fun g -> if not (Hashtbl.mem kept (stamp g)) then Cache.drop t.cache g)
     old_gs;
   Cache.register t.cache new_gs
 

@@ -352,10 +352,111 @@ let decode_raw blob =
   in
   (flags land 1 = 1, epoch, text, graphs)
 
-let decode ~name blob =
+(* --- deltas -----------------------------------------------------------------
+
+   One refresh as an edit script from the previous persisted list:
+
+   delta := epoch:uvarint n_runs:uvarint run*
+   run   := 0 start:uvarint len:uvarint   previous positions [start, start+len)
+          | 1 n:uvarint graph*            n new graphs
+
+   The diff is keyed by [Graph.stamp]: a refresh hands a surviving
+   match's output graph on verbatim, so survivors are found without
+   comparing contents. Each previous position is copied at most once,
+   which bounds a delta's output by its source list plus its own
+   bytes. *)
+
+type run = Copy of int * int | Lit of Graph.t list  (* Lit is reversed *)
+
+let encode_delta ~prev ~epoch graphs =
+  let pos = Hashtbl.create (Array.length prev) in
+  Array.iteri (fun i g -> Hashtbl.replace pos (Graph.stamp g) i) prev;
+  let used = Array.make (Array.length prev) false in
+  let copied = ref false in
+  let runs =
+    List.fold_left
+      (fun runs g ->
+        match Hashtbl.find_opt pos (Graph.stamp g) with
+        | Some i when not used.(i) -> (
+          used.(i) <- true;
+          copied := true;
+          match runs with
+          | Copy (s, l) :: rest when s + l = i -> Copy (s, l + 1) :: rest
+          | _ -> Copy (i, 1) :: runs)
+        | _ -> (
+          match runs with
+          | Lit gs :: rest -> Lit (g :: gs) :: rest
+          | _ -> Lit [ g ] :: runs))
+      [] graphs
+  in
+  if graphs <> [] && not !copied then None
+  else begin
+    let buf = Buffer.create 64 in
+    Codec.write_uvarint buf epoch;
+    Codec.write_uvarint buf (List.length runs);
+    List.iter
+      (function
+        | Copy (s, l) ->
+          Codec.write_uvarint buf 0;
+          Codec.write_uvarint buf s;
+          Codec.write_uvarint buf l
+        | Lit gs ->
+          Codec.write_uvarint buf 1;
+          Codec.write_uvarint buf (List.length gs);
+          List.iter (Codec.write_graph buf) (List.rev gs))
+      (List.rev runs);
+    Some (Buffer.contents buf)
+  end
+
+let apply_delta prev blob =
+  let epoch, o = Codec.read_uvarint blob 0 in
+  let n_runs, o = Codec.read_uvarint blob o in
+  let used = Array.make (Array.length prev) false in
+  let out = ref [] and o = ref o in
+  for _ = 1 to n_runs do
+    let tag, o' = Codec.read_uvarint blob !o in
+    match tag with
+    | 0 ->
+      let s, o' = Codec.read_uvarint blob o' in
+      let l, o' = Codec.read_uvarint blob o' in
+      if s < 0 || l < 1 || s > Array.length prev - l then
+        corrupt "view delta: copy [%d, +%d) outside %d graph(s)" s l
+          (Array.length prev);
+      for i = s to s + l - 1 do
+        if used.(i) then corrupt "view delta: position %d copied twice" i;
+        used.(i) <- true;
+        out := prev.(i) :: !out
+      done;
+      o := o'
+    | 1 ->
+      let n, o' = Codec.read_uvarint blob o' in
+      if n < 1 || n > String.length blob - o' then
+        corrupt "view delta: %d literal graph(s) in %d byte(s)" n
+          (String.length blob - o');
+      o := o';
+      for _ = 1 to n do
+        let g, o' = Codec.read_graph blob !o in
+        out := g :: !out;
+        o := o'
+      done
+    | k -> corrupt "view delta: unknown run kind %d" k
+  done;
+  if !o <> String.length blob then corrupt "view delta: trailing bytes";
+  (epoch, Array.of_list (List.rev !out))
+
+let decode ?(deltas = []) ~name blob =
   let materialized, epoch, text, graphs = decode_raw blob in
   let t = make ~name ~materialized ~epoch (parse_def ~name text) in
-  if materialized then t.v_graphs <- graphs;
+  if materialized then begin
+    let epoch, gs =
+      List.fold_left
+        (fun (_, prev) d -> apply_delta prev d)
+        (epoch, Array.of_list graphs)
+        deltas
+    in
+    t.v_epoch <- epoch;
+    t.v_graphs <- Array.to_list gs
+  end;
   t
 
 let decoded_graphs blob =

@@ -121,21 +121,38 @@ val refresh :
 
 (** {2 Persistence}
 
-    The store blob ({!Gql_storage.Store.set_view}) carries the
+    The full store blob ({!Gql_storage.Store.set_view}) carries the
     definition as query text (printed with {!Gql_core.Ast.pp_flwr},
     re-parsed on load), the materialized flag, the epoch, and — for
     materialized views — the result graphs in {!Gql_storage.Codec}
     format, so reopening a store restores the view without
-    re-evaluating it. *)
+    re-evaluating it. A refresh can instead be persisted as a delta
+    over the list before it ({!encode_delta}); {!decode} applies the
+    chain. *)
 
 val encode : t -> string
-val decode : name:string -> string -> t
-(** Raises [Gql_storage.Codec.Corrupt] on a malformed blob or a
+
+val encode_delta :
+  prev:Graph.t array -> epoch:int -> Graph.t list -> string option
+(** A refresh as a delta blob ({!Gql_storage.Store.add_view_delta}):
+    the edit script from [prev], the materialization last persisted,
+    to the new one — runs of copied [prev] positions and the new
+    graphs in {!Gql_storage.Codec} format, plus the new [epoch].
+    Survivors are recognized by {!Graph.stamp}, since {!refresh} hands
+    a surviving match's output graph on verbatim, so an update that
+    touches one source graph encodes a few runs and the graphs it
+    gained. [None] when no graph of the new list is one of [prev]: a
+    delta would only restate the whole list. *)
+
+val decode : ?deltas:string list -> name:string -> string -> t
+(** Decode a full blob, then apply [deltas] (default none), the
+    chain logged after it, in order: the view comes back with the
+    graphs, order and epoch of the last refresh persisted. Raises
+    [Gql_storage.Codec.Corrupt] on a malformed blob or delta or a
     definition text that no longer parses, and {!Gql_core.Eval.Error}
     on a definition {!make} rejects — one over the derivation cap
     fails before its derivations are materialized. *)
 
 val decoded_graphs : string -> Graph.t list
-(** The persisted materialization inside a blob ([[]] for
-    def-only/plain blobs) — what [gqlsh store] reports without
-    rebuilding the view. *)
+(** The materialization inside a full blob ([[]] for def-only/plain
+    blobs), without compiling the definition. *)

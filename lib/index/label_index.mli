@@ -19,9 +19,9 @@ val update :
   t
 (** Incremental maintenance after a mutation of [old_graph] into the new
     graph. Structure is shared with [t] (the B-tree is persistent);
-    [t] itself is untouched and stays valid for [old_graph]. Falls back
-    to a full {!build} when the delta removed a node, which renumbers
-    the ids after it. *)
+    [t] itself is untouched and stays valid for [old_graph]. A removed
+    node renumbers the ids above it: only the postings above the
+    lowest removed id are rewritten. *)
 
 val nodes_with_label : t -> string -> int list
 (** Ascending node ids; [[]] for unknown labels. *)

@@ -30,9 +30,14 @@
    writes them any more.
 
    View records are keyed by name: ['c' name blob] creates or replaces
-   a view (newest committed record wins) and ['d' name] drops it. The
-   blob is opaque to the store — the exec layer encodes the definition
-   text, flags, epoch and materialized result graphs in it.
+   a view (newest committed record wins) and resets its delta chain,
+   ['a' name blob] appends a delta to the chain of a live name, and
+   ['d' name] drops the view and its chain. Both blobs are opaque to
+   the store — the exec layer encodes the definition text, flags, epoch
+   and materialized result graphs in a full blob, and one refresh's
+   edit script in a delta; a reader applies the chain, in log order,
+   over the newest full blob. An ['a'] record for an unknown name is
+   malformed and truncates the log like a CRC failure.
 
    Transaction records are the write path's log: instead of rewriting a
    mutated graph's (possibly large) base record, a write appends the
@@ -69,6 +74,7 @@ type snapshot = {
   c_pending : (int * Mutate.op list list) list;
   c_dead : int list;
   c_views : (string * string) list;
+  c_chains : (string * string list) list;
 }
 
 type t = {
@@ -82,7 +88,9 @@ type t = {
   pending : (int, Mutate.op list list) Hashtbl.t;
       (* gid -> logged op batches, newest first: staging is O(1) *)
   dead : (int, unit) Hashtbl.t;  (* tombstoned gids *)
-  views : (string, string) Hashtbl.t;  (* view name -> newest blob *)
+  views : (string, string) Hashtbl.t;  (* view name -> newest full blob *)
+  chains : (string, string list) Hashtbl.t;
+      (* view name -> deltas after its full blob, newest first *)
   materialized : (int, Graph.t) Hashtbl.t;
       (* memo of base + pending overlay, for every gid decoded so far *)
   mutable committed : snapshot;
@@ -141,6 +149,7 @@ let snapshot t =
     c_pending = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending [];
     c_dead = Hashtbl.fold (fun k () acc -> k :: acc) t.dead [];
     c_views = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.views [];
+    c_chains = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.chains [];
   }
 
 (* Data pages are committed before the superblock names them: a crash
@@ -232,6 +241,7 @@ let empty_snapshot =
     c_pending = [];
     c_dead = [];
     c_views = [];
+    c_chains = [];
   }
 
 let create ?pool_capacity path =
@@ -252,6 +262,7 @@ let create ?pool_capacity path =
       pending = Hashtbl.create 16;
       dead = Hashtbl.create 16;
       views = Hashtbl.create 4;
+      chains = Hashtbl.create 4;
       materialized = Hashtbl.create 16;
       committed = empty_snapshot;
       recovery = None;
@@ -300,11 +311,17 @@ let replay_txn t payload =
       | _ -> false
   with Codec.Corrupt _ -> false
 
+let push_delta t name blob =
+  Hashtbl.replace t.chains name
+    (blob :: Option.value ~default:[] (Hashtbl.find_opt t.chains name))
+
 (* Replay one CRC-valid view record: ['c' name blob] (re)defines the
-   view, ['d' name] drops it. Later records shadow earlier ones, so
-   replay in log order leaves the newest committed definition per name
-   per name.
-   Malformed structure is treated like a CRC failure by the caller. *)
+   view and resets its chain, ['a' name blob] extends the chain, ['d'
+   name] drops both. Later records shadow earlier ones, so replay in
+   log order leaves the newest committed definition per name and the
+   deltas logged after it. Malformed structure — an ['a'] for a name
+   with no definition included — is treated like a CRC failure by the
+   caller. *)
 let replay_view t payload =
   let len = String.length payload in
   try
@@ -316,6 +333,14 @@ let replay_view t payload =
         if name = "" then false
         else begin
           Hashtbl.replace t.views name (String.sub payload o (len - o));
+          Hashtbl.remove t.chains name;
+          true
+        end
+      | 'a' ->
+        let name, o = Codec.read_string payload 2 in
+        if not (Hashtbl.mem t.views name) then false
+        else begin
+          push_delta t name (String.sub payload o (len - o));
           true
         end
       | 'd' ->
@@ -323,6 +348,7 @@ let replay_view t payload =
         if o <> len || name = "" then false
         else begin
           Hashtbl.remove t.views name;
+          Hashtbl.remove t.chains name;
           true
         end
       | _ -> false
@@ -359,6 +385,7 @@ let open_existing ?pool_capacity path =
       pending = Hashtbl.create 16;
       dead = Hashtbl.create 16;
       views = Hashtbl.create 4;
+      chains = Hashtbl.create 4;
       materialized = Hashtbl.create 16;
       committed = empty_snapshot;
       recovery = None;
@@ -456,6 +483,8 @@ let discard_staged t =
   List.iter (fun k -> Hashtbl.replace t.dead k ()) s.c_dead;
   Hashtbl.reset t.views;
   List.iter (fun (k, v) -> Hashtbl.replace t.views k v) s.c_views;
+  Hashtbl.reset t.chains;
+  List.iter (fun (k, v) -> Hashtbl.replace t.chains k v) s.c_chains;
   (* memoized graphs may reflect discarded ops *)
   Hashtbl.reset t.materialized
 
@@ -633,26 +662,34 @@ let pending_ops t gid =
   | None -> []
   | Some batches -> List.concat (List.rev batches)
 
+let write_view_record t sub name blob =
+  let buf = Buffer.create (String.length blob + String.length name + 8) in
+  Buffer.add_char buf view_kind;
+  Buffer.add_char buf sub;
+  Codec.write_string buf name;
+  Buffer.add_string buf blob;
+  t.tail <- write_record t t.tail (Buffer.contents buf)
+
 let set_view t ~name blob =
   check t;
   if name = "" then invalid_arg "Store.set_view: empty view name";
-  let buf = Buffer.create (String.length blob + 8) in
-  Buffer.add_char buf view_kind;
-  Buffer.add_char buf 'c';
-  Codec.write_string buf name;
-  Buffer.add_string buf blob;
-  t.tail <- write_record t t.tail (Buffer.contents buf);
-  Hashtbl.replace t.views name blob
+  write_view_record t 'c' name blob;
+  Hashtbl.replace t.views name blob;
+  Hashtbl.remove t.chains name
+
+let add_view_delta t ~name blob =
+  check t;
+  if not (Hashtbl.mem t.views name) then
+    invalid_arg (Printf.sprintf "Store.add_view_delta: no view %S" name);
+  write_view_record t 'a' name blob;
+  push_delta t name blob
 
 let drop_view t name =
   check t;
   if Hashtbl.mem t.views name then begin
-    let buf = Buffer.create 8 in
-    Buffer.add_char buf view_kind;
-    Buffer.add_char buf 'd';
-    Codec.write_string buf name;
-    t.tail <- write_record t t.tail (Buffer.contents buf);
+    write_view_record t 'd' name "";
     Hashtbl.remove t.views name;
+    Hashtbl.remove t.chains name;
     true
   end
   else false
@@ -660,6 +697,10 @@ let drop_view t name =
 let view_blob t name =
   check t;
   Hashtbl.find_opt t.views name
+
+let view_deltas t name =
+  check t;
+  List.rev (Option.value ~default:[] (Hashtbl.find_opt t.chains name))
 
 let views t =
   check t;

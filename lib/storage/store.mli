@@ -10,7 +10,8 @@
 
     Three record kinds share the log: graphs, transaction records
     (mutation ops and deletion tombstones, see {!append_txn}) and
-    view-definition records ({!set_view}). Stores written before the
+    view records (full definitions, {!set_view}, and their deltas,
+    {!add_view_delta}). Stores written before the
     learned-statistics records were retired may also hold kind-0xFA
     auxiliary records; opening skips them, so they neither consume a
     graph id nor truncate the log.
@@ -134,7 +135,21 @@ val set_view : t -> name:string -> string -> unit
     layer's {!Gql_exec.View} encodes definition text, flags, epoch and
     materialized result graphs in it). Durable after the next
     {!flush}/{!close}; a torn final view record recovers the previous
-    definition. Raises [Invalid_argument] on an empty name. *)
+    definition. The record also resets the name's delta chain
+    ({!add_view_delta}). Raises [Invalid_argument] on an empty name. *)
+
+val add_view_delta : t -> name:string -> string -> unit
+(** Append a view-delta record to the chain of [name]: an opaque blob
+    (the exec layer's edit script from the previous materialization to
+    the next) that a reader applies, with the chain's other deltas in
+    log order, over the full blob {!view_blob} returns. A {!set_view}
+    resets the chain and {!drop_view} clears it; staged deltas commit,
+    roll back and recover like any staged record. Raises
+    [Invalid_argument] if [name] has no full record. *)
+
+val view_deltas : t -> string -> string list
+(** The delta blobs logged for a view name after its newest full
+    record, in log order ([[]] for an unknown name). *)
 
 val drop_view : t -> string -> bool
 (** Append a view-drop record; [false] (and no record) if the name is
@@ -142,7 +157,7 @@ val drop_view : t -> string -> bool
     across reopen. *)
 
 val view_blob : t -> string -> string option
-(** The newest committed-or-pending blob for a view name, if any. *)
+(** The newest committed-or-pending full blob for a view name, if any. *)
 
 val views : t -> (string * string) list
 (** All live view records, sorted by name. *)

@@ -255,6 +255,28 @@ let prop_incremental_equals_rebuild =
       && li_equal li (LI.build g') g'
       && pi_equal pi (PI.build ~r:1 g') g')
 
+(* [Label_index.update] after deletes shifts the postings above each
+   removed id instead of rebuilding: every batch here deletes a node
+   first and one more last, around random ops (which delete too). *)
+let prop_label_update_with_deletes =
+  QCheck.Test.make ~name:"label index update = build after batches with Del_node"
+    ~count:300
+    (QCheck.make gen_case ~print:print_case)
+    (fun (g, seeds) ->
+      QCheck.assume (Graph.n_nodes g >= 3);
+      let s = List.fold_left ( + ) 0 seeds in
+      let first = Mutate.Del_node (s mod Graph.n_nodes g) in
+      let g1 = fst (Mutate.apply g first) in
+      let mid = derive_ops g1 seeds in
+      let g2 = fst (Mutate.apply_all g1 mid) in
+      let last =
+        let n2 = Graph.n_nodes g2 in
+        if n2 >= 2 then [ Mutate.Del_node (s / 7 mod n2) ] else []
+      in
+      let g', d = Mutate.apply_all g ((first :: mid) @ last) in
+      Array.length d.Mutate.removed > 0
+      && li_equal (LI.update (LI.build g) ~old_graph:g g' d) (LI.build g') g')
+
 let test_incremental_is_local () =
   (* a long path, one relabel at the end: only the r-ball recomputes *)
   let n = 200 in
@@ -582,6 +604,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dirty_sound;
     QCheck_alcotest.to_alcotest prop_renumber_follows_names;
     QCheck_alcotest.to_alcotest prop_incremental_equals_rebuild;
+    QCheck_alcotest.to_alcotest prop_label_update_with_deletes;
     QCheck_alcotest.to_alcotest prop_cow_equals_build;
     QCheck_alcotest.to_alcotest prop_persist_matches_evaluator;
     Alcotest.test_case "incremental update is local" `Quick

@@ -509,6 +509,260 @@ let test_view_crash_matrix () =
   Sys.remove base;
   Sys.remove work
 
+(* ---- the delta chain: refreshes persisted as edit scripts ---- *)
+
+module Mount = Gql_exec.Mount
+
+let texts gs = List.map Graph.to_string gs
+
+let chain_bytes st name =
+  List.fold_left (fun a d -> a + String.length d) 0 (Store.view_deltas st name)
+
+(* Random DML through the service, with the mounts' persist sink as
+   its durability sink, in two sessions on one store: after each, a
+   reopened store's view (its full record plus the delta chain) equals
+   the live one — graphs, order, text and epoch — and the chain's
+   deltas weigh no more than its full record. The second session
+   starts from the reopened view, so its refreshes extend a chain
+   seeded at open. *)
+let prop_chain_reopens_live =
+  let seeds = QCheck.Gen.(list_size (int_range 1 30) nat) in
+  QCheck.Test.make ~name:"view delta chain: reopen = live view (order, text)"
+    ~count:20
+    (QCheck.make
+       QCheck.Gen.(pair seeds seeds)
+       ~print:(fun (a, b) ->
+         let show l = String.concat "," (List.map string_of_int l) in
+         show a ^ " / " ^ show b))
+    (fun (first, second) ->
+      let path = Filename.temp_file "gql_view_chain" ".store" in
+      let st = Store.create path in
+      List.iter
+        (fun g -> ignore (Store.add_graph st g))
+        (Test_mutate.persist_base ());
+      Store.close st;
+      let models =
+        Array.init 2 (fun _ ->
+            {
+              Test_mutate.live_nodes = [ "a0"; "a1"; "a2" ];
+              live_edges = [ ("e0", "a0", "a1"); ("e1", "a1", "a2") ];
+            })
+      in
+      let fresh = ref 0 in
+      let session ~create seeds =
+        let mounts, docs = Mount.open_docs [ "D=" ^ path ] in
+        let persist = Mount.persist mounts in
+        let live = ref None in
+        let on_write w =
+          (match w with
+          | Eval.W_create_view { graphs; epoch; _ } ->
+            live := Some (graphs, epoch)
+          | _ -> ());
+          persist w
+        in
+        let t = Service.create ~jobs:1 ~docs ~on_write () in
+        List.iter
+          (fun v ->
+            live := Some (View.graphs v, View.epoch v);
+            Service.install_view t v)
+          (Mount.views mounts);
+        if create then begin
+          ignore
+            (Service.submit t
+               ("create materialized view hot as " ^ def_src ^ ";"));
+          ignore (Service.drain t)
+        end;
+        List.iter
+          (fun seed ->
+            incr fresh;
+            let dml = Test_mutate.dml_of_seed models !fresh seed in
+            ignore (Service.submit t dml);
+            ignore (Service.drain t))
+          seeds;
+        Service.shutdown t;
+        Mount.close_all mounts;
+        let mounts, _ = Mount.open_docs [ "D=" ^ path ] in
+        let ok =
+          match (Mount.views mounts, !live, Mount.store (List.hd mounts)) with
+          | [ v ], Some (gs, epoch), Some st ->
+            texts (View.graphs v) = texts gs
+            && View.epoch v = epoch
+            && chain_bytes st "hot"
+               <= String.length (Option.get (Store.view_blob st "hot"))
+          | _ -> false
+        in
+        Mount.close_all mounts;
+        ok
+      in
+      let ok = session ~create:true first && session ~create:false second in
+      Sys.remove path;
+      ok)
+
+(* The full-record rule, driven straight through the persist sink: a
+   trickle of refreshes logs deltas until their bytes would outweigh
+   the full record, then a full record starts a new chain. *)
+let test_full_record_rule () =
+  let path = Filename.temp_file "gql_view_rule" ".store" in
+  let g0 = chain ~name:"g1" 40 in
+  let st = Store.create path in
+  ignore (Store.add_graph st g0);
+  Store.close st;
+  let mounts, _ = Mount.open_docs [ "D=" ^ path ] in
+  let st = Option.get (Mount.store (List.hd mounts)) in
+  let persist = Mount.persist mounts in
+  let v = View.make ~name:"hot" ~materialized:true view_def in
+  View.attach v ~docs:[ g0 ];
+  let emit () =
+    persist
+      (Eval.W_create_view
+         {
+           name = "hot";
+           materialized = true;
+           def = View.def v;
+           graphs = View.graphs v;
+           epoch = View.epoch v;
+         })
+  in
+  emit ();
+  Alcotest.(check int) "a create is a full record" 0
+    (List.length (Store.view_deltas st "hot"));
+  let g = ref g0 and resets = ref 0 and deltas = ref 0 in
+  for i = 1 to 60 do
+    let g', delta =
+      Mutate.apply_all !g
+        [
+          Mutate.Set_node
+            { v = i * 7 mod 40; tuple = lbl (if i mod 2 = 0 then "A" else "C") };
+        ]
+    in
+    g := g';
+    ignore
+      (View.refresh v ~docs:[ g' ]
+         (View.Update { index = 0; new_graph = g'; delta }));
+    let before = List.length (Store.view_deltas st "hot") in
+    emit ();
+    let after = List.length (Store.view_deltas st "hot") in
+    if after = 0 then incr resets else if after = before + 1 then incr deltas;
+    let full = String.length (Option.get (Store.view_blob st "hot")) in
+    if chain_bytes st "hot" > full then
+      Alcotest.failf "after refresh %d: %d delta bytes > %d full bytes" i
+        (chain_bytes st "hot") full
+  done;
+  Alcotest.(check bool) "refreshes were logged as deltas" true (!deltas > 30);
+  Alcotest.(check bool) "and the rule started new chains" true (!resets > 1);
+  Mount.close_all mounts;
+  let mounts, _ = Mount.open_docs [ "D=" ^ path ] in
+  (match Mount.views mounts with
+  | [ v' ] ->
+    Alcotest.(check (list string)) "reopened = live" (texts (View.graphs v))
+      (texts (View.graphs v'));
+    Alcotest.(check int) "epoch" (View.epoch v) (View.epoch v')
+  | _ -> Alcotest.fail "expected one view");
+  Mount.close_all mounts;
+  Sys.remove path
+
+(* A delta blob for [v]'s next refresh, and the list it leads to. *)
+let next_delta v g i =
+  let prev = Array.of_list (View.graphs v) in
+  let g', delta =
+    Mutate.apply_all g [ Mutate.Set_node { v = i; tuple = lbl "C" } ]
+  in
+  ignore
+    (View.refresh v ~docs:[ g' ]
+       (View.Update { index = 0; new_graph = g'; delta }));
+  let epoch = View.epoch v in
+  (g', Option.get (View.encode_delta ~prev ~epoch (View.graphs v)))
+
+let test_abort_drops_deltas () =
+  let path = Filename.temp_file "gql_view_abort" ".store" in
+  let g0 = chain ~name:"g1" 20 in
+  let v = View.make ~name:"hot" ~materialized:true view_def in
+  View.attach v ~docs:[ g0 ];
+  (* seed the match caches, so later refreshes reuse survivors *)
+  let g1, _ = next_delta v g0 3 in
+  let st = Store.create path in
+  ignore (Store.add_graph st g0);
+  Store.set_view st ~name:"hot" (View.encode v);
+  Store.close st;
+  let committed = texts (View.graphs v) in
+  let st = Store.open_existing path in
+  let g2, d1 = next_delta v g1 9 in
+  let _, d2 = next_delta v g2 15 in
+  Store.add_view_delta st ~name:"hot" d1;
+  Store.add_view_delta st ~name:"hot" d2;
+  let chain_length () = List.length (Store.view_deltas st "hot") in
+  Alcotest.(check int) "two staged deltas" 2 (chain_length ());
+  Store.rollback st;
+  Alcotest.(check int) "rollback drops them" 0 (chain_length ());
+  Store.add_view_delta st ~name:"hot" d1;
+  Store.abort st;
+  let st = Store.open_existing path in
+  Alcotest.(check int) "abort drops them" 0
+    (List.length (Store.view_deltas st "hot"));
+  let full = Option.get (Store.view_blob st "hot") in
+  Alcotest.(check (list string)) "the committed view is intact" committed
+    (texts (View.graphs (View.decode ~name:"hot" full)));
+  (match Store.add_view_delta st ~name:"nope" d1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a delta needs a full record");
+  Store.close st;
+  Sys.remove path
+
+(* The crash matrix, for a delta record: a crash at every byte of its
+   commit reopens to the chain before it or after it. *)
+let test_delta_crash_matrix () =
+  let base = Filename.temp_file "gql_delta_crash_base" ".db" in
+  let work = Filename.temp_file "gql_delta_crash_work" ".db" in
+  let g0 = chain ~name:"g1" 16 in
+  let v = View.make ~name:"hot" ~materialized:true view_def in
+  View.attach v ~docs:[ g0 ];
+  let g1, _ = next_delta v g0 2 in
+  let st = Store.create base in
+  ignore (Store.add_graph st g0);
+  Store.set_view st ~name:"hot" (View.encode v);
+  let g2, d1 = next_delta v g1 6 in
+  Store.add_view_delta st ~name:"hot" d1;
+  Store.close st;
+  let before = (texts (View.graphs v), View.epoch v) in
+  let _, d2 = next_delta v g2 11 in
+  let after = (texts (View.graphs v), View.epoch v) in
+  let reopened st =
+    let v' =
+      View.decode ~deltas:(Store.view_deltas st "hot") ~name:"hot"
+        (Option.get (Store.view_blob st "hot"))
+    in
+    (texts (View.graphs v'), View.epoch v')
+  in
+  copy_file base work;
+  let st = Store.open_existing work in
+  Store.add_view_delta st ~name:"hot" d2;
+  Store.flush st;
+  let total_bytes = Pager.bytes_written (Store.pager st) in
+  Alcotest.(check bool) "clean commit reopens after" true (reopened st = after);
+  Store.close st;
+  let olds = ref 0 and news = ref 0 in
+  for fault = 0 to total_bytes do
+    copy_file base work;
+    let st = Store.open_existing work in
+    Pager.set_fault (Store.pager st) ~after_bytes:fault;
+    (match
+       Store.add_view_delta st ~name:"hot" d2;
+       Store.flush st
+     with
+    | () -> ()
+    | exception Pager.Crash -> ());
+    Store.abort st;
+    let st = Store.open_existing work in
+    let got = reopened st in
+    if got = before then incr olds
+    else if got = after then incr news
+    else Alcotest.failf "fault at %d: a chain neither before nor after" fault;
+    Store.close st
+  done;
+  Alcotest.(check bool) "both outcomes seen" true (!olds > 0 && !news > 0);
+  Sys.remove base;
+  Sys.remove work
+
 (* ---- the service ---- *)
 
 let named_chain name n =
@@ -658,6 +912,13 @@ let suite =
       test_store_view_records;
     Alcotest.test_case "crash matrix: view records are all-or-nothing" `Slow
       test_view_crash_matrix;
+    QCheck_alcotest.to_alcotest prop_chain_reopens_live;
+    Alcotest.test_case "full-record rule bounds the delta chain" `Quick
+      test_full_record_rule;
+    Alcotest.test_case "abort and rollback drop staged view deltas" `Quick
+      test_abort_drops_deltas;
+    Alcotest.test_case "crash matrix: a view delta is all-or-nothing" `Slow
+      test_delta_crash_matrix;
     Alcotest.test_case "service: create, watermark read, drop" `Quick
       test_service_views;
     Alcotest.test_case "service: preloaded materialized view" `Quick
